@@ -4,7 +4,7 @@ and synaptic-operation energy accounting.
 """
 
 from .autodiff import Tensor, grad_check, no_grad, precision
-from .model import ModelConfig, VideoSpikeNet, build_model, load_checkpoint, save_checkpoint, variant_config
+from .model import ModelConfig, VideoSpikeNet, load_checkpoint, save_checkpoint, variant_config
 from .neurons import NeuronConfig, SpikingLayer
 from .profiler import EnergyModel, LayerCost, energy_from_totals, total_energy
 from .training import TrainConfig, cross_entropy, evaluate, fit
@@ -16,7 +16,6 @@ __all__ = [
     "precision",
     "ModelConfig",
     "VideoSpikeNet",
-    "build_model",
     "load_checkpoint",
     "save_checkpoint",
     "variant_config",

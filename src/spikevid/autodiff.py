@@ -42,6 +42,8 @@ __all__ = [
     "reduce_mean",
     "conv",
     "spike",
+    "surrogate_slope",
+    "lif_sequence",
     "backward",
     "grad_check",
     "GradCheckReport",
@@ -561,13 +563,8 @@ def spike(h, v_threshold, alpha, smooth=False):
     for finite-difference verification.
     """
     h = _as_tensor(h)
-    shifted = alpha * (h.data - h.data.dtype.type(v_threshold))
-    if smooth:
-        out_data = _sigmoid(shifted)
-    else:
-        out_data = (h.data >= v_threshold).astype(h.data.dtype)
-    sg = _sigmoid(shifted)
-    local = (alpha * sg * (1.0 - sg)).astype(h.data.dtype)
+    out_data = _spike_forward(h.data, v_threshold, alpha, smooth)
+    local = surrogate_slope(h.data, v_threshold, alpha)
 
     def bwd(g):
         _accumulate(h, g * local)
@@ -575,10 +572,117 @@ def spike(h, v_threshold, alpha, smooth=False):
     return _make(out_data, (h,), bwd)
 
 
+def _spike_forward(h, v_threshold, alpha, smooth, out=None):
+    """Spikes of membrane ``h`` (the sigmoid surrogate if ``smooth``), into ``out``."""
+    if out is None:
+        out = np.empty_like(h)
+    if smooth:
+        out[...] = _sigmoid(alpha * (h - h.dtype.type(v_threshold)))
+        return out
+    return np.greater_equal(h, v_threshold, out=out, casting="unsafe")
+
+
 def surrogate_slope(h_values, v_threshold, alpha):
-    """The surrogate derivative ds/dH used at spike nodes (plain ndarray math)."""
-    sg = _sigmoid(np.asarray(alpha * (np.asarray(h_values, dtype=np.float64) - v_threshold)))
-    return alpha * sg * (1.0 - sg)
+    """The surrogate derivative ds/dH used at spike nodes (plain ndarray math).
+
+    Computed in the dtype of a floating-point ``h_values``, float64 otherwise.
+    """
+    h = np.asarray(h_values)
+    if h.dtype.kind != "f":
+        h = h.astype(np.float64)
+    # sigmoid'(z) = e / (1 + e)^2 with e = exp(-|z|): stable, no branches
+    e = np.exp(-alpha * np.abs(h - h.dtype.type(v_threshold)))
+    d = 1.0 + e
+    return alpha * e / (d * d)
+
+
+# ---------------------------------------------------------------------------
+# multi-step LIF / PLIF neuron
+
+
+def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
+                 alpha=4.0, detach_reset=False, smooth=False):
+    """T steps of leaky integrate-and-fire dynamics as one primitive.
+
+    x: [T, *S] input; v: [*S] membrane Tensor carried in (None starts at
+    rest, V = v_reset); a: the PLIF leak parameter, kappa = sigmoid(a), or
+    None for LIF with kappa = 1/tau. Each step t computes
+
+        D = X_t - (V - v_reset)        H = V + kappa * D
+        S_t = Heaviside(H - v_threshold)   (its sigmoid surrogate if ``smooth``)
+        V = H * (1 - S_t) + S_t * v_reset
+
+    Returns ``(spikes [T, *S], v_T [*S])``. ``v_T`` is a second tape node
+    that hands dL/dV_T to the spikes node, so a membrane carried into the next
+    call stays differentiable. Backward is one reverse loop over t carrying
+    dL/dV; it recomputes the surrogate slopes from the saved H through
+    ``surrogate_slope`` and drops the S -> V reset path if ``detach_reset``.
+    Nothing is saved when no input requires a gradient or under ``no_grad``.
+    """
+    x = _as_tensor(x)
+    if x.ndim < 1 or x.shape[0] == 0:
+        raise ShapeError(f"lif_sequence: expected a non-empty [T, ...] input, got {x.shape}")
+    if not np.all(np.isfinite(x.data)):
+        raise FloatingPointError("spiking layer received non-finite input")
+    dt = x.data.dtype
+    T, shape = x.shape[0], x.shape[1:]
+    if v is None:
+        v = Tensor(np.full(shape, v_reset, dtype=dt))
+    if v.shape != shape:
+        raise ShapeError(f"membrane shape {v.shape} does not match input {shape}")
+    parents = (x, v) if a is None else (x, v, a)
+    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+    vr = dt.type(v_reset)
+    one = dt.type(1.0)
+    kappa = dt.type(1.0 / tau) if a is None else _sigmoid(a.data)
+    spikes = np.empty(x.shape, dtype=np.result_type(x.data, v.data, kappa))
+    hs = np.empty_like(spikes) if track else None
+    drives = np.empty_like(spikes) if track and a is not None and a.requires_grad else None
+    v_t = v.data
+    for t in range(T):
+        # V - 0 is V bit for bit, so a zero reset potential skips that op
+        drive = x.data[t] - (v_t - vr) if v_reset else x.data[t] - v_t
+        h = v_t + kappa * drive
+        s = _spike_forward(h, v_threshold, alpha, smooth, out=spikes[t])
+        v_t = h * (one - s) + s * vr
+        if hs is not None:
+            hs[t] = h
+        if drives is not None:
+            drives[t] = drive
+    if not track:
+        return Tensor(spikes), Tensor(v_t)
+
+    g_v_final = []  # filled by the membrane node's backward, which runs first
+
+    def bwd(g):
+        slope = surrogate_slope(hs, v_threshold, alpha)
+        # dV_t/dH_t along the membrane and (unless detached) the reset path
+        dv_dh = one - spikes
+        if not detach_reset:
+            dv_dh += (vr - hs) * slope
+        g_h = g * slope  # dL/dH_t from S_t alone; dL/dV_t is added below
+        g_v = g_v_final[0] if g_v_final else None
+        leak = one - kappa
+        for t in range(T - 1, -1, -1):
+            if g_v is not None:
+                g_h[t] += g_v * dv_dh[t]
+            g_v = g_h[t] * leak
+        _accumulate(v, g_v)
+        if drives is not None:
+            g_kappa = np.sum(g_h * drives, dtype=np.float64)
+            _accumulate(a, np.asarray(g_kappa * kappa * (1.0 - kappa)))
+        g_h *= kappa
+        _accumulate(x, g_h)
+
+    out = Tensor(spikes, requires_grad=True, _parents=parents, _backward=bwd)
+
+    def hand_over(g):
+        g_v_final.append(g)
+        if out.grad is None:  # the loss reads only the membrane
+            out.grad = np.zeros_like(spikes)
+
+    return out, Tensor(v_t, requires_grad=True, _parents=(out,), _backward=hand_over)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,10 @@ def parse_config(config_path=None, overrides=()):
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
         dotted, raw = item.split("=", 1)
         resolved = _apply_override(resolved, dotted, raw)
+    seed = resolved["run"]["seed"]
+    if not isinstance(seed, int) or not 0 <= seed < 2**32:
+        # checkpoints store the seed as an unsigned 32-bit integer
+        raise ConfigError(f"run.seed must be an integer in [0, 2**32), got {seed!r}")
     return resolved
 
 
@@ -355,7 +359,11 @@ COMMANDS = {
 def run(command, config_path=None, overrides=()):
     try:
         cfg = parse_config(config_path, overrides)
-    except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
+        # build the config objects now: a bad value is a config error, found
+        # before any data is generated or any epoch runs
+        _model_config(cfg)
+        _train_config(cfg)
+    except (ValueError, FileNotFoundError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

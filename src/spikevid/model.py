@@ -211,14 +211,6 @@ class VideoSpikeNet(Module):
         return self.head(x)
 
 
-def build_model(cfg: ModelConfig, seed=0) -> VideoSpikeNet:
-    return VideoSpikeNet(cfg, seed=seed)
-
-
-def count_parameters(model: VideoSpikeNet) -> int:
-    return model.param_count()
-
-
 # ---------------------------------------------------------------------------
 # checkpoint container
 

@@ -6,8 +6,14 @@ One step of membrane dynamics:
     S = Heaviside(H - V_th)
     V' = H * (1 - S) + V_reset * S
 
-The forward spike is exact binary; the backward pass substitutes the
-derivative of a sigmoid of steepness ``surrogate_alpha`` at the threshold.
+A layer runs all T steps of a [T, ...] input as one multi-step primitive,
+``autodiff.lif_sequence``: the forward loops over t on plain arrays and
+records one tape node for the spikes and one for the final membrane; its
+hand-written backward walks t in reverse, carrying dL/dV (backpropagation
+through time). The forward spike is exact binary; the backward substitutes
+the derivative of a sigmoid of steepness ``surrogate_alpha`` at the
+threshold. ``step`` and ``neuron_step`` are the same primitive on a length-1
+sequence.
 """
 
 from __future__ import annotations
@@ -71,45 +77,25 @@ class SpikingLayer(Module):
         """Current membrane potential (None until the first step)."""
         return self._v
 
-    def _kappa(self):
-        if self.cfg.kind == "PLIF":
-            return ad.sigmoid(self.a)
-        return None
-
     def step(self, x_t: Tensor) -> Tensor:
         """Advance one time step; returns the binary spike tensor."""
-        if not np.all(np.isfinite(x_t.data)):
-            raise FloatingPointError("spiking layer received non-finite input")
-        cfg = self.cfg
-        if self._v is None:
-            self._v = ad.zeros(x_t.shape) if cfg.v_reset == 0 else ad.tensor(
-                np.full(x_t.shape, cfg.v_reset, dtype=ad.current_dtype())
-            )
-        if self._v.shape != x_t.shape:
-            raise ad.ShapeError(
-                f"membrane shape {self._v.shape} does not match input {x_t.shape}"
-            )
-        drive = ad.sub(x_t, ad.sub(self._v, ad.tensor(cfg.v_reset)))
-        if cfg.kind == "PLIF":
-            h = ad.add(self._v, ad.mul(self._kappa(), drive))
-        else:
-            h = ad.add(self._v, ad.scale(drive, 1.0 / cfg.tau))
-        s = ad.spike(h, cfg.v_threshold, cfg.surrogate_alpha, smooth=self.smooth)
-        s_reset = s.detach() if cfg.detach_reset else s
-        one_minus = ad.sub(ad.tensor(1.0), s_reset)
-        self._v = ad.add(ad.mul(h, one_minus), ad.scale(s_reset, cfg.v_reset))
-        self.t += 1
-        if self.record_spikes:
-            rate = float(s.data.mean())
-            self.spike_sum += float(s.data.sum())
-            self.spike_count += s.data.size
-            self.step_rates.append(rate)
-        return s
+        return ad.reshape(self.forward(ad.reshape(x_t, (1,) + x_t.shape)), x_t.shape)
 
     def forward(self, x_seq: Tensor) -> Tensor:
-        """Process a [T, ...] sequence step by step, carrying membrane state."""
-        outs = [self.step(ad.index(x_seq, t, axis=0)) for t in range(x_seq.shape[0])]
-        return ad.stack(outs, axis=0)
+        """Process a [T, ...] sequence, carrying membrane state across calls."""
+        cfg = self.cfg
+        s, self._v = ad.lif_sequence(
+            x_seq, self._v, self.a if cfg.kind == "PLIF" else None,
+            tau=cfg.tau, v_threshold=cfg.v_threshold, v_reset=cfg.v_reset,
+            alpha=cfg.surrogate_alpha, detach_reset=cfg.detach_reset, smooth=self.smooth,
+        )
+        self.t += x_seq.shape[0]
+        if self.record_spikes:
+            for s_t in s.data:
+                self.spike_sum += float(s_t.sum())
+                self.spike_count += s_t.size
+                self.step_rates.append(float(s_t.mean()))
+        return s
 
     def effective_tau(self) -> float:
         """Membrane time constant: learned 1/sigmoid(a) for PLIF, fixed for LIF."""
@@ -140,23 +126,20 @@ def _sigmoid_scalar(x: float) -> float:
 def neuron_step(v, x_t, cfg: NeuronConfig):
     """Single functional step of the membrane recurrence on plain ndarrays.
 
-    Returns (spikes, v_next). This is the layer dynamics without any tape;
-    useful for oracles and closed-form reasoning.
+    Returns (spikes, v_next): the layer dynamics at ``a = cfg.a_init``
+    without any tape.
     """
     dtype = np.asarray(x_t).dtype
     v = np.asarray(v, dtype=dtype)
     x_t = np.asarray(x_t, dtype=dtype)
     if v.shape != x_t.shape:
         raise ad.ShapeError(f"shapes differ: {v.shape} vs {x_t.shape}")
-    if cfg.kind == "PLIF":
-        # same float path as the layer's sigmoid, so results match bit-for-bit
-        kappa = ad._sigmoid(np.asarray([cfg.a_init], dtype=dtype))[0]
-    else:
-        kappa = dtype.type(1.0 / cfg.tau)
-    h = v + kappa * (x_t - (v - dtype.type(cfg.v_reset)))
-    s = (h >= cfg.v_threshold).astype(dtype)
-    v_next = h * (1 - s) + dtype.type(cfg.v_reset) * s
-    return s, v_next
+    a = Tensor(np.asarray(cfg.a_init, dtype=dtype)) if cfg.kind == "PLIF" else None
+    s, v_next = ad.lif_sequence(
+        Tensor(x_t[None]), Tensor(v), a, tau=cfg.tau, v_threshold=cfg.v_threshold,
+        v_reset=cfg.v_reset, alpha=cfg.surrogate_alpha,
+    )
+    return s.data[0], v_next.data
 
 
 def plif_a_for_tau(tau: float) -> float:

@@ -38,10 +38,6 @@ class TrainConfig:
             raise ValueError("warmup_epochs must be smaller than epochs")
 
 
-# the full-dataset profile reported alongside desk-scale defaults
-PAPER_PROFILE = TrainConfig(epochs=600, batch_size=64, base_lr=0.006, warmup_epochs=20)
-
-
 @dataclass
 class EpochMetrics:
     epoch: int
@@ -173,7 +169,6 @@ def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
         optimizer.step(lr)
         losses.append(loss_val)
     model.reset_states()
-    fr = {}
     taus = {
         name: layer.effective_tau()
         for name, layer in model.spiking_layers()
@@ -183,7 +178,6 @@ def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
         train_loss=float(np.mean(losses)) if losses else float("nan"),
         top1=float("nan"),
         lr=float(lr),
-        firing_rates=fr,
         taus=taus,
         wall_time=time.time() - start,
     )
@@ -246,7 +240,9 @@ def fit(model: VideoSpikeNet, train_clips, train_labels, cfg: TrainConfig,
         metrics = train_epoch(model, train_clips, train_labels, cfg, optimizer,
                               epoch, steps_per_epoch, rng)
         if test_clips is not None:
-            metrics.top1 = evaluate(model, test_clips, test_labels, cfg.batch_size)
+            metrics.top1 = evaluate(model, test_clips, test_labels, cfg.batch_size,
+                                    record_rates=True)
+            metrics.firing_rates = firing_rate_table(model)
             model.train()
         history.append(metrics)
         if callback is not None:

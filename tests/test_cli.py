@@ -180,6 +180,27 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERIC
 
 
+    @pytest.mark.parametrize("override", [
+        "model.variant=huge",
+        "model.norm_mode=layer",
+        "model.neuron_kind=IZH",
+        "train.warmup_epochs=2",  # FAST runs 2 epochs
+    ])
+    def test_invalid_model_or_train_value_is_config_error(self, tmp_path, override):
+        code = run_cli(tmp_path, "train", *FAST, "--set", override)
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "train").exists()  # rejected before any work
+
+    @pytest.mark.parametrize("seed", [2**32, -1])
+    def test_seed_outside_checkpoint_range_is_config_error(self, tmp_path, seed):
+        code = run_cli(tmp_path, "train", *FAST, "--set", f"run.seed={seed}")
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "train").exists()
+
+    def test_largest_checkpoint_seed_accepted(self):
+        assert cli.parse_config(overrides=[f"run.seed={2**32 - 1}"])["run"]["seed"] == 2**32 - 1
+
+
 class TestDeterminism:
     def test_same_seed_reproduces_metrics(self, tmp_path):
         run_cli(tmp_path / "a", "train", *FAST)

@@ -161,6 +161,113 @@ def _unrolled_loss(x):
     return ad.reduce_sum(ad.mul(out, ad.scale(x, 0.3)))
 
 
+def _stepwise_reference(x_seq, v, a, cfg, smooth):
+    """The per-step tape chain that ``ad.lif_sequence`` fuses, built from
+    single-op primitives: index, membrane update, spike, stack."""
+    outs = []
+    for t in range(x_seq.shape[0]):
+        x_t = ad.index(x_seq, t, axis=0)
+        drive = ad.sub(x_t, ad.sub(v, ad.tensor(cfg.v_reset)))
+        if cfg.kind == "PLIF":
+            h = ad.add(v, ad.mul(ad.sigmoid(a), drive))
+        else:
+            h = ad.add(v, ad.scale(drive, 1.0 / cfg.tau))
+        s = ad.spike(h, cfg.v_threshold, cfg.surrogate_alpha, smooth=smooth)
+        s_reset = s.detach() if cfg.detach_reset else s
+        v = ad.add(ad.mul(h, ad.sub(ad.tensor(1.0), s_reset)), ad.scale(s_reset, cfg.v_reset))
+        outs.append(s)
+    return ad.stack(outs, axis=0), v
+
+
+def _fused(x_seq, v, a, cfg, smooth):
+    return ad.lif_sequence(
+        x_seq, v, a if cfg.kind == "PLIF" else None, tau=cfg.tau,
+        v_threshold=cfg.v_threshold, v_reset=cfg.v_reset, alpha=cfg.surrogate_alpha,
+        detach_reset=cfg.detach_reset, smooth=smooth)
+
+
+def _two_calls(run, cfg, smooth, seed, read_spikes=True):
+    """Two consecutive sequences through ``run`` with the membrane carried
+    across; returns the forward arrays and the gradients of x1, x2, V_0, a."""
+    rng = make_rng(seed)
+    with ad.precision(np.float64):
+        x1 = ad.Tensor(rng.normal(0.8, 1.0, (5, 3, 4)), requires_grad=True)
+        x2 = ad.Tensor(rng.normal(0.8, 1.0, (4, 3, 4)), requires_grad=True)
+        v0 = ad.Tensor(cfg.v_reset + 0.2 * rng.standard_normal((3, 4)), requires_grad=True)
+        a = ad.Tensor(np.array(0.3), requires_grad=True)
+        w1, w2, w3 = (ad.tensor(rng.standard_normal(s)) for s in ((5, 3, 4), (4, 3, 4), (3, 4)))
+        s1, v1 = run(x1, v0, a, cfg, smooth)
+        s2, v2 = run(x2, v1, a, cfg, smooth)
+        loss = ad.reduce_sum(ad.mul(v2, w3))
+        if read_spikes:
+            loss = ad.add(loss, ad.add(ad.reduce_sum(ad.mul(s1, w1)),
+                                       ad.reduce_sum(ad.mul(s2, w2))))
+        ad.backward(loss)
+    grads = {n: t.grad for n, t in (("x1", x1), ("x2", x2), ("v0", v0), ("a", a))}
+    return (s1.data, v1.data, s2.data, v2.data), grads
+
+
+class TestFusedSequenceMatchesStepwise:
+    """``ad.lif_sequence`` against the per-step tape chain, float64."""
+
+    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
+    @pytest.mark.parametrize("detach_reset", [False, True])
+    @pytest.mark.parametrize("v_reset", [0.0, 0.3])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_forward_exact_and_gradients_agree(self, kind, detach_reset, v_reset, smooth):
+        cfg = NeuronConfig(kind=kind, tau=2.5, v_reset=v_reset, detach_reset=detach_reset)
+        fused, g_fused = _two_calls(_fused, cfg, smooth, seed=11)
+        ref, g_ref = _two_calls(_stepwise_reference, cfg, smooth, seed=11)
+        for got, want in zip(fused, ref):
+            np.testing.assert_array_equal(got, want)
+        if not smooth:
+            assert 0.0 < fused[0].mean() < 1.0  # spikes and silence both occur
+        for name in ("x1", "x2", "v0") + (("a",) if kind == "PLIF" else ()):
+            np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
+        if kind == "LIF":
+            assert g_fused["a"] is None
+
+    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
+    def test_loss_reading_only_the_membrane(self, kind):
+        cfg = NeuronConfig(kind=kind, tau=2.5)
+        _, g_fused = _two_calls(_fused, cfg, False, seed=12, read_spikes=False)
+        _, g_ref = _two_calls(_stepwise_reference, cfg, False, seed=12, read_spikes=False)
+        for name in ("x1", "x2", "v0") + (("a",) if kind == "PLIF" else ()):
+            np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+    def test_layer_carries_membrane_across_forward_calls(self):
+        cfg = NeuronConfig(kind="PLIF", a_init=0.3, v_reset=0.3)
+        rng = make_rng(13)
+        x = rng.normal(0.8, 1.0, (9, 3, 4))
+        with ad.precision(np.float64):
+            layer = SpikingLayer(cfg)
+            layer.reset_state()
+            out = np.concatenate([layer(ad.tensor(x[:5])).data, layer(ad.tensor(x[5:])).data])
+            a = ad.tensor(np.array(0.3))
+            v = ad.tensor(np.full((3, 4), 0.3))
+            ref, v_ref = _stepwise_reference(ad.tensor(x), v, a, cfg, smooth=False)
+        np.testing.assert_array_equal(out, ref.data)
+        np.testing.assert_array_equal(layer.v.data, v_ref.data)
+        assert layer.t == 9
+
+    def test_no_tape_node_without_grad(self):
+        x = ad.Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+        a = ad.Tensor(np.array(0.0, dtype=np.float32), requires_grad=True)
+        with ad.no_grad():
+            outs = _fused(x, None, a, NeuronConfig(), smooth=False)
+        outs += _fused(ad.tensor(np.ones((3, 2))), None, ad.tensor(np.array(0.0)),
+                       NeuronConfig(), smooth=False)
+        for t in outs:
+            assert not t.requires_grad
+            assert t._parents == () and t._backward is None
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ad.ShapeError):
+            ad.lif_sequence(ad.tensor(np.zeros((0, 2))))
+
+
 class TestInstrumentation:
     def test_firing_rate_accounting(self):
         layer = SpikingLayer(NeuronConfig(kind="LIF", tau=2.0))

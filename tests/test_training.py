@@ -174,6 +174,17 @@ class TestLoops:
         model, history, _ = small_run
         assert set(history[0].taus) == {n for n, _ in model.spiking_layers()}
 
+    def test_firing_rates_reported_per_layer(self):
+        tr = gen_moving_patterns(seed=0, num=8, T=2, H=16, W=16, classes=3)
+        te = gen_moving_patterns(seed=1, num=4, T=2, H=16, W=16, classes=3)
+        model = VideoSpikeNet(tiny_config(), seed=0)
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=8)
+        (metrics,) = fit(model, tr.clips, tr.labels, cfg, te.clips, te.labels)
+        rates = metrics.firing_rates
+        assert set(rates) == {n for n, _ in model.spiking_layers()}
+        assert all(0.0 <= r <= 1.0 for r in rates.values())
+        assert metrics.to_record()["firing_rates"] == rates
+
     def test_evaluate_bounds_and_determinism(self, small_run):
         model, _, te = small_run
         a = evaluate(model, te.clips, te.labels, batch_size=8)
