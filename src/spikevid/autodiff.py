@@ -454,6 +454,15 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
 
     x: [B, C_in, *spatial], w: [C_out, C_in // groups, *kernel]; spatial rank
     2 or 3. Output spatial extent is floor((n + 2p - k) / s) + 1.
+
+    The forward and the weight gradient are one grouped matmul each against
+    the ``[groups, P, C_g * K]`` columns of ``_im2col``. The input gradient of
+    a dense conv is a matmul back to columns that ``_col2im`` scatters onto
+    the input. A depthwise conv (``C_g == 1`` and ``C_out == groups``) skips
+    both: that matmul has inner extent 1, so each column entry is one rounded
+    product ``g * w``, and ``_depthwise_input_grad`` adds the same products in
+    the same order straight onto the input, bit for bit what the matmul and
+    ``_col2im`` give.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     rank = w.ndim - 2
@@ -480,10 +489,8 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     pad_width = [(0, 0), (0, 0)] + [(p, p) for p in padding]
     xp = np.pad(x.data, pad_width) if any(padding) else x.data
 
-    cols = _im2col(xp, kernel, stride, out_spatial)  # [B, *out, C_in, *kernel]
-    P = B * int(np.prod(out_spatial))
-    cols_g = cols.reshape(P, groups, (C_in // groups) * int(np.prod(kernel)))
-    cols_g = np.ascontiguousarray(cols_g.transpose(1, 0, 2))  # [g, P, CgK]
+    cols_g = _im2col(xp, kernel, stride, out_spatial, groups)  # [g, P, CgK]
+    P = cols_g.shape[1]
     w_g = w.data.reshape(groups, C_out // groups, -1)  # [g, Og, CgK]
     out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, P, Og]
     out_data = out_g.transpose(1, 0, 2).reshape(B, *out_spatial, C_out)
@@ -498,18 +505,22 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         _accumulate(w, gw.reshape(w.data.shape))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
-        if x.requires_grad:
+        if not x.requires_grad:
+            return
+        if C_g == 1 and C_out == groups:
+            gx = _depthwise_input_grad(g, w.data, xp.shape, stride)
+        else:
             gcols = np.matmul(g_flat, w_g)  # [g, P, CgK]
             gcols = gcols.transpose(1, 0, 2).reshape(
                 (B,) + out_spatial + (C_in,) + tuple(kernel)
             )
             gx = _col2im(gcols, xp.shape, kernel, stride, out_spatial)
-            if any(padding):
-                sl = [slice(None), slice(None)] + [
-                    slice(p, p + n) for p, n in zip(padding, spatial)
-                ]
-                gx = gx[tuple(sl)]
-            _accumulate(x, gx)
+        if any(padding):
+            sl = [slice(None), slice(None)] + [
+                slice(p, p + n) for p, n in zip(padding, spatial)
+            ]
+            gx = gx[tuple(sl)]
+        _accumulate(x, gx)
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _make(out_data, parents, bwd)
@@ -523,16 +534,21 @@ def _tuplize(v, rank):
     return (int(v),) * rank
 
 
-def _im2col(xp, kernel, stride, out_spatial):
-    """[B, C, *padded] -> [B, *out, C, *kernel] window view (copied)."""
+def _im2col(xp, kernel, stride, out_spatial, groups):
+    """[B, C, *padded] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
+
+    One copy of the strided window view, straight into the layout the
+    grouped matmul reads: row ``p`` of group ``g`` holds the window at output
+    position ``p`` of that group's channels, channel-major then kernel order.
+    """
     rank = len(kernel)
+    B, C = xp.shape[:2]
     view = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=tuple(range(2, 2 + rank)))
     # view: [B, C, *valid, *kernel]; subsample by stride
     sl = [slice(None), slice(None)] + [slice(None, None, s) for s in stride]
-    view = view[tuple(sl)]
-    # move C behind the output spatial axes
-    view = np.moveaxis(view, 1, 1 + rank)
-    return np.ascontiguousarray(view)
+    view = view[tuple(sl)].reshape((B, groups, C // groups) + out_spatial + tuple(kernel))
+    view = np.moveaxis(view, (1, 2), (0, 2 + rank))  # [groups, B, *out, C_g, *kernel]
+    return np.ascontiguousarray(view).reshape(groups, B * int(np.prod(out_spatial)), -1)
 
 
 def _col2im(gcols, xp_shape, kernel, stride, out_spatial):
@@ -547,6 +563,26 @@ def _col2im(gcols, xp_shape, kernel, stride, out_spatial):
         ]
         sl_k = (slice(None),) * (2 + rank) + offset
         gx[tuple(sl_in)] += gcols[sl_k]
+    return gx
+
+
+def _depthwise_input_grad(g, w, xp_shape, stride):
+    """Padded-input gradient of a depthwise conv: g [B, C, *out], w [C, 1, *kernel].
+
+    Adds ``g * w[:, 0, offset]`` onto each offset's window, offsets in
+    ``_col2im``'s order, so the sums match it bit for bit.
+    """
+    kernel = w.shape[2:]
+    out_spatial = g.shape[2:]
+    gx = np.zeros(xp_shape, dtype=np.result_type(g, w))
+    term = np.empty(g.shape, dtype=gx.dtype)
+    w_c = w.reshape((w.shape[0],) + (1,) * len(kernel) + tuple(kernel))  # [C, 1.., *kernel]
+    for offset in np.ndindex(*kernel):
+        sl_in = (slice(None), slice(None)) + tuple(
+            slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial)
+        )
+        np.multiply(g, w_c[(Ellipsis,) + offset], out=term)
+        gx[sl_in] += term
     return gx
 
 

@@ -44,7 +44,7 @@ DEFAULTS = {
         "time_steps": 8,
         "norm_mode": "tdbn",
         "neuron_kind": "PLIF",
-        "use_local_pathway": True,
+        "use_local_pathway": None,  # None: the variant's default
         "surrogate_alpha": 4.0,
         "checkpoint": None,
     },
@@ -157,23 +157,22 @@ def parse_config(config_path=None, overrides=()):
 
 
 def _model_config(cfg) -> ModelConfig:
-    m = cfg["model"]
-    neuron = NeuronConfig(kind=m["neuron_kind"], surrogate_alpha=m["surrogate_alpha"])
-    return variant_config(
-        m["variant"],
+    """The variant's layout, built for the data's frame size and class count."""
+    m, d = cfg["model"], cfg["data"]
+    overrides = dict(
         time_steps=m["time_steps"],
         norm_mode=m["norm_mode"],
-        use_local_pathway=m["use_local_pathway"],
-        neuron=neuron,
-        in_height=cfg["data"]["height"],
-        in_width=cfg["data"]["width"],
-        num_classes=cfg["data"]["classes"],
-    ) if m["variant"] == "tiny" else variant_config(
-        m["variant"],
-        time_steps=m["time_steps"],
-        norm_mode=m["norm_mode"],
-        neuron=neuron,
+        neuron=NeuronConfig(kind=m["neuron_kind"], surrogate_alpha=m["surrogate_alpha"]),
+        in_height=d["height"],
+        in_width=d["width"],
+        num_classes=d["classes"],
     )
+    if m["use_local_pathway"] is not None:
+        if not isinstance(m["use_local_pathway"], bool):
+            raise ConfigError(f"model.use_local_pathway: expected a boolean, "
+                              f"got {m['use_local_pathway']!r}")
+        overrides["use_local_pathway"] = m["use_local_pathway"]
+    return variant_config(m["variant"], **overrides)
 
 
 def _train_config(cfg) -> TrainConfig:
@@ -363,6 +362,9 @@ def run(command, config_path=None, overrides=()):
         # before any data is generated or any epoch runs
         _model_config(cfg)
         _train_config(cfg)
+        if command == "train" and cfg["model"]["checkpoint"]:
+            raise ConfigError("model.checkpoint is not read by train, which always "
+                              "starts from scratch; unset it or use eval/profile/noise-eval")
     except (ValueError, FileNotFoundError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

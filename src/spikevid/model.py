@@ -10,8 +10,10 @@ head.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, replace
@@ -246,10 +248,21 @@ def save_checkpoint(model: VideoSpikeNet, path):
         raw = arr.astype(dt).tobytes()
         body += struct.pack("<Q", len(raw)) + raw
     checksum = zlib.crc32(bytes(body))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes(body))
-        fh.write(struct.pack("<I", checksum))
+    # write beside the target, then rename over it: a failed write leaves the
+    # previous checkpoint whole and removes its own partial file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(bytes(body))
+            fh.write(struct.pack("<I", checksum))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class CheckpointError(RuntimeError):

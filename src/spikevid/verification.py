@@ -60,6 +60,10 @@ def run_gradient_checks(seed=0, tol=1e-4, step=1e-4):
     reports["cross_entropy"] = ad.grad_check(
         lambda z: cross_entropy(z, np.array([0, 2, 1])), [arr(3, 4)],
         tol=tol, step=step)
+    reports["conv2d_depthwise_strided"] = ad.grad_check(
+        lambda x, w, b: ad.reduce_sum(ad.mul(
+            c := ad.conv(x, w, stride=2, padding=2, groups=3, bias=b), c)),
+        [arr(2, 3, 5, 5), arr(3, 1, 5, 5), arr(3)], tol=tol, step=step)
     reports["composed_model"] = composed_model_check(seed=seed, tol=tol, step=step)
     return reports
 

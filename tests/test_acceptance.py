@@ -99,7 +99,7 @@ def test_criterion_02_gradient_integrity(report):
         and elapsed < 60.0
     )
     report(2, "gradient-integrity", ok,
-           f"13 checks, worst rel err {worst:.2e}, {elapsed:.1f}s")
+           f"{len(reports)} checks, worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

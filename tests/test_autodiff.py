@@ -147,6 +147,14 @@ class TestConv:
              t(make_rng(11).standard_normal((3, 2, 3, 3)))])
         assert rep.passed, rep
 
+    def test_grad_check_one_output_per_group(self):
+        # C_out == groups but two channels per group: not depthwise
+        rep = ad.grad_check(
+            lambda x, w: ad.reduce_sum(ad.mul(c := ad.conv(x, w, padding=1, groups=2), c)),
+            [t(make_rng(12).standard_normal((1, 4, 4, 4))),
+             t(make_rng(13).standard_normal((2, 2, 3, 3)))])
+        assert rep.passed, rep
+
     def test_kernel_too_large_raises(self):
         with pytest.raises(ad.ShapeError):
             ad.conv(t(np.ones((1, 1, 3, 3))), t(np.ones((1, 1, 5, 5))))
@@ -154,6 +162,81 @@ class TestConv:
     def test_bad_groups_raise(self):
         with pytest.raises(ad.ShapeError):
             ad.conv(t(np.ones((1, 3, 4, 4))), t(np.ones((2, 3, 3, 3))), groups=2)
+
+
+def block_diagonal(w):
+    """The depthwise weight [C, 1, *k] as a dense [C, C, *k] conv weight."""
+    C = w.shape[0]
+    dense = np.zeros((C, C) + w.shape[2:], dtype=w.dtype)
+    for c in range(C):
+        dense[c, c] = w[c, 0]
+    return dense
+
+
+# (x shape, kernel, stride, padding): 2-D k5 p2 s1, 2-D k5 p2 s2 on odd
+# extents, and the head's full-extent 3-D kernel
+DEPTHWISE_CASES = [
+    ((2, 3, 7, 6), (5, 5), 1, 2),
+    ((2, 3, 9, 7), (5, 5), 2, 2),
+    ((2, 3, 2, 4, 4), (2, 4, 4), 1, 0),
+]
+
+
+class TestDepthwiseConv:
+    """Depthwise convs take their own input-gradient path; the same conv
+    written as a block-diagonal dense conv takes the generic one."""
+
+    def run(self, case, dense, bias, x_grad, dtype, seed=20):
+        x_shape, kernel, stride, padding = case
+        rng = make_rng(seed)
+        C = x_shape[1]
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = rng.standard_normal((C, 1) + kernel).astype(dtype)
+        b = rng.standard_normal(C).astype(dtype)
+        x_t = ad.Tensor(x, requires_grad=x_grad)
+        w_t = ad.Tensor(block_diagonal(w) if dense else w, requires_grad=True)
+        b_t = ad.Tensor(b, requires_grad=True) if bias else None
+        out = ad.conv(x_t, w_t, stride=stride, padding=padding,
+                      groups=1 if dense else C, bias=b_t)
+        upstream = make_rng(seed + 1).standard_normal(out.shape).astype(dtype)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(upstream))))
+        w_grad = w_t.grad
+        if dense:  # the diagonal blocks; every other entry is the weight of a zero
+            w_grad = np.stack([w_grad[c, c] for c in range(C)])[:, None]
+        return out.data, x_t.grad, w_grad, None if b_t is None else b_t.grad
+
+    @pytest.mark.parametrize("case", DEPTHWISE_CASES)
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_matches_block_diagonal_dense(self, case, bias, x_grad):
+        out, gx, gw, gb = self.run(case, False, bias, x_grad, np.float64)
+        ref_out, ref_gx, ref_gw, ref_gb = self.run(case, True, bias, x_grad, np.float64)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
+        if bias:
+            np.testing.assert_allclose(gb, ref_gb, rtol=0, atol=1e-12)
+        if x_grad:
+            np.testing.assert_array_equal(gx, ref_gx)
+        else:
+            assert gx is None and ref_gx is None
+
+    @pytest.mark.parametrize("case", DEPTHWISE_CASES)
+    def test_input_grad_bitwise_in_float32(self, case):
+        gx = self.run(case, False, True, True, np.float32)[1]
+        ref_gx = self.run(case, True, True, True, np.float32)[1]
+        assert gx.dtype == ref_gx.dtype == np.float32
+        np.testing.assert_array_equal(gx, ref_gx)
+
+    @pytest.mark.parametrize("case", DEPTHWISE_CASES)
+    def test_no_tape_under_no_grad(self, case):
+        x_shape, kernel, stride, padding = case
+        C = x_shape[1]
+        x = t(make_rng(22).standard_normal(x_shape))
+        w = t(make_rng(23).standard_normal((C, 1) + kernel))
+        with ad.no_grad():
+            out = ad.conv(x, w, stride=stride, padding=padding, groups=C, bias=t(np.ones(C)))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
 
 
 class TestSpike:

@@ -9,6 +9,7 @@ import yaml
 
 from spikevid import cli
 from spikevid.data import gen_moving_patterns, save_dataset
+from spikevid.model import load_checkpoint, variant_config
 
 from conftest import make_rng
 
@@ -199,6 +200,52 @@ class TestExitCodes:
 
     def test_largest_checkpoint_seed_accepted(self):
         assert cli.parse_config(overrides=[f"run.seed={2**32 - 1}"])["run"]["seed"] == 2**32 - 1
+
+    def test_checkpoint_set_for_train_is_config_error(self, tmp_path):
+        code = run_cli(tmp_path, "train", *FAST, "--set", "model.checkpoint=final.ckpt")
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "train").exists()
+
+    def test_local_pathway_the_variant_cannot_take_is_config_error(self, tmp_path):
+        code = run_cli(tmp_path, "train", *FAST, "--set", "model.variant=3stg",
+                       "--set", "model.use_local_pathway=true")
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "train").exists()
+
+    def test_local_pathway_must_be_boolean(self, tmp_path):
+        code = run_cli(tmp_path, "train", *FAST, "--set", "model.use_local_pathway=3")
+        assert code == cli.EXIT_CONFIG
+
+
+class TestVariants:
+    """Every variant is built for the data's frame size and class count."""
+
+    ONE_EPOCH = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0",
+                 "--set", "data.num_train=8", "--set", "data.num_test=4"]
+
+    def trained_config(self, tmp_path, *overrides):
+        sets = [a for o in overrides for a in ("--set", o)]
+        assert run_cli(tmp_path, "train", *self.ONE_EPOCH, *sets) == cli.EXIT_OK
+        return load_checkpoint(tmp_path / "train" / "checkpoints" / "final.ckpt").cfg
+
+    def test_base_on_small_frames(self, tmp_path):
+        cfg = self.trained_config(
+            tmp_path, "model.variant=base", "data.classes=5", "data.height=16",
+            "data.width=16", "model.use_local_pathway=false")
+        assert cfg.stage_depths == variant_config("base").stage_depths
+        assert (cfg.in_height, cfg.in_width, cfg.num_classes) == (16, 16, 5)
+        assert cfg.use_local_pathway is False
+
+    def test_base_keeps_its_local_pathway_by_default(self):
+        cfg = cli._model_config(cli.parse_config(overrides=["model.variant=base"]))
+        assert cfg.use_local_pathway is True
+        assert (cfg.in_height, cfg.in_width, cfg.num_classes) == (32, 32, 8)
+
+    def test_3stg(self, tmp_path):
+        cfg = self.trained_config(tmp_path, "model.variant=3stg")
+        assert cfg.stage_depths == variant_config("3stg").stage_depths
+        assert (cfg.in_height, cfg.in_width, cfg.num_classes) == (32, 32, 8)
+        assert cfg.use_local_pathway is False
 
 
 class TestDeterminism:

@@ -1,9 +1,13 @@
 """Whole-network assembly, variants, determinism, and checkpointing."""
 
+import errno
+import io
+
 import numpy as np
 import pytest
 
 from spikevid import autodiff as ad
+from spikevid import model as model_mod
 from spikevid.model import (
     CheckpointError,
     ModelConfig,
@@ -211,6 +215,29 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(VideoSpikeNet(tiny_config(), seed=0), path)
+        before = path.read_bytes()
+
+        class DiskFull(io.FileIO):
+            """Takes half of the second write, then fails as a full disk does."""
+            writes = 0
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes == 2:
+                    super().write(bytes(b[: len(b) // 2]))
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(b)
+
+        monkeypatch.setattr(model_mod, "open", lambda f, mode="r": DiskFull(f, mode),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(VideoSpikeNet(tiny_config(), seed=1), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
