@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import autodiff as ad
-from .layers import PLAIN_BN, BatchNorm, Conv, Linear, LinearBN
+from .layers import PLAIN_BN, BatchNorm, Conv, Linear, LinearBN, per_frame
 from .module import Module
 from .neurons import NeuronConfig, SpikingLayer
 
@@ -45,13 +45,6 @@ def from_tokens(x, height, width):
     """[T, B, H*W, C] -> [T, B, C, H, W]"""
     T, B, N, C = x.shape
     return ad.permute(ad.reshape(x, (T, B, height, width, C)), (0, 1, 4, 2, 3))
-
-
-def _flat_conv(conv, x):
-    """Apply a per-frame conv to a [T, B, C, H, W] map."""
-    T, B = x.shape[0], x.shape[1]
-    out = conv(ad.reshape(x, (T * B,) + x.shape[2:]))
-    return ad.reshape(out, (T, B) + out.shape[1:])
 
 
 class Mlp(Module):
@@ -95,9 +88,9 @@ class LocalFeatureExtractor(Module):
 
     def conv_branch(self, x):
         s = self.sn(x)
-        out = _flat_conv(self.pw1, s)
-        out = _flat_conv(self.dw, out)
-        out = _flat_conv(self.pw2, out)
+        out = per_frame(self.pw1, s)
+        out = per_frame(self.dw, out)
+        out = per_frame(self.pw2, out)
         return self.bn(out)
 
     def forward(self, x):
@@ -126,9 +119,6 @@ class SpikingSelfAttention(Module):
         self.sn_v = SpikingLayer(cfg.neuron)
         self.sn_attn = SpikingLayer(cfg.neuron)
         self.out_proj = LinearBN(C, C, rng, norm_mode=cfg.norm_mode, time_steps=cfg.time_steps)
-        # profiling state
-        self.record_attn = False
-        self.attn_events = []  # dicts with token/channel counts, fr, exact ACs
 
     def forward(self, x):
         s_in = self.sn_in(x)
@@ -138,8 +128,6 @@ class SpikingSelfAttention(Module):
         kt = ad.permute(k, (0, 1, 3, 2))  # [T, B, C, N]
         kv = ad.matmul(kt, v)  # [T, B, C, C]
         attn = ad.scale(ad.matmul(q, kv), self.scale)  # [T, B, N, C]
-        if self.record_attn:
-            self.attn_events.append(_attn_event(q.data, k.data, v.data))
         return ad.add(x, self.out_proj(self.sn_attn(attn)))
 
 
@@ -204,8 +192,8 @@ class LocalPathway(Module):
                             layout="map")
 
     def forward(self, x):
-        out = _flat_conv(self.dw, self.sn(x))
-        out = _flat_conv(self.pw, out)
+        out = per_frame(self.dw, self.sn(x))
+        out = per_frame(self.pw, out)
         return self.bn(out)
 
 

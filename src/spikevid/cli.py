@@ -97,9 +97,21 @@ def _merge_checked(base, incoming, path=""):
     return out
 
 
+# the keys that may be null (unset, their default), each with a value of the
+# type a set value must have; every other key rejects null
+_UNSET_KEY_TYPES = {
+    "run.run_id": "",
+    "model.use_local_pathway": False,
+    "model.checkpoint": "",
+    "data.path": "",
+}
+
+
 def _coerce(full, default, value):
-    if default is None or value is None:
-        return value
+    if default is None:
+        if value is None:
+            return value
+        default = _UNSET_KEY_TYPES[full]
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{full}: expected a boolean, got {value!r}")
@@ -168,9 +180,6 @@ def _model_config(cfg) -> ModelConfig:
         num_classes=d["classes"],
     )
     if m["use_local_pathway"] is not None:
-        if not isinstance(m["use_local_pathway"], bool):
-            raise ConfigError(f"model.use_local_pathway: expected a boolean, "
-                              f"got {m['use_local_pathway']!r}")
         overrides["use_local_pathway"] = m["use_local_pathway"]
     return variant_config(m["variant"], **overrides)
 
@@ -276,11 +285,10 @@ def cmd_profile(cfg, out_dir):
     _, test_ds = _load_datasets(cfg)
     model = _build_or_load_model(cfg)
     profile_dir = os.path.join(out_dir, "profile")
-    table = prof.build_cost_table(model, test_ds.clips,
-                                  batch_size=cfg["train"]["batch_size"], exact=True)
+    rec = prof.record(model, test_ds.clips, batch_size=cfg["train"]["batch_size"])
+    table = prof.cost_table(rec, len(test_ds.clips), exact=True)
     summary = prof.total_energy(table)
-    rates, traces = prof.record_firing_rates(model, test_ds.clips,
-                                             batch_size=cfg["train"]["batch_size"])
+    rates, traces = rec.firing_rates(), rec.traces()
     taus = {name: layer.effective_tau() for name, layer in model.spiking_layers()}
     prof.write_profile(table, summary, profile_dir)
     with open(os.path.join(profile_dir, "firing_rates.json"), "w") as fh:

@@ -8,6 +8,7 @@ time-dependent variant (TDBN) computes statistics independently per
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -101,36 +102,15 @@ class BatchNorm(Module):
         return w, b
 
 
-class _InputRecorder:
-    """Mixin state for profiling the tensor a linear layer consumes."""
+class _ProfiledLayer(Module):
+    """Static profiling metadata of a conv/linear layer; the profiler's
+    forward hooks measure what it consumes."""
 
-    def _init_recorder(self):
-        self.record_input = False
+    def __init__(self):
+        super().__init__()
         self.expects_binary = True
         self.is_encoder = False  # first layer: consumes raw frames, billed at MAC cost
         self._fr_source = None  # spiking layer whose rate drives this layer's SOPs
-        self.input_nnz = 0
-        self.input_size = 0
-        self.out_count = 0
-        self.input_binary = True
-
-    def _record(self, x: Tensor):
-        if not self.record_input:
-            return
-        data = x.data
-        self.input_nnz += int(np.count_nonzero(data))
-        self.input_size += data.size
-        if self.input_binary:
-            self.input_binary = bool(np.all((data == 0) | (data == 1)))
-
-    def clear_records(self):
-        self.input_nnz = 0
-        self.input_size = 0
-        self.out_count = 0
-        self.input_binary = True
-
-    def input_rate(self):
-        return self.input_nnz / self.input_size if self.input_size else 0.0
 
     @property
     def fr_source(self):
@@ -142,13 +122,12 @@ class _InputRecorder:
         self._fr_source = layer
 
 
-class Conv(Module, _InputRecorder):
+class Conv(_ProfiledLayer):
     """Grouped 2-D/3-D cross-correlation with learnable kernel."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1, padding=0,
                  groups=1, bias=False, spatial_rank=2):
         super().__init__()
-        self._init_recorder()
         kernel = (kernel,) * spatial_rank if isinstance(kernel, int) else tuple(kernel)
         if in_channels % groups or out_channels % groups:
             raise ad.ShapeError(
@@ -169,21 +148,16 @@ class Conv(Module, _InputRecorder):
             self.bias = Tensor(np.zeros(out_channels, dtype=ad.current_dtype()), requires_grad=True)
 
     def forward(self, x):
-        self._record(x)
-        out = ad.conv(x, self.weight, stride=self.stride, padding=self.padding,
-                      groups=self.groups, bias=self.bias)
-        if self.record_input:
-            self.out_count += out.data.size
-        return out
+        return ad.conv(x, self.weight, stride=self.stride, padding=self.padding,
+                       groups=self.groups, bias=self.bias)
 
     def macs_per_output(self):
         return math.prod(self.kernel) * (self.in_channels // self.groups)
 
 
-class Linear(Module, _InputRecorder):
+class Linear(_ProfiledLayer):
     def __init__(self, in_features, out_features, rng, bias=False):
         super().__init__()
-        self._init_recorder()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(trunc_normal(rng, (in_features, out_features)), requires_grad=True)
@@ -192,16 +166,20 @@ class Linear(Module, _InputRecorder):
             self.bias = Tensor(np.zeros(out_features, dtype=ad.current_dtype()), requires_grad=True)
 
     def forward(self, x):
-        self._record(x)
         out = ad.matmul(x, self.weight)
         if self.bias is not None:
             out = ad.add(out, self.bias)
-        if self.record_input:
-            self.out_count += out.data.size
         return out
 
     def macs_per_output(self):
         return self.in_features
+
+
+def per_frame(conv, x):
+    """Apply a per-frame conv to a [T, B, C, H, W] map."""
+    T, B = x.shape[0], x.shape[1]
+    out = conv(ad.reshape(x, (T * B,) + x.shape[2:]))
+    return ad.reshape(out, (T, B) + out.shape[1:])
 
 
 class ConvBN(Module):
@@ -216,11 +194,7 @@ class ConvBN(Module):
                             layout="map")
 
     def forward(self, x):
-        T, B = x.shape[0], x.shape[1]
-        flat = ad.reshape(x, (T * B,) + x.shape[2:])
-        out = self.conv(flat)
-        out = ad.reshape(out, (T, B) + out.shape[1:])
-        return self.bn(out)
+        return self.bn(per_frame(self.conv, x))
 
 
 class LinearBN(Module):
@@ -272,110 +246,50 @@ class PatchEmbed(Module):
         return self.convbn(x)
 
 
-class FusedConv(Module, _InputRecorder):
-    """Inference-only conv with normalization folded into the kernel.
-
-    With TDBN the folded scale differs per time step, so the fused layer
-    carries one kernel per step.
+class FusedLayer(Module):
+    """Inference-only ConvBN/LinearBN with eval-mode normalization folded into
+    a biased conv/linear: one per time step under TDBN, whose folded scale
+    differs per step, or one shared by every step under plain BN.
     """
 
-    def __init__(self, weights, biases, stride, padding, groups):
+    def __init__(self, steps):
         super().__init__()
-        self.weights = weights  # list of ndarray [C_out, C_g, *k], one per step (or one shared)
-        self.biases = biases
-        self.stride = stride
-        self.padding = padding
-        self.groups = groups
-        self._init_recorder()
+        self.steps = steps  # list of Conv or Linear layers
 
     def forward(self, x):
-        self._record(x)
-        T, B = x.shape[0], x.shape[1]
-        if len(self.weights) == 1:
-            flat = ad.reshape(x, (T * B,) + x.shape[2:])
-            out = ad.conv(flat, ad.tensor(self.weights[0]), stride=self.stride,
-                          padding=self.padding, groups=self.groups,
-                          bias=ad.tensor(self.biases[0]))
-            out = ad.reshape(out, (T, B) + out.shape[1:])
-        else:
-            outs = []
-            for t in range(T):
-                xt = ad.index(x, t, axis=0)
-                outs.append(ad.conv(xt, ad.tensor(self.weights[t]), stride=self.stride,
-                                    padding=self.padding, groups=self.groups,
-                                    bias=ad.tensor(self.biases[t])))
-            out = ad.stack(outs, axis=0)
-        if self.record_input:
-            self.out_count += out.data.size
-        return out
-
-    def macs_per_output(self):
-        # billed at the pre-fusion accumulation structure
-        return math.prod(self.weights[0].shape[2:]) * self.weights[0].shape[1]
-
-
-class FusedLinear(Module, _InputRecorder):
-    def __init__(self, weights, biases):
-        super().__init__()
-        self.weights = weights
-        self.biases = biases
-        self._init_recorder()
-
-    def forward(self, x):
-        self._record(x)
-        if len(self.weights) == 1:
-            out = ad.add(ad.matmul(x, ad.tensor(self.weights[0])), ad.tensor(self.biases[0]))
-        else:
-            outs = []
-            for t in range(x.shape[0]):
-                xt = ad.index(x, t, axis=0)
-                outs.append(ad.add(ad.matmul(xt, ad.tensor(self.weights[t])),
-                                   ad.tensor(self.biases[t])))
-            out = ad.stack(outs, axis=0)
-        if self.record_input:
-            self.out_count += out.data.size
-        return out
-
-    def macs_per_output(self):
-        return self.weights[0].shape[0]
+        if len(self.steps) > 1:
+            if x.shape[0] != len(self.steps):
+                raise ad.ShapeError(f"fused TDBN layer has {len(self.steps)} steps, "
+                                    f"input has T={x.shape[0]}")
+            return ad.stack([self.steps[t](ad.index(x, t, axis=0))
+                             for t in range(x.shape[0])], axis=0)
+        layer = self.steps[0]
+        return per_frame(layer, x) if isinstance(layer, Conv) else layer(x)
 
 
 def fuse_linear_layers(layer):
     """Fold eval-mode batch normalization into the preceding conv/linear.
 
     W' = gamma * W / sqrt(var + eps),  b' = gamma * (b - mean) / sqrt(var + eps) + beta.
+    Each folded layer keeps the original's profiling metadata.
     """
     if not isinstance(layer, (ConvBN, LinearBN)):
         raise TypeError(f"cannot fuse {type(layer).__name__}")
     if layer.training:
         raise RuntimeError("fusion requires eval mode with frozen statistics")
     w_scale, b_shift = layer.bn.frozen_scale_shift()
-    if isinstance(layer, ConvBN):
-        conv = layer.conv
-        steps = w_scale.shape[0]
-        weights, biases = [], []
-        base_bias = conv.bias.data if conv.bias is not None else 0.0
-        for t in range(steps):
-            s = w_scale[t, 0, :, 0, 0]  # per out-channel
-            shift = b_shift[t, 0, :, 0, 0]
-            wk = conv.weight.data * s.reshape((-1,) + (1,) * (conv.weight.ndim - 1))
-            weights.append(wk.astype(conv.weight.data.dtype))
-            biases.append((base_bias * s + shift).astype(conv.weight.data.dtype))
-        fused = FusedConv(weights, biases, conv.stride, conv.padding, conv.groups)
-    elif isinstance(layer, LinearBN):
-        lin = layer.linear
-        steps = w_scale.shape[0]
-        weights, biases = [], []
-        base_bias = lin.bias.data if lin.bias is not None else 0.0
-        for t in range(steps):
-            s = w_scale[t, 0, 0, :]
-            shift = b_shift[t, 0, 0, :]
-            weights.append((lin.weight.data * s[None, :]).astype(lin.weight.data.dtype))
-            biases.append((base_bias * s + shift).astype(lin.weight.data.dtype))
-        fused = FusedLinear(weights, biases)
-    inner = layer.conv if isinstance(layer, ConvBN) else layer.linear
-    fused.expects_binary = inner.expects_binary
-    fused.is_encoder = inner.is_encoder
-    fused.fr_source = inner.fr_source
-    fused.eval()
-    return fused
+    is_conv = isinstance(layer, ConvBN)
+    inner = layer.conv if is_conv else layer.linear
+    w = inner.weight.data
+    # output channels lie on axis 0 of a conv kernel, on the last axis of a linear map
+    out_axis = (-1,) + (1,) * (w.ndim - 1) if is_conv else (1, -1)
+    base_bias = inner.bias.data if inner.bias is not None else 0.0
+    steps = []
+    for scale, shift in zip(w_scale, b_shift):  # one (scale, shift) per step under TDBN
+        scale, shift = scale.reshape(-1), shift.reshape(-1)  # per out-channel
+        folded = copy.copy(inner)
+        folded._forward_hooks = {}  # the copy would share the original's hooks
+        folded.weight = Tensor((w * scale.reshape(out_axis)).astype(w.dtype))
+        folded.bias = Tensor((base_bias * scale + shift).astype(w.dtype))
+        steps.append(folded)
+    return FusedLayer(steps).eval()

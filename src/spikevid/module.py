@@ -1,4 +1,4 @@
-"""Minimal layer container: parameter registry, train/eval mode, traversal."""
+"""Minimal layer container: parameter registry, train/eval mode, traversal, hooks."""
 
 from __future__ import annotations
 
@@ -7,9 +7,20 @@ import numpy as np
 from .autodiff import Tensor
 
 
+class HookHandle:
+    """Returned by ``register_forward_hook``; ``remove()`` detaches the hook."""
+
+    def __init__(self, hooks):
+        self._hooks = hooks
+
+    def remove(self):
+        self._hooks.pop(self, None)
+
+
 class Module:
     def __init__(self):
         self.training = True
+        self._forward_hooks = {}  # HookHandle -> hook, in registration order
 
     # -- traversal ----------------------------------------------------------
 
@@ -72,5 +83,14 @@ class Module:
     def param_count(self):
         return sum(p.size for p in self.parameters())
 
+    def register_forward_hook(self, hook):
+        """Call ``hook(module, args, output)`` after every ``forward``."""
+        handle = HookHandle(self._forward_hooks)
+        self._forward_hooks[handle] = hook
+        return handle
+
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        out = self.forward(*args, **kwargs)
+        for hook in self._forward_hooks.values():
+            hook(self, args, out)
+        return out

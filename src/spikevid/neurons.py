@@ -62,11 +62,6 @@ class SpikingLayer(Module):
         self.t = 0
         if cfg.kind == "PLIF":
             self.a = Tensor(np.array(cfg.a_init, dtype=ad.current_dtype()), requires_grad=True)
-        # instrumentation (profiler attaches via these)
-        self.record_spikes = False
-        self.spike_sum = 0.0
-        self.spike_count = 0
-        self.step_rates = []
 
     def reset_state(self):
         self._v = None
@@ -90,11 +85,6 @@ class SpikingLayer(Module):
             alpha=cfg.surrogate_alpha, detach_reset=cfg.detach_reset, smooth=self.smooth,
         )
         self.t += x_seq.shape[0]
-        if self.record_spikes:
-            for s_t in s.data:
-                self.spike_sum += float(s_t.sum())
-                self.spike_count += s_t.size
-                self.step_rates.append(float(s_t.mean()))
         return s
 
     def effective_tau(self) -> float:
@@ -104,16 +94,6 @@ class SpikingLayer(Module):
             # sigmoid underflow (a very negative) is the no-leak limit
             return float("inf") if kappa == 0.0 else 1.0 / kappa
         return self.cfg.tau
-
-    def firing_rate(self) -> float:
-        if self.spike_count == 0:
-            return 0.0
-        return self.spike_sum / self.spike_count
-
-    def clear_records(self):
-        self.spike_sum = 0.0
-        self.spike_count = 0
-        self.step_rates = []
 
 
 def _sigmoid_scalar(x: float) -> float:

@@ -13,17 +13,17 @@ accumulate-event counters are provided to audit the estimate.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import SpikingSelfAttention
-from .layers import Conv, FusedConv, FusedLinear, Linear
+from .blocks import SpikingSelfAttention, _attn_event
+from .layers import Conv, Linear
 from .model import VideoSpikeNet
-from .training import iterate_batches
+from .neurons import SpikingLayer
 
 PJ_PER_MJ = 1e9
 
@@ -53,10 +53,8 @@ class LayerCost:
             raise ValueError(f"firing rate {self.fr_in} outside [0, 1] for {self.name}")
 
 
-def count_flops(layer, out_elems=None):
+def count_flops(layer, out_elems):
     """Dense MAC count for a conv/linear layer given its recorded output size."""
-    if out_elems is None:
-        out_elems = layer.out_count
     return float(out_elems) * layer.macs_per_output()
 
 
@@ -115,50 +113,115 @@ def exact_ac_count_matmul(a, b):
 # model instrumentation
 
 
-def _linear_layers(model):
-    return [
-        (name, m) for name, m in model.modules()
-        if isinstance(m, (Conv, Linear, FusedConv, FusedLinear))
-    ]
+@dataclass
+class InputStats:
+    """What one conv/linear layer consumed, and how much it produced."""
+    nnz: int = 0
+    size: int = 0
+    binary: bool = True
+    out_count: int = 0
 
 
-def _set_recording(model, enabled):
-    for _, m in _linear_layers(model):
-        m.record_input = enabled
-        m.clear_records()
-    for _, layer in model.spiking_layers():
-        layer.record_spikes = enabled
-        layer.clear_records()
-    for _, m in model.modules():
-        if isinstance(m, SpikingSelfAttention):
-            m.record_attn = enabled
-            m.attn_events = []
+@dataclass
+class SpikeStats:
+    """The spikes one spiking layer emitted, in total and per time step."""
+    total: float = 0.0
+    count: int = 0
+    step_rates: list = field(default_factory=list)
+
+    def rate(self):
+        return self.total / self.count if self.count else 0.0
 
 
-def _run_recorded(model: VideoSpikeNet, clips, batch_size=16):
+class Recording:
+    """Forward hooks on every module of ``model``, attached only inside the
+    ``with`` block. They fill ``inputs`` (conv/linear layer -> InputStats),
+    ``spikes`` (spiking layer -> SpikeStats) and ``attn`` (attention block ->
+    one ``_attn_event`` per forward, from the spikes of its sn_q/sn_k/sn_v,
+    held only until the block's own forward returns).
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.names = {}  # module -> dotted name
+        self.inputs = {}
+        self.spikes = {}
+        self.attn = {}
+        self._qkv = {}  # attention block -> {"q"|"k"|"v": spikes} of its running forward
+        self._handles = []
+
+    def __enter__(self):
+        for name, m in self.model.modules():
+            self.names[m] = name
+            if isinstance(m, (Conv, Linear)):
+                self.inputs[m] = InputStats()
+                self._attach(m, self._on_linear)
+            elif isinstance(m, SpikingLayer):
+                self.spikes[m] = SpikeStats()
+                self._attach(m, self._on_spikes)
+            elif isinstance(m, SpikingSelfAttention):
+                self.attn[m] = []
+                for key in "qkv":
+                    self._attach(getattr(m, f"sn_{key}"),
+                                 functools.partial(self._on_qkv, m, key))
+                self._attach(m, self._on_attention)
+        return self
+
+    def __exit__(self, *exc):
+        for handle in self._handles:
+            handle.remove()
+        self._handles.clear()
+        self._qkv.clear()
+
+    def _attach(self, module, hook):
+        self._handles.append(module.register_forward_hook(hook))
+
+    def _on_linear(self, layer, args, out):
+        stats = self.inputs[layer]
+        data = args[0].data
+        stats.nnz += int(np.count_nonzero(data))
+        stats.size += data.size
+        if stats.binary:
+            stats.binary = bool(np.all((data == 0) | (data == 1)))
+        stats.out_count += out.data.size
+
+    def _on_spikes(self, layer, args, out):
+        stats = self.spikes[layer]
+        for s_t in out.data:
+            stats.total += float(s_t.sum())
+            stats.count += s_t.size
+            stats.step_rates.append(float(s_t.mean()))
+
+    def _on_qkv(self, block, key, layer, args, out):
+        self._qkv.setdefault(block, {})[key] = out.data
+
+    def _on_attention(self, block, args, out):
+        qkv = self._qkv.pop(block)
+        self.attn[block].append(_attn_event(qkv["q"], qkv["k"], qkv["v"]))
+
+    def firing_rates(self):
+        return {self.names[m]: stats.rate() for m, stats in self.spikes.items()}
+
+    def traces(self):
+        return {self.names[m]: list(stats.step_rates) for m, stats in self.spikes.items()}
+
+
+def record(model: VideoSpikeNet, clips, batch_size=16) -> Recording:
+    """One eval pass over ``clips`` [N, T, C, H, W], recorded."""
     model.eval()
-    _set_recording(model, True)
-    with ad.no_grad():
-        for batch in iterate_batches(len(clips), batch_size):
-            clip = np.ascontiguousarray(clips[batch].transpose(1, 0, 2, 3, 4))
+    with Recording(model) as rec, ad.no_grad():
+        for lo in range(0, len(clips), batch_size):
             model.reset_states()
-            model(ad.tensor(clip))
+            clip = clips[lo:lo + batch_size].transpose(1, 0, 2, 3, 4)  # [T, B, ...]
+            model(ad.tensor(np.ascontiguousarray(clip)))
     model.reset_states()
-    for _, m in _linear_layers(model):
-        m.record_input = False
-    for _, layer in model.spiking_layers():
-        layer.record_spikes = False
-    for _, m in model.modules():
-        if isinstance(m, SpikingSelfAttention):
-            m.record_attn = False
+    return rec
 
 
 def record_firing_rates(model: VideoSpikeNet, clips, batch_size=16):
     """Average firing rate and per-step trace for every spiking layer."""
-    _run_recorded(model, clips, batch_size)
-    rates = {name: layer.firing_rate() for name, layer in model.spiking_layers()}
-    traces = {name: list(layer.step_rates) for name, layer in model.spiking_layers()}
-    return rates, traces
+    rec = record(model, clips, batch_size)
+    return rec.firing_rates(), rec.traces()
 
 
 def audit_binarity(model: VideoSpikeNet, clips, batch_size=16):
@@ -166,39 +229,37 @@ def audit_binarity(model: VideoSpikeNet, clips, batch_size=16):
 
     Returns the list of violating layer names (empty on a clean pass).
     """
-    _run_recorded(model, clips, batch_size)
-    return [
-        name for name, m in _linear_layers(model)
-        if m.expects_binary and not m.input_binary
-    ]
+    rec = record(model, clips, batch_size)
+    return [rec.names[m] for m, stats in rec.inputs.items()
+            if m.expects_binary and not stats.binary]
 
 
 def build_cost_table(model: VideoSpikeNet, clips, batch_size=16, exact=False):
-    """Run the eval set through the model and assemble per-layer costs.
+    """Run the eval set through the model and assemble per-layer costs."""
+    return cost_table(record(model, clips, batch_size), len(clips), exact)
+
+
+def cost_table(rec: Recording, num_clips, exact=False):
+    """Per-layer costs of a recording of ``num_clips`` clips.
 
     All counts are normalized per clip (the paper's figures are per video).
     """
-    num_clips = len(clips)
-    _run_recorded(model, clips, batch_size)
     table = []
-    for name, m in _linear_layers(model):
-        if m.out_count == 0:
+    for m, stats in rec.inputs.items():
+        if stats.out_count == 0:
             continue
-        flops = count_flops(m) / num_clips
-        if m.fr_source is not None:
-            fr = m.fr_source.firing_rate()
-        else:
-            fr = m.input_rate()
-        kind = "conv" if isinstance(m, (Conv, FusedConv)) else "linear"
-        table.append(LayerCost(name=name, kind=kind, flops=flops, fr_in=fr,
-                               mac_billed=m.is_encoder))
-    for name, m in model.modules():
-        if not isinstance(m, SpikingSelfAttention) or not m.attn_events:
+        fr = rec.spikes[m.fr_source].rate() if m.fr_source is not None else stats.nnz / stats.size
+        kind = "conv" if isinstance(m, Conv) else "linear"
+        table.append(LayerCost(name=rec.names[m], kind=kind, fr_in=fr, mac_billed=m.is_encoder,
+                               flops=count_flops(m, stats.out_count) / num_clips))
+    for block, events in rec.attn.items():
+        if not events:
             continue
+        name = rec.names[block]
         flops_kv = flops_qkv = 0.0
         wsum_k = wsum_q = 0.0
         exact_kv = exact_qkv = 0.0
-        for ev in m.attn_events:
+        for ev in events:
             per = ev["time_steps"] * ev["batch"] * ev["tokens"] * ev["channels"] ** 2
             flops_kv += per
             flops_qkv += per

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import VideoSpikeNet
-from .neurons import SpikingLayer
+from .profiler import Recording
 
 
 @dataclass
@@ -191,16 +191,11 @@ def _divergence_report(model, loss_val):
     return "\n".join(lines)
 
 
-def evaluate(model: VideoSpikeNet, clips, labels, batch_size=16,
-             record_rates=False) -> float:
+def evaluate(model: VideoSpikeNet, clips, labels, batch_size=16) -> float:
     """Top-1 accuracy over the dataset; eval mode, frozen statistics."""
     if len(labels) == 0:
         raise ValueError("empty dataset")
     model.eval()
-    if record_rates:
-        for _, layer in model.spiking_layers():
-            layer.record_spikes = True
-            layer.clear_records()
     correct = 0
     with ad.no_grad():
         for batch in iterate_batches(len(labels), batch_size):
@@ -210,19 +205,7 @@ def evaluate(model: VideoSpikeNet, clips, labels, batch_size=16,
             pred = logits.data.argmax(axis=1)
             correct += int((pred == labels[batch]).sum())
     model.reset_states()
-    if record_rates:
-        for _, layer in model.spiking_layers():
-            layer.record_spikes = False
     return correct / len(labels)
-
-
-def firing_rate_table(model: VideoSpikeNet):
-    """Per-layer firing rates gathered during the last recorded eval pass."""
-    return {
-        name: layer.firing_rate()
-        for name, layer in model.spiking_layers()
-        if layer.spike_count
-    }
 
 
 def tau_table(model: VideoSpikeNet):
@@ -240,9 +223,9 @@ def fit(model: VideoSpikeNet, train_clips, train_labels, cfg: TrainConfig,
         metrics = train_epoch(model, train_clips, train_labels, cfg, optimizer,
                               epoch, steps_per_epoch, rng)
         if test_clips is not None:
-            metrics.top1 = evaluate(model, test_clips, test_labels, cfg.batch_size,
-                                    record_rates=True)
-            metrics.firing_rates = firing_rate_table(model)
+            with Recording(model) as rec:
+                metrics.top1 = evaluate(model, test_clips, test_labels, cfg.batch_size)
+            metrics.firing_rates = rec.firing_rates()
             model.train()
         history.append(metrics)
         if callback is not None:

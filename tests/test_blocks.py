@@ -15,6 +15,7 @@ from spikevid.blocks import (
     to_tokens,
 )
 from spikevid.neurons import NeuronConfig
+from spikevid.profiler import Recording
 
 from conftest import make_rng
 
@@ -101,12 +102,12 @@ class TestAttentionMath:
     def test_ssa_output_shape_and_event_recording(self):
         cfg = BlockConfig(channels=4, time_steps=2)
         ssa = SpikingSelfAttention(cfg, make_rng(7))
-        ssa.record_attn = True
         x = ad.tensor(make_rng(8).standard_normal((2, 3, 16, 4)).astype(np.float32))
-        out = ssa(x)
+        with Recording(ssa) as rec:
+            out = ssa(x)
         assert out.shape == (2, 3, 16, 4)
-        assert len(ssa.attn_events) == 1
-        ev = ssa.attn_events[0]
+        assert len(rec.attn[ssa]) == 1
+        ev = rec.attn[ssa][0]
         assert ev["tokens"] == 16 and ev["channels"] == 4
         assert ev["exact_ac_qkv"] == ev["nnz_q"] * 4
 

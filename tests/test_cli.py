@@ -9,7 +9,7 @@ import yaml
 
 from spikevid import cli
 from spikevid.data import gen_moving_patterns, save_dataset
-from spikevid.model import load_checkpoint, variant_config
+from spikevid.model import VideoSpikeNet, load_checkpoint, variant_config
 
 from conftest import make_rng
 
@@ -153,6 +153,20 @@ class TestCommands:
         assert all(r["passed"] for r in recs)
         assert any(r["check"] == "composed_model" for r in recs)
 
+    def test_profile_runs_one_pass(self, tmp_path, monkeypatch):
+        calls = []
+        forward = VideoSpikeNet.forward
+
+        def counted(self, clip):
+            calls.append(clip.shape[1])
+            return forward(self, clip)
+
+        monkeypatch.setattr(VideoSpikeNet, "forward", counted)
+        code = run_cli(tmp_path, "profile", "--set", "data.num_test=10",
+                       "--set", "train.batch_size=4")
+        assert code == cli.EXIT_OK
+        assert calls == [4, 4, 2]  # ceil(10 / 4) batches, each seen once
+
     def test_dataset_file_input(self, tmp_path):
         ds = gen_moving_patterns(seed=4, num=16)
         path = tmp_path / "clips.bin"
@@ -215,6 +229,23 @@ class TestExitCodes:
     def test_local_pathway_must_be_boolean(self, tmp_path):
         code = run_cli(tmp_path, "train", *FAST, "--set", "model.use_local_pathway=3")
         assert code == cli.EXIT_CONFIG
+
+    def test_local_pathway_null_means_the_variant_default(self):
+        cfg = cli.parse_config(overrides=["model.use_local_pathway=null"])
+        assert cfg["model"]["use_local_pathway"] is None
+
+    @pytest.mark.parametrize("override", [
+        "run.run_id=5",
+        "model.checkpoint=7",
+        "data.path=3",
+        "train.batch_size=null",  # only keys that default to null take null
+        "model.time_steps=null",
+    ])
+    def test_wrong_type_for_a_key_is_config_error(self, tmp_path, override, capsys):
+        code = run_cli(tmp_path, "eval", "--set", override)
+        assert code == cli.EXIT_CONFIG
+        assert "expected a" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # rejected before any work
 
 
 class TestVariants:

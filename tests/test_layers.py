@@ -17,6 +17,7 @@ from spikevid.layers import (
     fuse_linear_layers,
 )
 from spikevid.neurons import NeuronConfig
+from spikevid.profiler import Recording
 
 from conftest import make_rng
 
@@ -134,17 +135,18 @@ class TestLinearLayers:
     def test_input_recording(self):
         rng = make_rng(11)
         lin = Linear(4, 2, rng)
-        lin.record_input = True
         x = np.array([[1.0, 0.0, 1.0, 0.0]], dtype=np.float32)
-        lin(ad.tensor(x))
-        assert lin.input_nnz == 2
-        assert lin.input_size == 4
-        assert lin.input_binary
-        assert lin.out_count == 2
-        lin(ad.tensor(x * 0.5))
-        assert not lin.input_binary
-        lin.clear_records()
-        assert lin.input_nnz == 0 and lin.input_binary
+        with Recording(lin) as rec:
+            lin(ad.tensor(x))
+            stats = rec.inputs[lin]
+            assert stats.nnz == 2
+            assert stats.size == 4
+            assert stats.binary
+            assert stats.out_count == 2
+            lin(ad.tensor(x * 0.5))
+            assert not stats.binary
+        with Recording(lin) as fresh:
+            assert fresh.inputs[lin].nnz == 0 and fresh.inputs[lin].binary
 
     def test_patch_embed_first_stage_has_no_neuron(self):
         spec = PatchEmbedSpec(3, 8, has_input_neuron=False)
@@ -180,10 +182,20 @@ class TestFusion:
             layer(ad.tensor(rng.standard_normal((3, 2, 4, 5, 5)).astype(np.float32)))
         layer.eval()
         fused = fuse_linear_layers(layer)
-        assert len(fused.weights) == 3
+        assert len(fused.steps) == 3
         x = self._spike_input((3, 2, 4, 5, 5), 200)
         np.testing.assert_allclose(fused(ad.tensor(x)).data, layer(ad.tensor(x)).data,
                                    atol=1e-5)
+
+    @pytest.mark.parametrize("steps", [2, 4])
+    def test_tdbn_fusion_rejects_other_step_counts(self, steps):
+        layer = ConvBN(2, 2, 3, make_rng(20), padding=1, norm_mode=TDBN, time_steps=3)
+        layer.eval()
+        fused = fuse_linear_layers(layer)
+        x = ad.tensor(self._spike_input((steps, 1, 2, 4, 4), 201))
+        for module in (layer, fused):  # the fold rejects what the unfused layer rejects
+            with pytest.raises(ad.ShapeError):
+                module(x)
 
     def test_linearbn_fusion(self):
         rng = make_rng(16)
@@ -207,8 +219,9 @@ class TestFusion:
         layer.conv.is_encoder = True
         layer.eval()
         fused = fuse_linear_layers(layer)
-        assert not fused.expects_binary
-        assert fused.is_encoder
+        for folded in fused.steps:
+            assert not folded.expects_binary
+            assert folded.is_encoder
 
     def test_unfusable_type_rejected(self):
         lin = Linear(2, 2, make_rng(19))

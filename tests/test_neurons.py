@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spikevid import autodiff as ad
 from spikevid.neurons import NeuronConfig, SpikingLayer, neuron_step, plif_a_for_tau
+from spikevid.profiler import Recording
 
 from conftest import make_rng
 
@@ -272,12 +273,12 @@ class TestInstrumentation:
     def test_firing_rate_accounting(self):
         layer = SpikingLayer(NeuronConfig(kind="LIF", tau=2.0))
         layer.reset_state()
-        layer.record_spikes = True
-        layer(ad.tensor(np.full((4, 10), 5.0, dtype=np.float32)))
-        assert layer.firing_rate() == pytest.approx(1.0)
-        assert len(layer.step_rates) == 4
-        layer.clear_records()
-        assert layer.firing_rate() == 0.0
+        with Recording(layer) as rec:
+            layer(ad.tensor(np.full((4, 10), 5.0, dtype=np.float32)))
+        assert rec.spikes[layer].rate() == pytest.approx(1.0)
+        assert len(rec.spikes[layer].step_rates) == 4
+        with Recording(layer) as fresh:
+            assert fresh.spikes[layer].rate() == 0.0
 
     def test_reset_clears_membrane_and_clock(self):
         layer = SpikingLayer(NeuronConfig())

@@ -191,12 +191,54 @@ class TestFlopCounting:
     def test_conv_layer_flops(self):
         rng = make_rng(7)
         conv = Conv(4, 8, 3, rng, padding=1)
-        conv.record_input = True
-        conv(ad.tensor(spikes((2, 4, 6, 6), 8)))
-        assert prof.count_flops(conv) == (2 * 8 * 6 * 6) * (9 * 4)
+        with prof.Recording(conv) as rec:
+            conv(ad.tensor(spikes((2, 4, 6, 6), 8)))
+        assert prof.count_flops(conv, rec.inputs[conv].out_count) == (2 * 8 * 6 * 6) * (9 * 4)
 
     def test_linear_layer_flops(self):
         lin = Linear(16, 4, make_rng(9))
-        lin.record_input = True
-        lin(ad.tensor(spikes((5, 16), 10)))
-        assert prof.count_flops(lin) == 5 * 4 * 16
+        with prof.Recording(lin) as rec:
+            lin(ad.tensor(spikes((5, 16), 10)))
+        assert prof.count_flops(lin, rec.inputs[lin].out_count) == 5 * 4 * 16
+
+
+class TestRecording:
+    @staticmethod
+    def hooked(model):
+        return [name for name, m in model.modules() if m._forward_hooks]
+
+    def test_record_leaves_no_hook(self, profiled):
+        model, ds, _ = profiled
+        rec = prof.record(model, ds.clips, batch_size=3)
+        assert self.hooked(model) == []
+        assert not rec._qkv  # no attention spikes held past their block
+        assert all(len(events) == 3 for events in rec.attn.values())  # one per batch
+
+    def test_wrong_clip_shape_leaves_no_hook(self, profiled):
+        model, ds, _ = profiled
+        with pytest.raises(ad.ShapeError):
+            prof.record(model, ds.clips[:, :, :, :8], batch_size=4)
+        assert self.hooked(model) == []
+
+    def test_forward_raising_partway_leaves_no_hook(self, profiled):
+        model, ds, _ = profiled
+        ssa = model.stages[2][0].ssa
+
+        def fail(x):
+            raise ad.ShapeError("injected")
+
+        # sn_q/sn_k/sn_v have fired and their spikes are held when out_proj raises
+        ssa.out_proj.forward = fail
+        try:
+            with pytest.raises(ad.ShapeError, match="injected"):
+                prof.record(model, ds.clips, batch_size=4)
+        finally:
+            del ssa.out_proj.forward
+        assert self.hooked(model) == []
+
+    def test_one_pass_feeds_table_and_rates(self, profiled):
+        model, ds, table = profiled
+        rec = prof.record(model, ds.clips)
+        again = prof.cost_table(rec, len(ds.clips), exact=True)
+        assert [vars(c) for c in again] == [vars(c) for c in table]
+        assert (rec.firing_rates(), rec.traces()) == prof.record_firing_rates(model, ds.clips)
