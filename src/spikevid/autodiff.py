@@ -10,6 +10,7 @@ padding.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "conv",
+    "batch_norm",
     "spike",
     "surrogate_slope",
     "lif_sequence",
@@ -196,12 +198,18 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned=False):
+    """Add ``g`` into ``t.grad``. A first arrival is copied unless ``owned``:
+    the caller made ``g`` for this call and never touches it again, so a
+    C-contiguous ``g`` already in ``t``'s dtype becomes ``t.grad`` itself."""
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        if owned and g.dtype == t.data.dtype and g.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = g.astype(t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -247,8 +255,8 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, g * b.data, owned=True)
+        _accumulate(b, g * a.data, owned=True)
 
     return _make(out_data, (a, b), bwd)
 
@@ -435,8 +443,8 @@ def matmul(a, b):
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
-        _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+        _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)), owned=True)
+        _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g), owned=True)
 
     return _make(out_data, (a, b), bwd)
 
@@ -502,7 +510,7 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         g_flat = np.moveaxis(g, 1, -1).reshape(P, groups, C_out // groups)
         g_flat = np.ascontiguousarray(g_flat.transpose(1, 0, 2))  # [g, P, Og]
         gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols_g)  # [g, Og, CgK]
-        _accumulate(w, gw.reshape(w.data.shape))
+        _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
         if not x.requires_grad:
@@ -587,6 +595,82 @@ def _depthwise_input_grad(g, w, xp_shape, stride):
 
 
 # ---------------------------------------------------------------------------
+# batch normalization
+
+
+def _into(buf, *operands):
+    """``buf`` as a ufunc ``out`` when the op's own result dtype is ``buf``'s,
+    else None (a fresh array), so writing in place never changes a value."""
+    return buf if np.result_type(*operands) == buf.dtype else None
+
+
+def batch_norm(x, gamma, beta, axes, eps, stats=None):
+    """Normalize ``x`` over ``axes``, then ``* gamma + beta``, as one tape node.
+
+    With ``stats=None`` (train mode) the statistics are the batch's: float64
+    sums of ``x`` and of ``diff**2`` scaled by ``1/n``, then
+    ``inv = 1 / sqrt(var + eps)``. With ``stats=(mean, var)`` (eval mode) they
+    are frozen and ``inv = 1 / sqrt(var + eps)`` is formed in their dtype.
+    Returns ``(y, mean, var)``.
+
+    The float ops, their operand layouts and dtypes (constants in the current
+    precision) are those of the chain reduce_mean, sub, mul, reduce_mean, add,
+    sqrt, div, mul, mul, add, and the backward repeats that chain's gradient
+    arithmetic in its order: ``diff`` receives ``g_xhat * inv`` first, then the
+    variance term twice; the mean's gradient is the negated sum of diff's.
+    Outputs and gradients are bit for bit the chain's when this node is the
+    only consumer of ``x``. Without a tape every step runs in place.
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    track = _GRAD_ENABLED and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    one = np.asarray(1.0, dtype=_DTYPE)
+    xd = x.data
+    if stats is None:
+        c = xd.dtype.type(1.0 / math.prod(xd.shape[i] for i in axes))
+        mean = np.sum(xd, axis=axes, keepdims=True, dtype=np.float64).astype(xd.dtype) * c
+        diff = xd - mean
+        sq = np.multiply(diff, diff)
+        var = np.sum(sq, axis=axes, keepdims=True, dtype=np.float64).astype(sq.dtype) * c
+        sd = np.sqrt(var + np.asarray(eps, dtype=_DTYPE))
+        inv = one / sd
+        xhat = np.multiply(diff, inv, out=_into(sq, diff, inv))
+    else:
+        mean, var = stats
+        inv = np.asarray(1.0 / np.sqrt(var + eps), dtype=_DTYPE)
+        d = xd - np.asarray(mean, dtype=_DTYPE)
+        xhat = np.multiply(d, inv, out=_into(d, d, inv))
+        diff = None
+    y = np.multiply(xhat, gamma.data, out=None if track else _into(xhat, xhat, gamma.data))
+    y = np.add(y, beta.data, out=_into(y, y, beta.data))
+    if not track:
+        return Tensor(y), mean, var
+
+    def bwd(g):
+        _accumulate(beta, g)
+        if gamma.requires_grad:
+            _accumulate(gamma, g * xhat)
+        if not x.requires_grad:
+            return
+        g_xhat = (g * gamma.data).astype(xhat.dtype, copy=False)
+        g_x = (g_xhat * inv).astype(xd.dtype, copy=False)  # dL/d(diff) so far
+        if diff is not None:  # the batch statistics depend on x
+            g_inv = _unbroadcast(g_xhat * diff, inv.shape).astype(inv.dtype, copy=False)
+            g_sd = (-g_inv * one / (sd * sd)).astype(sd.dtype, copy=False)
+            g_var = (g_sd * (0.5 / sd)).astype(var.dtype)
+            g_sq = (g_var * c).astype(sq.dtype, copy=False)
+            term = g_sq * diff  # the square's two operands each pass on g_sq * diff
+            g_x += term
+            g_x += term
+            g_mean = -_unbroadcast(g_x, mean.shape).astype(mean.dtype, copy=False)
+            g_x += (g_mean * c).astype(xd.dtype, copy=False)
+        _accumulate(x, g_x, owned=True)
+
+    return _make(y, (x, gamma, beta), bwd), mean, var
+
+
+# ---------------------------------------------------------------------------
 # spike nonlinearity
 
 
@@ -621,15 +705,21 @@ def _spike_forward(h, v_threshold, alpha, smooth, out=None):
 def surrogate_slope(h_values, v_threshold, alpha):
     """The surrogate derivative ds/dH used at spike nodes (plain ndarray math).
 
-    Computed in the dtype of a floating-point ``h_values``, float64 otherwise.
+    Computed in the dtype of a floating-point ``h_values``, float64 otherwise,
+    in two fresh buffers.
     """
     h = np.asarray(h_values)
     if h.dtype.kind != "f":
         h = h.astype(np.float64)
     # sigmoid'(z) = e / (1 + e)^2 with e = exp(-|z|): stable, no branches
-    e = np.exp(-alpha * np.abs(h - h.dtype.type(v_threshold)))
-    d = 1.0 + e
-    return alpha * e / (d * d)
+    e = np.subtract(h, h.dtype.type(v_threshold), out=np.empty_like(h))
+    np.abs(e, out=e)
+    np.multiply(-alpha, e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e, out=np.empty_like(e))
+    np.multiply(d, d, out=d)
+    np.multiply(alpha, e, out=e)
+    return np.divide(e, d, out=e)
 
 
 # ---------------------------------------------------------------------------
@@ -675,17 +765,27 @@ def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     spikes = np.empty(x.shape, dtype=np.result_type(x.data, v.data, kappa))
     hs = np.empty_like(spikes) if track else None
     drives = np.empty_like(spikes) if track and a is not None and a.requires_grad else None
+    # every op writes into spikes, hs, drives or one of these two step buffers;
+    # the widest operand dtype is the buffers', so each result is the one a
+    # fresh array would hold
+    scratch = np.empty(shape, dtype=spikes.dtype)
+    v_next = np.empty(shape, dtype=spikes.dtype)
     v_t = v.data
     for t in range(T):
-        # V - 0 is V bit for bit, so a zero reset potential skips that op
-        drive = x.data[t] - (v_t - vr) if v_reset else x.data[t] - v_t
-        h = v_t + kappa * drive
+        drive = scratch if drives is None else drives[t]
+        if v_reset:
+            np.subtract(x.data[t], v_t - vr, out=drive)
+        else:  # V - 0 is V bit for bit, so a zero reset potential skips that op
+            np.subtract(x.data[t], v_t, out=drive)
+        h = scratch if hs is None else hs[t]
+        np.multiply(kappa, drive, out=h)
+        np.add(v_t, h, out=h)
         s = _spike_forward(h, v_threshold, alpha, smooth, out=spikes[t])
-        v_t = h * (one - s) + s * vr
-        if hs is not None:
-            hs[t] = h
-        if drives is not None:
-            drives[t] = drive
+        np.subtract(one, s, out=v_next)
+        np.multiply(h, v_next, out=v_next)
+        # s * vr is vr itself when vr is +-0 (s >= 0), the common case
+        np.add(v_next, np.multiply(s, vr, out=scratch) if vr else vr, out=v_next)
+        v_t = v_next
     if not track:
         return Tensor(spikes), Tensor(v_t)
 
@@ -693,23 +793,27 @@ def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
 
     def bwd(g):
         slope = surrogate_slope(hs, v_threshold, alpha)
-        # dV_t/dH_t along the membrane and (unless detached) the reset path
+        # dV_t/dH_t along the membrane and (unless detached) the reset path;
+        # hs is not read again, so the reset term is formed in place
         dv_dh = one - spikes
         if not detach_reset:
-            dv_dh += (vr - hs) * slope
+            np.subtract(vr, hs, out=hs)
+            np.multiply(hs, slope, out=hs)
+            dv_dh += hs
         g_h = g * slope  # dL/dH_t from S_t alone; dL/dV_t is added below
         g_v = g_v_final[0] if g_v_final else None
+        g_v_next = np.empty(shape, dtype=g_h.dtype)
         leak = one - kappa
         for t in range(T - 1, -1, -1):
             if g_v is not None:
-                g_h[t] += g_v * dv_dh[t]
-            g_v = g_h[t] * leak
+                g_h[t] += np.multiply(g_v, dv_dh[t], out=dv_dh[t])
+            g_v = np.multiply(g_h[t], leak, out=g_v_next)
         _accumulate(v, g_v)
         if drives is not None:
-            g_kappa = np.sum(g_h * drives, dtype=np.float64)
+            g_kappa = np.sum(np.multiply(g_h, drives, out=drives), dtype=np.float64)
             _accumulate(a, np.asarray(g_kappa * kappa * (1.0 - kappa)))
         g_h *= kappa
-        _accumulate(x, g_h)
+        _accumulate(x, g_h, owned=True)
 
     out = Tensor(spikes, requires_grad=True, _parents=parents, _backward=bwd)
 

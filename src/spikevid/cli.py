@@ -24,7 +24,8 @@ import yaml
 from . import autodiff as ad
 from . import data as data_mod
 from . import profiler as prof
-from .model import ModelConfig, VideoSpikeNet, load_checkpoint, save_checkpoint, variant_config
+from .model import (CheckpointError, ModelConfig, VideoSpikeNet, load_checkpoint,
+                    save_checkpoint, variant_config)
 from .neurons import NeuronConfig
 from .training import TrainConfig, evaluate, fit
 
@@ -380,7 +381,7 @@ def run(command, config_path=None, overrides=()):
         out_dir = _out_dir(cfg, command)
         _echo_config(cfg, out_dir)
         return COMMANDS[command](cfg, out_dir)
-    except (data_mod.DatasetError, FileNotFoundError) as exc:
+    except (data_mod.DatasetError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ArithmeticError, ad.ShapeError, ValueError) as exc:

@@ -9,6 +9,7 @@ integrating motion over time.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -179,11 +180,20 @@ def load_dataset(path) -> ClipDataset:
     if version != _VERSION:
         raise DatasetError(f"unsupported dataset version {version}")
     (hlen,) = struct.unpack("<I", take(4))
-    header = json.loads(take(hlen).decode())
-    shape = tuple(header["shape"])
+    try:
+        header = json.loads(take(hlen).decode())
+        shape = tuple(header["shape"])
+        seed, class_defs = header["seed"], header["class_defs"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DatasetError(f"dataset header malformed ({exc!r})") from None
     (nbytes,) = struct.unpack("<Q", take(8))
-    clips = np.frombuffer(take(nbytes), dtype="<f4").reshape(shape).copy()
+    raw = take(nbytes)
+    if not (shape and all(isinstance(n, int) and n >= 0 for n in shape)
+            and 4 * math.prod(shape) == nbytes):
+        raise DatasetError(f"header shape {list(shape)} does not match {nbytes} clip bytes")
+    clips = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     (nbytes,) = struct.unpack("<Q", take(8))
+    if nbytes != 8 * shape[0]:
+        raise DatasetError(f"{nbytes} label bytes for {shape[0]} clips (8 bytes each)")
     labels = np.frombuffer(take(nbytes), dtype="<i8").copy()
-    return ClipDataset(clips=clips, labels=labels, seed=header["seed"],
-                       class_defs=header["class_defs"])
+    return ClipDataset(clips=clips, labels=labels, seed=seed, class_defs=class_defs)

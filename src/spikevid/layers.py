@@ -34,22 +34,15 @@ def batch_stats_normalize(x, reduce_axes, gamma, beta, eps, running, mode, momen
 
     ``running`` is a dict with "mean"/"var" ndarrays matching gamma's shape;
     train mode uses batch statistics and updates them in place, eval mode uses
-    them frozen.
+    them frozen. One ``ad.batch_norm`` node either way.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     if mode == "train":
-        mean = ad.reduce_mean(x, axes=reduce_axes, keepdims=True)
-        diff = ad.sub(x, mean)
-        var = ad.reduce_mean(ad.mul(diff, diff), axes=reduce_axes, keepdims=True)
-        running["mean"] += momentum * (mean.data - running["mean"])
-        running["var"] += momentum * (var.data - running["var"])
-        inv = ad.div(ad.tensor(1.0), ad.sqrt(ad.add(var, ad.tensor(eps))))
-        xhat = ad.mul(diff, inv)
-    else:
-        w = 1.0 / np.sqrt(running["var"] + eps)
-        xhat = ad.mul(ad.sub(x, ad.tensor(running["mean"])), ad.tensor(w))
-    return ad.add(ad.mul(xhat, gamma), beta)
+        out, mean, var = ad.batch_norm(x, gamma, beta, reduce_axes, eps)
+        running["mean"] += momentum * (mean - running["mean"])
+        running["var"] += momentum * (var - running["var"])
+        return out
+    return ad.batch_norm(x, gamma, beta, reduce_axes, eps,
+                         stats=(running["mean"], running["var"]))[0]
 
 
 class BatchNorm(Module):

@@ -290,6 +290,14 @@ def _read_checkpoint(path):
     (version,) = struct.unpack("<I", take(4))
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    try:
+        return _parse_checkpoint_body(take)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # a body that passed the checksum but does not parse
+        raise CheckpointError(f"checkpoint malformed ({exc!r})") from None
+
+
+def _parse_checkpoint_body(take):
     (cfg_len,) = struct.unpack("<I", take(4))
     cfg = ModelConfig.from_dict(json.loads(take(cfg_len).decode()))
     digest = take(64).decode()
@@ -302,6 +310,8 @@ def _read_checkpoint(path):
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode()
         dt = take(4).decode().strip()
+        if dt not in _DTYPES:
+            raise CheckpointError(f"unsupported dtype {dt!r} for {name}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
         (raw_len,) = struct.unpack("<Q", take(8))

@@ -65,6 +65,11 @@ def run_gradient_checks(seed=0, tol=1e-4, step=1e-4):
             c := ad.conv(x, w, stride=2, padding=2, groups=3, bias=b), c)),
         [arr(2, 3, 5, 5), arr(3, 1, 5, 5), arr(3)], tol=tol, step=step)
     reports["composed_model"] = composed_model_check(seed=seed, tol=tol, step=step)
+    weights = arr(2, 3, 4, 2, 2).data
+    reports["batch_norm_tdbn"] = ad.grad_check(
+        lambda x, g, b: ad.reduce_sum(ad.mul(
+            ad.batch_norm(x, g, b, (1, 3, 4), 1e-5)[0], ad.tensor(weights))),
+        [arr(2, 3, 4, 2, 2), arr(2, 1, 4, 1, 1), arr(2, 1, 4, 1, 1)], tol=tol, step=step)
     return reports
 
 

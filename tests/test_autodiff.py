@@ -319,3 +319,103 @@ class TestGradCheckHarness:
     def test_report_repr(self):
         rep = ad.grad_check(lambda a: ad.reduce_sum(ad.mul(a, a)), [t([1.0])])
         assert "pass" in repr(rep)
+
+
+def _reachable(loss):
+    """Every tensor of the graph behind ``loss``, leaves and constants included."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def assert_no_shared_gradients(tensors):
+    """Every gradient is writeable, no two share memory, and none shares
+    memory with any tensor's data (an alias would let in-place gradient
+    clipping or accumulation corrupt another array)."""
+    grads = [(i, t.grad) for i, t in enumerate(tensors) if t.grad is not None]
+    assert grads
+    for n, (i, g) in enumerate(grads):
+        assert g.flags.writeable
+        for _, other in grads[n + 1:]:
+            assert not np.shares_memory(g, other)
+        for t in tensors:
+            assert not np.shares_memory(g, t.data), f"grad of tensor {i} aliases data"
+
+
+def _lif_case(x, v, a):
+    s, v_out = ad.lif_sequence(x, v, a, v_reset=0.1)
+    return ad.add(ad.reduce_sum(ad.mul(s, x)), ad.reduce_sum(v_out))
+
+
+def _bn_case(x, g, b, stats=None):
+    return ad.reduce_sum(ad.mul(y := ad.batch_norm(x, g, b, (0, 2), 1e-5, stats)[0], y))
+
+
+# name -> (f, input shapes); every primitive, each through the loss it feeds
+PRIMITIVE_CASES = {
+    "add": (lambda a, b: ad.reduce_sum(ad.add(a, b)), [(3, 4), (3, 4)]),
+    "sub": (lambda a, b: ad.reduce_sum(ad.sub(a, b)), [(3, 4), (3, 4)]),
+    "mul": (lambda a, b: ad.reduce_sum(ad.mul(a, b)), [(3, 4), (1, 4)]),
+    "mul_self": (lambda a: ad.reduce_sum(ad.mul(a, a)), [(3, 4)]),
+    "div": (lambda a, b: ad.reduce_sum(ad.div(a, ad.add(ad.mul(b, b), ad.tensor(1.0)))),
+            [(3, 4), (3, 4)]),
+    "neg_scale": (lambda a: ad.reduce_sum(ad.scale(ad.neg(a), 2.0)), [(3, 4)]),
+    "exp_log_sqrt_sigmoid": (lambda a: ad.reduce_sum(ad.log(ad.sqrt(ad.add(
+        ad.exp(a), ad.sigmoid(a))))), [(3, 4)]),
+    "reduce_sum": (lambda a: ad.reduce_sum(a), [(3, 4)]),
+    "reduce_mean": (lambda a: ad.reduce_sum(ad.reduce_mean(a, axes=(1,), keepdims=True)),
+                    [(3, 4)]),
+    "matmul": (lambda a, b: ad.reduce_sum(ad.matmul(a, b)), [(3, 4), (4, 2)]),
+    "matmul_broadcast": (lambda a, b: ad.reduce_sum(ad.matmul(a, b)), [(2, 3, 4), (4, 2)]),
+    "structural": (lambda a: ad.reduce_mean(ad.concat([
+        ad.permute(ad.reshape(a, (4, 3)), (1, 0)),
+        ad.stack([ad.index(a, 0, axis=0)] * 2, axis=0)], axis=0)), [(3, 4)]),
+    "conv_dense": (lambda x, w, b: ad.reduce_sum(ad.conv(x, w, padding=1, bias=b)),
+                   [(2, 3, 5, 5), (4, 3, 3, 3), (4,)]),
+    "conv_depthwise": (lambda x, w: ad.reduce_sum(ad.conv(x, w, padding=2, groups=3)),
+                       [(2, 3, 5, 5), (3, 1, 5, 5)]),
+    "spike": (lambda h: ad.reduce_sum(ad.spike(h, 0.5, 4.0)), [(3, 4)]),
+    "lif_sequence": (_lif_case, [(3, 2, 4), (2, 4), ()]),
+    "batch_norm_train": (_bn_case, [(3, 2, 4), (1, 2, 1), (1, 2, 1)]),
+    "batch_norm_eval": (lambda x, g, b: _bn_case(x, g, b, (np.zeros((1, 2, 1)),
+                                                            np.ones((1, 2, 1)))),
+                        [(3, 2, 4), (1, 2, 1), (1, 2, 1)]),
+}
+
+
+class TestGradientOwnership:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(PRIMITIVE_CASES))
+    def test_primitive_gradients_are_unaliased(self, case, dtype):
+        f, shapes = PRIMITIVE_CASES[case]
+        rng = make_rng(40)
+        with ad.precision(dtype):
+            xs = [ad.Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                  for s in shapes]
+            loss = f(*xs)
+            tensors = _reachable(loss)
+            ad.backward(loss)
+        assert all(x.grad is not None for x in xs)
+        assert_no_shared_gradients(tensors)
+
+    def test_micro_model_gradients_are_unaliased(self):
+        from spikevid.model import VideoSpikeNet
+        from spikevid.training import cross_entropy
+        from spikevid.verification import micro_model_config
+
+        model = VideoSpikeNet(micro_model_config(), seed=0)
+        model.train()
+        model.reset_states()
+        clip = ad.tensor(make_rng(41).random((2, 2, 3, 16, 16)))
+        loss = cross_entropy(model(clip), np.array([0, 2]))
+        tensors = {id(t): t for t in _reachable(loss) + list(model.parameters())}
+        tensors = list(tensors.values())
+        ad.backward(loss)
+        assert_no_shared_gradients(tensors)
+        buffers = [b for _, b in model.named_buffers()]
+        for p in model.parameters():
+            assert not any(np.shares_memory(p.grad, b) for b in buffers)

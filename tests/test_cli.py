@@ -9,9 +9,9 @@ import yaml
 
 from spikevid import cli
 from spikevid.data import gen_moving_patterns, save_dataset
-from spikevid.model import VideoSpikeNet, load_checkpoint, variant_config
+from spikevid.model import VideoSpikeNet, load_checkpoint, save_checkpoint, variant_config
 
-from conftest import make_rng
+from conftest import make_rng, tiny_config
 
 
 FAST = [
@@ -186,6 +186,22 @@ class TestExitCodes:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
         assert run_cli(tmp_path, "eval", "--set", f"data.path={bad}") == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("damage", ["magic", "checksum", "truncate"])
+    def test_corrupt_checkpoint_is_data_error(self, tmp_path, damage, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(VideoSpikeNet(tiny_config(), seed=0), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        if damage == "magic":
+            blob[:8] = b"WRONGMAG"
+        elif damage == "checksum":
+            blob[len(blob) // 2] ^= 0x01
+        else:
+            blob = blob[: len(blob) // 2]
+        ckpt.write_bytes(bytes(blob))
+        code = run_cli(tmp_path, "eval", "--set", f"model.checkpoint={ckpt}", *FAST)
+        assert code == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_numeric_error(self, tmp_path):

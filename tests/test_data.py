@@ -1,7 +1,13 @@
 """Synthetic clip generation, corruption operators, and the container file."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikevid.data import (
     BACKGROUND,
@@ -208,3 +214,75 @@ class TestContainerIO:
         path.write_bytes(blob[:8] + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
         with pytest.raises(DatasetError):
             load_dataset(path)
+
+
+def write_clipset(path, header, clip_bytes, label_bytes):
+    """A CLIPSET1 file with a valid checksum around any body."""
+    head = json.dumps(header).encode()
+    body = struct.pack("<I", 1) + struct.pack("<I", len(head)) + head
+    body += struct.pack("<Q", len(clip_bytes)) + clip_bytes
+    body += struct.pack("<Q", len(label_bytes)) + label_bytes
+    path.write_bytes(b"CLIPSET1" + body + struct.pack("<I", zlib.crc32(body)))
+
+
+class TestMalformedBody:
+    """Checksum-valid files whose body does not describe one dataset."""
+
+    CLIPS = np.zeros((2, 2, 3, 4, 4), dtype="<f4")
+    HEADER = {"shape": [2, 2, 3, 4, 4], "seed": 0, "class_defs": []}
+
+    def load(self, tmp_path, header=None, clips=None, labels=None):
+        path = tmp_path / "clips.bin"
+        write_clipset(path, self.HEADER if header is None else header,
+                      (self.CLIPS if clips is None else clips).tobytes(),
+                      (np.zeros(2, "<i8") if labels is None else labels).tobytes())
+        return load_dataset(path)
+
+    def test_well_formed_body_loads(self, tmp_path):
+        ds = self.load(tmp_path)
+        assert ds.clips.shape == (2, 2, 3, 4, 4) and ds.labels.shape == (2,)
+
+    def test_header_shape_disagrees_with_clip_bytes(self, tmp_path):
+        with pytest.raises(DatasetError):
+            self.load(tmp_path, header=dict(self.HEADER, shape=[3, 2, 3, 4, 4]))
+
+    def test_header_without_shape(self, tmp_path):
+        header = {k: v for k, v in self.HEADER.items() if k != "shape"}
+        with pytest.raises(DatasetError):
+            self.load(tmp_path, header=header)
+
+    def test_label_bytes_not_a_multiple_of_eight(self, tmp_path):
+        with pytest.raises(DatasetError):
+            self.load(tmp_path, labels=np.zeros(12, dtype=np.uint8))
+
+    def test_label_count_differs_from_clip_count(self, tmp_path):
+        with pytest.raises(DatasetError):
+            self.load(tmp_path, labels=np.zeros(5, "<i8"))
+
+
+@pytest.fixture(scope="module")
+def saved_clipset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "clips.bin"
+    save_dataset(gen_moving_patterns(seed=19, num=2, T=2, H=8, W=8, blob=3), path)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_clipset_raises_only_dataset_error(saved_clipset, data):
+    """Truncated or bit-flipped files, some re-signed so the parser past the
+    checksum sees the damage, either load or raise DatasetError."""
+    blob = bytearray(saved_clipset.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+    if data.draw(st.booleans(), label="re-sign") and len(blob) > 12:
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
+    path = saved_clipset.with_name("fuzzed.bin")
+    path.write_bytes(bytes(blob))
+    try:
+        load_dataset(path)
+    except DatasetError:
+        pass

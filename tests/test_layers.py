@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikevid import autodiff as ad
+from spikevid.blocks import from_tokens, to_tokens
 from spikevid.layers import (
     PLAIN_BN,
     TDBN,
@@ -110,6 +111,123 @@ class TestBatchNormStatistics:
         x = ad.tensor(make_rng(6).standard_normal((2, 3, 4, 2)).astype(np.float32))
         ad.backward(ad.reduce_sum(ad.mul(o := bn(x), o)))
         assert bn.gamma.grad is not None and bn.beta.grad is not None
+
+
+def _composite_bn(x, axes, gamma, beta, eps, running, mode, momentum=0.1):
+    """The single-op chain that ``ad.batch_norm`` replaced in the layer,
+    returning ``(out, mean, var)``."""
+    if mode == "train":
+        mean = ad.reduce_mean(x, axes=axes, keepdims=True)
+        diff = ad.sub(x, mean)
+        var = ad.reduce_mean(ad.mul(diff, diff), axes=axes, keepdims=True)
+        running["mean"] += momentum * (mean.data - running["mean"])
+        running["var"] += momentum * (var.data - running["var"])
+        inv = ad.div(ad.tensor(1.0), ad.sqrt(ad.add(var, ad.tensor(eps))))
+        xhat = ad.mul(diff, inv)
+        mean, var = mean.data, var.data
+    else:
+        mean, var = running["mean"], running["var"]
+        w = 1.0 / np.sqrt(running["var"] + eps)
+        xhat = ad.mul(ad.sub(x, ad.tensor(running["mean"])), ad.tensor(w))
+    return ad.add(ad.mul(xhat, gamma), beta), mean, var
+
+
+# (input shape, a permutation of the output whose backward hands the norm a
+# non-contiguous gradient); 5 channels, T = 4 where there is a time axis. A
+# reduced axis of 9 or more elements sums pairwise where it is the contiguous
+# one and sequentially elsewhere, so a gradient laid out otherwise than the
+# single-op chain lays it out gives other bits.
+BN_LAYOUTS = {
+    "map": ((4, 3, 5, 3, 10), to_tokens),
+    "token": ((4, 3, 12, 5), lambda y: from_tokens(y, 3, 4)),
+    "vec": ((12, 5), lambda y: ad.permute(y, (1, 0))),
+}
+
+
+class TestFusedBatchNormMatchesComposite:
+    """``ad.batch_norm`` (through the layer) against the single-op chain:
+    outputs, statistics and gradients must be the same bytes."""
+
+    def run(self, fused, layout, norm_mode, mode, dtype, seed=30):
+        shape, permute = BN_LAYOUTS[layout]
+        rng = make_rng(seed)
+        with ad.precision(dtype):
+            bn = BatchNorm(5, norm_mode=norm_mode, time_steps=4, layout=layout)
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, bn.gamma.shape)
+            bn.beta.data[...] = rng.standard_normal(bn.beta.shape)
+            bn.running_mean[...] = rng.standard_normal(bn.running_mean.shape)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, bn.running_var.shape)
+            if mode == "eval":
+                bn.eval()
+            x = ad.Tensor((rng.standard_normal(shape) * 2 + 1).astype(dtype), requires_grad=True)
+            if fused:
+                out = bn(x)
+                with ad.no_grad():
+                    stats = None if mode == "train" else (bn.running_mean, bn.running_var)
+                    _, mean, var = ad.batch_norm(x, bn.gamma, bn.beta, bn.reduce_axes,
+                                                 bn.eps, stats=stats)
+            else:
+                running = {"mean": bn.running_mean, "var": bn.running_var}
+                out, mean, var = _composite_bn(x, bn.reduce_axes, bn.gamma, bn.beta,
+                                               bn.eps, running, mode, bn.momentum)
+            y = permute(out)
+            ad.backward(ad.reduce_sum(ad.mul(y, ad.tensor(rng.standard_normal(y.shape)))))
+        return {"out": out.data, "mean": mean, "var": var,
+                "running_mean": bn.running_mean, "running_var": bn.running_var,
+                "x.grad": x.grad, "gamma.grad": bn.gamma.grad, "beta.grad": bn.beta.grad}
+
+    @pytest.mark.parametrize("layout", list(BN_LAYOUTS))
+    @pytest.mark.parametrize("norm_mode", [PLAIN_BN, TDBN])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_equal(self, layout, norm_mode, mode, dtype):
+        got = self.run(True, layout, norm_mode, mode, dtype)
+        want = self.run(False, layout, norm_mode, mode, dtype)
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].shape == want[name].shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("layout", list(BN_LAYOUTS))
+    def test_upstream_gradient_is_non_contiguous(self, layout):
+        shape, permute = BN_LAYOUTS[layout]
+        seen = []
+        node = ad.Tensor(np.ones(shape), requires_grad=True, _backward=seen.append)
+        y = permute(node)
+        ad.backward(ad.reduce_sum(ad.mul(y, ad.tensor(np.ones(y.shape)))))
+        assert not seen[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", list(BN_LAYOUTS))
+    def test_one_tape_node_in_train_mode(self, layout):
+        bn = BatchNorm(5, norm_mode=TDBN, time_steps=4, layout=layout)
+        x = ad.Tensor(make_rng(31).standard_normal(BN_LAYOUTS[layout][0]).astype(np.float32),
+                      requires_grad=True)
+        out = bn(x)
+        assert out._parents == (x, bn.gamma, bn.beta)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_no_tape_node_under_no_grad(self, mode):
+        bn = BatchNorm(5, layout="map")
+        if mode == "eval":
+            bn.eval()
+        x = ad.Tensor(make_rng(32).standard_normal(BN_LAYOUTS["map"][0]).astype(np.float32),
+                      requires_grad=True)
+        before = x.data.copy()
+        with ad.no_grad():
+            out = bn(x)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        assert not np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(x.data, before)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_non_positive_eps_rejected(self, eps, mode):
+        bn = BatchNorm(2, layout="vec", eps=eps)
+        if mode == "eval":
+            bn.eval()
+        with pytest.raises(ValueError):
+            bn(ad.tensor(np.ones((3, 2))))
 
 
 class TestLinearLayers:

@@ -2,9 +2,13 @@
 
 import errno
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikevid import autodiff as ad
 from spikevid import model as model_mod
@@ -255,3 +259,32 @@ class TestScaleDiagnostics:
         model = VideoSpikeNet(cfg, seed=0)
         count = model.param_count()
         assert 5e6 < count < 50e6
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(VideoSpikeNet(tiny_config(), seed=0), path)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_raises_only_checkpoint_error(saved_checkpoint, data):
+    """Truncated or bit-flipped files, some re-signed so the parser past the
+    checksum sees the damage, either load or raise CheckpointError."""
+    blob = bytearray(saved_checkpoint.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # the header and first entries, where a flip changes the structure
+        bit = data.draw(st.integers(0, 8 * min(len(blob), 1024) - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+    if data.draw(st.booleans(), label="re-sign") and len(blob) > 12:
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
+    path = saved_checkpoint.with_name("fuzzed.ckpt")
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

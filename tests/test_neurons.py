@@ -264,6 +264,28 @@ class TestFusedSequenceMatchesStepwise:
             assert not t.requires_grad
             assert t._parents == () and t._backward is None
 
+    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
+    @pytest.mark.parametrize("v_reset", [0.0, 0.3])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_never_writes_into_its_inputs(self, kind, v_reset, grad):
+        """The forward's step buffers and the backward's in-place work stay
+        off the caller's input and carried-in membrane."""
+        cfg = NeuronConfig(kind=kind, tau=2.5, v_reset=v_reset)
+        rng = make_rng(14)
+        x = ad.Tensor(rng.normal(0.8, 1.0, (5, 3, 4)), requires_grad=grad)
+        v0 = ad.Tensor(v_reset + 0.5 * rng.standard_normal((3, 4)), requires_grad=grad)
+        a = ad.Tensor(np.array(0.3), requires_grad=grad)
+        x_before, v0_before = x.data.copy(), v0.data.copy()
+        s, v = _fused(x, v0, a, cfg, smooth=False)
+        if grad:
+            ad.backward(ad.add(ad.reduce_sum(ad.mul(s, x)), ad.reduce_sum(v)))
+            assert x.grad is not None and v0.grad is not None
+        np.testing.assert_array_equal(x.data, x_before)
+        np.testing.assert_array_equal(v0.data, v0_before)
+        for out in (s.data, v.data):
+            assert not np.shares_memory(out, x.data)
+            assert not np.shares_memory(out, v0.data)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(ad.ShapeError):
             ad.lif_sequence(ad.tensor(np.zeros((0, 2))))
