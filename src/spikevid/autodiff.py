@@ -200,8 +200,9 @@ def _unbroadcast(grad, shape):
 
 def _accumulate(t: Tensor, g: np.ndarray, owned=False):
     """Add ``g`` into ``t.grad``. A first arrival is copied unless ``owned``:
-    the caller made ``g`` for this call and never touches it again, so a
-    C-contiguous ``g`` already in ``t``'s dtype becomes ``t.grad`` itself."""
+    nothing reads or writes ``g`` after this call (the caller made it, or it
+    views a node grad that ``backward`` drops), so a C-contiguous ``g``
+    already in ``t``'s dtype becomes ``t.grad`` itself."""
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
@@ -342,7 +343,7 @@ def reshape(a, shape):
     in_shape = a.data.shape
 
     def bwd(g):
-        _accumulate(a, g.reshape(in_shape))
+        _accumulate(a, g.reshape(in_shape), owned=True)
 
     return _make(a.data.reshape(shape), (a,), bwd)
 
@@ -352,7 +353,7 @@ def permute(a, axes):
     inv = tuple(np.argsort(axes))
 
     def bwd(g):
-        _accumulate(a, g.transpose(inv))
+        _accumulate(a, g.transpose(inv), owned=True)
 
     return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
@@ -464,13 +465,17 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     2 or 3. Output spatial extent is floor((n + 2p - k) / s) + 1.
 
     The forward and the weight gradient are one grouped matmul each against
-    the ``[groups, P, C_g * K]`` columns of ``_im2col``. The input gradient of
-    a dense conv is a matmul back to columns that ``_col2im`` scatters onto
-    the input. A depthwise conv (``C_g == 1`` and ``C_out == groups``) skips
-    both: that matmul has inner extent 1, so each column entry is one rounded
-    product ``g * w``, and ``_depthwise_input_grad`` adds the same products in
-    the same order straight onto the input, bit for bit what the matmul and
-    ``_col2im`` give.
+    the ``[groups, P, C_g * K]`` columns of ``_im2col``. The input gradient is
+    one scatter per kernel offset onto a zeroed channels-last ``[*padded, B,
+    C_in]`` buffer, offsets in row-major order, so the inner loops run along
+    B * C_in contiguous elements. A dense conv scatters the windows of a
+    matmul back to columns, read as a ``[*out, B, C_in, *kernel]`` view. A
+    depthwise conv (``C_g == 1`` and ``C_out == groups``) skips that matmul:
+    its inner extent is 1, so each column entry is one rounded product
+    ``g * w``, and it scatters ``g * w[:, 0, offset]`` with ``g`` relaid once
+    to ``[*out, B, C]``. Either way each input element receives the same
+    rounded terms in the same order as a ``[B, C_in, *padded]`` scatter. One
+    copy then crops the padding and relays to ``[B, C_in, *spatial]``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     rank = w.ndim - 2
@@ -499,36 +504,45 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
 
     cols_g = _im2col(xp, kernel, stride, out_spatial, groups)  # [g, P, CgK]
     P = cols_g.shape[1]
-    w_g = w.data.reshape(groups, C_out // groups, -1)  # [g, Og, CgK]
+    O_g = C_out // groups
+    w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
     out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, P, Og]
-    out_data = out_g.transpose(1, 0, 2).reshape(B, *out_spatial, C_out)
-    out_data = np.ascontiguousarray(np.moveaxis(out_data, -1, 1))
+    out_data = np.moveaxis(out_g.reshape((groups, B) + out_spatial + (O_g,)), (0, -1), (1, 2))
+    out_data = np.ascontiguousarray(out_data).reshape((B, C_out) + out_spatial)
     if bias is not None:
         out_data = out_data + bias.data.reshape((1, C_out) + (1,) * rank)
 
     def bwd(g):
-        g_flat = np.moveaxis(g, 1, -1).reshape(P, groups, C_out // groups)
-        g_flat = np.ascontiguousarray(g_flat.transpose(1, 0, 2))  # [g, P, Og]
+        g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
+        g_flat = np.ascontiguousarray(g_flat).reshape(groups, P, O_g)
         gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols_g)  # [g, Og, CgK]
         _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
         if not x.requires_grad:
             return
+        dtype = np.result_type(g, w.data)
         if C_g == 1 and C_out == groups:
-            gx = _depthwise_input_grad(g, w.data, xp.shape, stride)
+            g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
+            w_cl = np.moveaxis(w.data[:, 0], 0, -1)  # [*kernel, C]
+            term = np.empty(g_cl.shape, dtype=dtype)
+
+            def term_at(offset):
+                return np.multiply(g_cl, w_cl[offset], out=term)
         else:
             gcols = np.matmul(g_flat, w_g)  # [g, P, CgK]
-            gcols = gcols.transpose(1, 0, 2).reshape(
-                (B,) + out_spatial + (C_in,) + tuple(kernel)
-            )
-            gx = _col2im(gcols, xp.shape, kernel, stride, out_spatial)
-        if any(padding):
-            sl = [slice(None), slice(None)] + [
-                slice(p, p + n) for p, n in zip(padding, spatial)
-            ]
-            gx = gx[tuple(sl)]
-        _accumulate(x, gx)
+            gcols = gcols.reshape((groups, B) + out_spatial + (C_g,) + kernel)
+            gcols = np.moveaxis(gcols, (0, 1), (rank + 1, rank)).reshape(
+                out_spatial + (B, C_in) + kernel)  # a view unless groups > 1
+
+            def term_at(offset):
+                return gcols[(Ellipsis,) + offset]
+        gx = np.zeros(xp.shape[2:] + (B, C_in), dtype=dtype)
+        for offset in np.ndindex(*kernel):
+            window = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial))
+            gx[window] += term_at(offset)
+        gx = gx[tuple(slice(p, p + n) for p, n in zip(padding, spatial))]
+        _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _make(out_data, parents, bwd)
@@ -557,41 +571,6 @@ def _im2col(xp, kernel, stride, out_spatial, groups):
     view = view[tuple(sl)].reshape((B, groups, C // groups) + out_spatial + tuple(kernel))
     view = np.moveaxis(view, (1, 2), (0, 2 + rank))  # [groups, B, *out, C_g, *kernel]
     return np.ascontiguousarray(view).reshape(groups, B * int(np.prod(out_spatial)), -1)
-
-
-def _col2im(gcols, xp_shape, kernel, stride, out_spatial):
-    """Scatter-add [B, *out, C, *kernel] gradients back onto the padded input."""
-    rank = len(kernel)
-    gx = np.zeros(xp_shape, dtype=gcols.dtype)
-    # bring to [B, C, *out, *kernel]
-    gcols = np.moveaxis(gcols, 1 + rank, 1)
-    for offset in np.ndindex(*kernel):
-        sl_in = [slice(None), slice(None)] + [
-            slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial)
-        ]
-        sl_k = (slice(None),) * (2 + rank) + offset
-        gx[tuple(sl_in)] += gcols[sl_k]
-    return gx
-
-
-def _depthwise_input_grad(g, w, xp_shape, stride):
-    """Padded-input gradient of a depthwise conv: g [B, C, *out], w [C, 1, *kernel].
-
-    Adds ``g * w[:, 0, offset]`` onto each offset's window, offsets in
-    ``_col2im``'s order, so the sums match it bit for bit.
-    """
-    kernel = w.shape[2:]
-    out_spatial = g.shape[2:]
-    gx = np.zeros(xp_shape, dtype=np.result_type(g, w))
-    term = np.empty(g.shape, dtype=gx.dtype)
-    w_c = w.reshape((w.shape[0],) + (1,) * len(kernel) + tuple(kernel))  # [C, 1.., *kernel]
-    for offset in np.ndindex(*kernel):
-        sl_in = (slice(None), slice(None)) + tuple(
-            slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial)
-        )
-        np.multiply(g, w_c[(Ellipsis,) + offset], out=term)
-        gx[sl_in] += term
-    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +835,9 @@ def backward(loss: Tensor):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            # a node's grad is dropped after its backward, so a parent may take
+            # it over (reshape, permute); the loss keeps its own
+            node._backward(node.grad.copy() if node is loss else node.grad)
             node._backward = None
             node._parents = ()
             if node is not loss:

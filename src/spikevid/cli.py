@@ -371,6 +371,7 @@ def run(command, config_path=None, overrides=()):
         # before any data is generated or any epoch runs
         _model_config(cfg)
         _train_config(cfg)
+        data_mod.class_definitions(cfg["data"]["classes"])
         if command == "train" and cfg["model"]["checkpoint"]:
             raise ConfigError("model.checkpoint is not read by train, which always "
                               "starts from scratch; unset it or use eval/profile/noise-eval")

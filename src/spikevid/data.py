@@ -46,8 +46,9 @@ def class_definitions(classes):
         for s in _SPEEDS
         for d in _DIRECTIONS
     ]
-    if classes > len(combos):
-        raise ValueError(f"at most {len(combos)} motion classes available")
+    if not 1 <= classes <= len(combos):
+        raise ValueError(f"classes must be in 1..{len(combos)} (the motion classes available), "
+                         f"got {classes}")
     return combos[:classes]
 
 

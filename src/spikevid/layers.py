@@ -29,22 +29,6 @@ def trunc_normal(rng: np.random.Generator, shape, std=0.02):
     return np.clip(vals, -2 * std, 2 * std).astype(ad.current_dtype())
 
 
-def batch_stats_normalize(x, reduce_axes, gamma, beta, eps, running, mode, momentum=0.1):
-    """Normalize over ``reduce_axes``; affine over the remaining axes.
-
-    ``running`` is a dict with "mean"/"var" ndarrays matching gamma's shape;
-    train mode uses batch statistics and updates them in place, eval mode uses
-    them frozen. One ``ad.batch_norm`` node either way.
-    """
-    if mode == "train":
-        out, mean, var = ad.batch_norm(x, gamma, beta, reduce_axes, eps)
-        running["mean"] += momentum * (mean - running["mean"])
-        running["var"] += momentum * (var - running["var"])
-        return out
-    return ad.batch_norm(x, gamma, beta, reduce_axes, eps,
-                         stats=(running["mean"], running["var"]))[0]
-
-
 class BatchNorm(Module):
     """Plain or time-dependent batch normalization over map or token layout."""
 
@@ -82,11 +66,13 @@ class BatchNorm(Module):
             raise ad.ShapeError(
                 f"TDBN configured for T={self.time_steps}, input has T={x.shape[0]}"
             )
-        running = {"mean": self.running_mean, "var": self.running_var}
-        return batch_stats_normalize(
-            x, self.reduce_axes, self.gamma, self.beta, self.eps, running,
-            "train" if self.training else "eval", self.momentum,
-        )
+        if not self.training:
+            return ad.batch_norm(x, self.gamma, self.beta, self.reduce_axes, self.eps,
+                                 stats=(self.running_mean, self.running_var))[0]
+        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.reduce_axes, self.eps)
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        self.running_var += self.momentum * (var - self.running_var)
+        return out
 
     def frozen_scale_shift(self):
         """Per-(t?, c) multiplier and offset equivalent to eval-mode BN."""

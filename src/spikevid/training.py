@@ -36,6 +36,10 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if not self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must be smaller than epochs")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.grad_clip < 0:
+            raise ValueError(f"grad_clip must be >= 0 (0 turns clipping off), got {self.grad_clip}")
 
 
 @dataclass

@@ -239,6 +239,70 @@ class TestDepthwiseConv:
         assert out._parents == () and out._backward is None
 
 
+def scatter_input_grad(g, w, stride, padding, groups, x_shape):
+    """Reference conv input gradient: per-offset adds onto a zeroed
+    ``[B, C, *padded]`` buffer, offsets in row-major order, then a crop.
+
+    Each offset's terms are ``g * w[:, 0, offset]`` for a depthwise conv and
+    the windows of the matmul back to columns otherwise (``g`` relaid to
+    ``[groups, P, O_g]``, the layout ``ad.conv`` multiplies).
+    """
+    rank = w.ndim - 2
+    kernel, out_spatial = w.shape[2:], g.shape[2:]
+    B, C_out, C_g = g.shape[0], w.shape[0], w.shape[1]
+    C_in = C_g * groups
+    padded = tuple(n + 2 * p for n, p in zip(x_shape[2:], padding))
+    if C_g == 1 and C_out == groups:
+        w_c = w.reshape((C_out,) + (1,) * rank + kernel)
+        terms = {o: g * w_c[(Ellipsis,) + o] for o in np.ndindex(*kernel)}
+    else:
+        g_flat = np.moveaxis(g, 1, -1).reshape(-1, groups, C_out // groups)
+        g_flat = np.ascontiguousarray(g_flat.transpose(1, 0, 2))
+        gcols = np.matmul(g_flat, w.reshape(groups, C_out // groups, -1))
+        gcols = gcols.transpose(1, 0, 2).reshape((B,) + out_spatial + (C_in,) + kernel)
+        gcols = np.moveaxis(gcols, 1 + rank, 1)  # [B, C, *out, *kernel]
+        terms = {o: gcols[(Ellipsis,) + o] for o in np.ndindex(*kernel)}
+    gx = np.zeros((B, C_in) + padded, dtype=terms[(0,) * rank].dtype)
+    for offset, term in terms.items():
+        gx[(slice(None), slice(None)) + tuple(
+            slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial))] += term
+    return gx[(slice(None), slice(None)) + tuple(
+        slice(p, p + n) for p, n in zip(padding, x_shape[2:]))]
+
+
+# (x shape, w shape, stride, padding, groups): depthwise 5x5 p2 at s1 and s2
+# on odd extents, the head's full-extent 3-D depthwise kernel, dense 3x3 p1
+# s2, dense 1x1 p0, and a grouped conv with two channels per group
+SCATTER_CASES = [
+    ((2, 3, 7, 9), (3, 1, 5, 5), 1, 2, 3),
+    ((2, 3, 9, 7), (3, 1, 5, 5), 2, 2, 3),
+    ((2, 3, 2, 4, 4), (3, 1, 2, 4, 4), 1, 0, 3),
+    ((2, 4, 7, 9), (5, 4, 3, 3), 2, 1, 1),
+    ((2, 4, 5, 6), (3, 4, 1, 1), 1, 0, 1),
+    ((2, 4, 6, 5), (4, 2, 3, 3), 1, 1, 2),
+]
+
+
+class TestChannelsLastScatter:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", SCATTER_CASES)
+    def test_input_grad_bytes_match_reference(self, case, dtype):
+        x_shape, w_shape, stride, padding, groups = case
+        rank = len(w_shape) - 2
+        rng = make_rng(30)
+        x = ad.Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal(w_shape).astype(dtype), requires_grad=True)
+        with ad.precision(dtype):
+            out = ad.conv(x, w, stride=stride, padding=padding, groups=groups)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
+        ref = scatter_input_grad(g, w.data, (stride,) * rank, (padding,) * rank, groups,
+                                 x_shape)
+        assert x.grad.dtype == ref.dtype == dtype
+        assert x.grad.shape == ref.shape and x.grad.flags.c_contiguous
+        assert x.grad.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 class TestSpike:
     def test_forward_is_binary_threshold(self):
         h = t([[0.5, 1.0], [1.5, -2.0]])
@@ -378,6 +442,13 @@ PRIMITIVE_CASES = {
                    [(2, 3, 5, 5), (4, 3, 3, 3), (4,)]),
     "conv_depthwise": (lambda x, w: ad.reduce_sum(ad.conv(x, w, padding=2, groups=3)),
                        [(2, 3, 5, 5), (3, 1, 5, 5)]),
+    "conv_depthwise_strided": (lambda x, w: ad.reduce_sum(ad.conv(
+        x, w, stride=2, padding=2, groups=3)), [(2, 3, 7, 7), (3, 1, 5, 5)]),
+    "conv_dense_strided": (lambda x, w: ad.reduce_sum(ad.conv(x, w, stride=2, padding=1)),
+                           [(2, 3, 7, 7), (4, 3, 3, 3)]),
+    # the loss keeps its grad, so a view of it must not reach a parent
+    "reshape_loss": (lambda a: ad.reshape(a, ()), [(1, 1)]),
+    "permute_loss": (lambda a: ad.permute(a, (1, 0)), [(1, 1)]),
     "spike": (lambda h: ad.reduce_sum(ad.spike(h, 0.5, 4.0)), [(3, 4)]),
     "lif_sequence": (_lif_case, [(3, 2, 4), (2, 4), ()]),
     "batch_norm_train": (_bn_case, [(3, 2, 4), (1, 2, 1), (1, 2, 1)]),

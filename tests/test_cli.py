@@ -216,6 +216,10 @@ class TestExitCodes:
         "model.norm_mode=layer",
         "model.neuron_kind=IZH",
         "train.warmup_epochs=2",  # FAST runs 2 epochs
+        "data.classes=0",
+        "data.classes=17",  # the generator has 16 motion classes
+        "train.batch_size=0",
+        "train.grad_clip=-1",
     ])
     def test_invalid_model_or_train_value_is_config_error(self, tmp_path, override):
         code = run_cli(tmp_path, "train", *FAST, "--set", override)
