@@ -22,7 +22,6 @@ __all__ = [
     "precision",
     "no_grad",
     "tensor",
-    "zeros",
     "add",
     "sub",
     "mul",
@@ -169,10 +168,6 @@ class Tensor:
 
 def tensor(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=_DTYPE), requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=_DTYPE), requires_grad=requires_grad)
 
 
 def _as_tensor(x):

@@ -27,7 +27,8 @@ from . import profiler as prof
 from .model import (CheckpointError, ModelConfig, VideoSpikeNet, load_checkpoint,
                     save_checkpoint, variant_config)
 from .neurons import NeuronConfig
-from .training import TrainConfig, evaluate, fit
+from .training import TrainConfig, check_eval_size, evaluate, fit, tau_table
+from .verification import check_tolerance, run_gradient_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,7 +133,7 @@ def _coerce(full, default, value):
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{full}: expected a list, got {value!r}")
-        return value
+        return [_coerce(f"{full}[{i}]", default[0], v) for i, v in enumerate(value)]
     return value
 
 
@@ -290,7 +291,7 @@ def cmd_profile(cfg, out_dir):
     table = prof.cost_table(rec, len(test_ds.clips), exact=True)
     summary = prof.total_energy(table)
     rates, traces = rec.firing_rates(), rec.traces()
-    taus = {name: layer.effective_tau() for name, layer in model.spiking_layers()}
+    taus = tau_table(model)
     prof.write_profile(table, summary, profile_dir)
     with open(os.path.join(profile_dir, "firing_rates.json"), "w") as fh:
         json.dump({"rates": rates, "traces": traces, "taus": taus}, fh,
@@ -301,6 +302,13 @@ def cmd_profile(cfg, out_dir):
     return EXIT_OK
 
 
+# each noise key's corruption, in noise_table.csv column order
+_CORRUPTIONS = (
+    ("gaussian", data_mod.add_gaussian_noise),
+    ("salt_pepper", data_mod.add_salt_pepper),
+)
+
+
 def cmd_noise_eval(cfg, out_dir):
     _, test_ds = _load_datasets(cfg)
     model = _build_or_load_model(cfg)
@@ -309,20 +317,11 @@ def cmd_noise_eval(cfg, out_dir):
     rows = []
     clean = evaluate(model, test_ds.clips, test_ds.labels, batch)
     rows.append({"noise": "null", "level": None, "top1": clean})
-    for a in cfg["noise"]["gaussian"]:
-        if a == 0:
-            rows.append({"noise": "gaussian", "level": float(a), "top1": clean})
-            continue
-        noisy = data_mod.add_gaussian_noise(test_ds.clips, a, noise_seed)
-        rows.append({"noise": "gaussian", "level": float(a),
-                     "top1": evaluate(model, noisy, test_ds.labels, batch)})
-    for p in cfg["noise"]["salt_pepper"]:
-        if p == 0:
-            rows.append({"noise": "salt_pepper", "level": float(p), "top1": clean})
-            continue
-        noisy = data_mod.add_salt_pepper(test_ds.clips, p, noise_seed)
-        rows.append({"noise": "salt_pepper", "level": float(p),
-                     "top1": evaluate(model, noisy, test_ds.labels, batch)})
+    for name, corrupt in _CORRUPTIONS:
+        for level in cfg["noise"][name]:
+            top1 = clean if level == 0 else evaluate(
+                model, corrupt(test_ds.clips, level, noise_seed), test_ds.labels, batch)
+            rows.append({"noise": name, "level": float(level), "top1": top1})
     emit_metrics(rows, out_dir, csv_fields=("noise", "level", "top1"))
     # wide table: one row of accuracies under the noise-condition header
     with open(os.path.join(out_dir, "noise_table.csv"), "w", newline="") as fh:
@@ -338,8 +337,6 @@ def cmd_noise_eval(cfg, out_dir):
 
 
 def cmd_gradcheck(cfg, out_dir):
-    from .verification import run_gradient_checks
-
     tol = cfg["gradcheck"]["tolerance"]
     reports = run_gradient_checks(seed=cfg["run"]["seed"], tol=tol)
     records = []
@@ -367,11 +364,20 @@ COMMANDS = {
 def run(command, config_path=None, overrides=()):
     try:
         cfg = parse_config(config_path, overrides)
-        # build the config objects now: a bad value is a config error, found
-        # before any data is generated or any epoch runs
+        # build the config objects and run each consumer's own bounds now: a
+        # bad value is a config error, found before any data is generated or
+        # any epoch runs
         _model_config(cfg)
         _train_config(cfg)
-        data_mod.class_definitions(cfg["data"]["classes"])
+        d = cfg["data"]
+        data_mod.class_definitions(d["classes"])
+        data_mod.check_frames(cfg["model"]["time_steps"], d["height"], d["width"])
+        check_eval_size(d["num_test"])
+        for a in cfg["noise"]["gaussian"]:
+            data_mod.check_gaussian_level(a)
+        for p in cfg["noise"]["salt_pepper"]:
+            data_mod.check_salt_pepper_level(p)
+        check_tolerance(cfg["gradcheck"]["tolerance"])
         if command == "train" and cfg["model"]["checkpoint"]:
             raise ConfigError("model.checkpoint is not read by train, which always "
                               "starts from scratch; unset it or use eval/profile/noise-eval")

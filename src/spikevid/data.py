@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import container
 
 _DIRECTIONS = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)]
 # speeds are chosen so motion survives the model's stride-2 spatial
@@ -23,6 +24,7 @@ _SPEEDS = [2, 4]
 
 BACKGROUND = 0.1
 FOREGROUND = 0.9
+BLOB = 6  # side of the moving square, in pixels
 
 
 @dataclass
@@ -52,12 +54,16 @@ def class_definitions(classes):
     return combos[:classes]
 
 
-def gen_moving_patterns(seed, classes=8, num=256, T=8, H=32, W=32, blob=6) -> ClipDataset:
-    """Balanced dataset of translating-blob clips, fully determined by seed."""
+def check_frames(T, H, W, blob=BLOB):
     if T < 2:
         raise ValueError("need at least 2 frames for motion classes")
     if blob >= min(H, W):
         raise ValueError(f"pattern size {blob} does not fit {H}x{W} frame")
+
+
+def gen_moving_patterns(seed, classes=8, num=256, T=8, H=32, W=32, blob=BLOB) -> ClipDataset:
+    """Balanced dataset of translating-blob clips, fully determined by seed."""
+    check_frames(T, H, W, blob)
     defs = class_definitions(classes)
     rng = np.random.Generator(np.random.PCG64(seed))
     labels = np.tile(np.arange(classes), -(-num // classes))[:num].astype(np.int64)
@@ -93,10 +99,19 @@ def shuffle_frames(dataset: ClipDataset, seed) -> ClipDataset:
 # noise corruptions
 
 
+def check_gaussian_level(a):
+    if not a >= 0:
+        raise ValueError(f"noise level must be non-negative, got {a}")
+
+
+def check_salt_pepper_level(p):
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
+
+
 def add_gaussian_noise(clips, a, seed):
     """Zero-mean noise with per-frame std a * std(frame); clamped to [0, 1]."""
-    if a < 0:
-        raise ValueError("noise level must be non-negative")
+    check_gaussian_level(a)
     clips = np.asarray(clips, dtype=np.float32)
     if a == 0:
         return clips.copy()
@@ -114,8 +129,7 @@ def add_gaussian_noise(clips, a, seed):
 
 def add_salt_pepper(clips, p, seed):
     """Each pixel independently becomes the frame max or min with probability p."""
-    if not 0 <= p <= 1:
-        raise ValueError("probability must be in [0, 1]")
+    check_salt_pepper_level(p)
     clips = np.asarray(clips, dtype=np.float32)
     if p == 0:
         return clips.copy()
@@ -151,50 +165,28 @@ def save_dataset(dataset: ClipDataset, path):
     }, sort_keys=True).encode()
     clips = np.ascontiguousarray(dataset.clips, dtype="<f4")
     labels = np.ascontiguousarray(dataset.labels, dtype="<i8")
-    body = struct.pack("<I", _VERSION)
-    body += struct.pack("<I", len(header)) + header
+    body = struct.pack("<I", len(header)) + header
     body += struct.pack("<Q", clips.nbytes) + clips.tobytes()
     body += struct.pack("<Q", labels.nbytes) + labels.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    container.write(path, _MAGIC, _VERSION, body)
 
 
 def load_dataset(path) -> ClipDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_MAGIC) + 8 or blob[: len(_MAGIC)] != _MAGIC:
-        raise DatasetError("not a clip dataset file (bad magic)")
-    body, (crc,) = blob[len(_MAGIC):-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise DatasetError("dataset file corrupt (checksum mismatch)")
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(body):
-            raise DatasetError("dataset file truncated")
-        chunk = body[off:off + n]
-        off += n
-        return chunk
-
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise DatasetError(f"unsupported dataset version {version}")
-    (hlen,) = struct.unpack("<I", take(4))
-    try:
-        header = json.loads(take(hlen).decode())
+    def parse(r):
+        (hlen,) = r.unpack("<I")
+        header = json.loads(r.take(hlen).decode())
         shape = tuple(header["shape"])
         seed, class_defs = header["seed"], header["class_defs"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DatasetError(f"dataset header malformed ({exc!r})") from None
-    (nbytes,) = struct.unpack("<Q", take(8))
-    raw = take(nbytes)
-    if not (shape and all(isinstance(n, int) and n >= 0 for n in shape)
-            and 4 * math.prod(shape) == nbytes):
-        raise DatasetError(f"header shape {list(shape)} does not match {nbytes} clip bytes")
-    clips = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    (nbytes,) = struct.unpack("<Q", take(8))
-    if nbytes != 8 * shape[0]:
-        raise DatasetError(f"{nbytes} label bytes for {shape[0]} clips (8 bytes each)")
-    labels = np.frombuffer(take(nbytes), dtype="<i8").copy()
-    return ClipDataset(clips=clips, labels=labels, seed=seed, class_defs=class_defs)
+        (nbytes,) = r.unpack("<Q")
+        raw = r.take(nbytes)
+        if not (shape and all(isinstance(n, int) and n >= 0 for n in shape)
+                and 4 * math.prod(shape) == nbytes):
+            raise DatasetError(f"header shape {list(shape)} does not match {nbytes} clip bytes")
+        clips = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        (nbytes,) = r.unpack("<Q")
+        if nbytes != 8 * shape[0]:
+            raise DatasetError(f"{nbytes} label bytes for {shape[0]} clips (8 bytes each)")
+        labels = np.frombuffer(r.take(nbytes), dtype="<i8").copy()
+        return ClipDataset(clips=clips, labels=labels, seed=seed, class_defs=class_defs)
+
+    return container.read(path, _MAGIC, _VERSION, DatasetError, parse)

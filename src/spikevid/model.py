@@ -10,17 +10,15 @@ head.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
 import struct
-import zlib
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import Tensor
 from .blocks import (
     BlockConfig,
@@ -229,7 +227,6 @@ def save_checkpoint(model: VideoSpikeNet, path):
         entries.append((name, b))
 
     body = bytearray()
-    body += struct.pack("<I", _VERSION)
     cfg_json = json.dumps(model.cfg.to_dict(), sort_keys=True).encode()
     body += struct.pack("<I", len(cfg_json)) + cfg_json
     body += model.cfg.digest().encode()
@@ -247,82 +244,37 @@ def save_checkpoint(model: VideoSpikeNet, path):
         body += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
         raw = arr.astype(dt).tobytes()
         body += struct.pack("<Q", len(raw)) + raw
-    checksum = zlib.crc32(bytes(body))
-    # write beside the target, then rename over it: a failed write leaves the
-    # previous checkpoint whole and removes its own partial file
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(bytes(body))
-            fh.write(struct.pack("<I", checksum))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    container.write(path, _MAGIC, _VERSION, body)
 
 
 class CheckpointError(RuntimeError):
     pass
 
 
-def _read_checkpoint(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_MAGIC) + 8 or blob[: len(_MAGIC)] != _MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    body, (checksum,) = blob[len(_MAGIC):-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != checksum:
-        raise CheckpointError("checkpoint corrupt (checksum mismatch)")
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(body):
-            raise CheckpointError("checkpoint truncated")
-        chunk = body[off:off + n]
-        off += n
-        return chunk
-
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    try:
-        return _parse_checkpoint_body(take)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # a body that passed the checksum but does not parse
-        raise CheckpointError(f"checkpoint malformed ({exc!r})") from None
-
-
-def _parse_checkpoint_body(take):
-    (cfg_len,) = struct.unpack("<I", take(4))
-    cfg = ModelConfig.from_dict(json.loads(take(cfg_len).decode()))
-    digest = take(64).decode()
-    if digest != cfg.digest():
-        raise CheckpointError("config digest mismatch")
-    (seed,) = struct.unpack("<I", take(4))
-    (count,) = struct.unpack("<I", take(4))
-    arrays = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode()
-        dt = take(4).decode().strip()
-        if dt not in _DTYPES:
-            raise CheckpointError(f"unsupported dtype {dt!r} for {name}")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        (raw_len,) = struct.unpack("<Q", take(8))
-        arr = np.frombuffer(take(raw_len), dtype=dt).reshape(shape).copy()
-        arrays[name] = arr
-    return cfg, seed, arrays
-
-
 def load_checkpoint(path, model: VideoSpikeNet | None = None) -> VideoSpikeNet:
     """Rebuild (or populate) a model from a checkpoint, bit-exactly."""
-    cfg, seed, arrays = _read_checkpoint(path)
+    def parse(r):
+        (cfg_len,) = r.unpack("<I")
+        cfg = ModelConfig.from_dict(json.loads(r.take(cfg_len).decode()))
+        digest = r.take(64).decode()
+        if digest != cfg.digest():
+            raise CheckpointError("config digest mismatch")
+        (seed,) = r.unpack("<I")
+        (count,) = r.unpack("<I")
+        arrays = {}
+        for _ in range(count):
+            (name_len,) = r.unpack("<H")
+            name = r.take(name_len).decode()
+            dt = r.take(4).decode().strip()
+            if dt not in _DTYPES:
+                raise CheckpointError(f"unsupported dtype {dt!r} for {name}")
+            (ndim,) = r.unpack("<B")
+            shape = r.unpack(f"<{ndim}I")
+            (raw_len,) = r.unpack("<Q")
+            arrays[name] = np.frombuffer(r.take(raw_len), dtype=dt).reshape(shape).copy()
+        return cfg, seed, arrays
+
+    cfg, seed, arrays = container.read(path, _MAGIC, _VERSION, CheckpointError, parse)
     if model is None:
         model = VideoSpikeNet(cfg, seed=seed)
     slots = dict(model.named_parameters())

@@ -173,16 +173,12 @@ def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
         optimizer.step(lr)
         losses.append(loss_val)
     model.reset_states()
-    taus = {
-        name: layer.effective_tau()
-        for name, layer in model.spiking_layers()
-    }
     return EpochMetrics(
         epoch=epoch,
         train_loss=float(np.mean(losses)) if losses else float("nan"),
         top1=float("nan"),
         lr=float(lr),
-        taus=taus,
+        taus=tau_table(model),
         wall_time=time.time() - start,
     )
 
@@ -195,10 +191,14 @@ def _divergence_report(model, loss_val):
     return "\n".join(lines)
 
 
+def check_eval_size(num_clips):
+    if num_clips < 1:
+        raise ValueError(f"empty dataset ({num_clips} clips)")
+
+
 def evaluate(model: VideoSpikeNet, clips, labels, batch_size=16) -> float:
     """Top-1 accuracy over the dataset; eval mode, frozen statistics."""
-    if len(labels) == 0:
-        raise ValueError("empty dataset")
+    check_eval_size(len(labels))
     model.eval()
     correct = 0
     with ad.no_grad():

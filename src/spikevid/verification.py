@@ -16,8 +16,14 @@ from .neurons import NeuronConfig, SpikingLayer
 from .training import cross_entropy
 
 
+def check_tolerance(tol):
+    if not tol >= 0:
+        raise ValueError(f"gradient-check tolerance must be >= 0, got {tol}")
+
+
 def run_gradient_checks(seed=0, tol=1e-4, step=1e-4):
     """Primitive-by-primitive checks plus a composed-model spot check."""
+    check_tolerance(tol)
     rng = np.random.Generator(np.random.PCG64(seed))
     reports = {}
 

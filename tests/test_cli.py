@@ -226,6 +226,21 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert not (tmp_path / "train").exists()  # rejected before any work
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("noise-eval", ['noise.gaussian=["a"]']),
+        ("eval", ["data.height=4", "data.width=4"]),  # the 6-pixel pattern does not fit
+        ("eval", ["model.time_steps=1"]),  # motion needs 2 frames
+        ("eval", ["data.num_test=0"]),
+        ("noise-eval", ["noise.gaussian=[-1]"]),
+        ("noise-eval", ["noise.salt_pepper=[2]"]),
+        ("gradcheck", ["gradcheck.tolerance=-1"]),
+    ], ids=["gaussian-not-a-number", "frame-too-small", "one-frame", "no-test-clips",
+            "gaussian-negative", "salt-pepper-above-one", "tolerance-negative"])
+    def test_value_its_consumer_rejects_is_config_error(self, tmp_path, command, overrides):
+        sets = [a for o in overrides for a in ("--set", o)]
+        assert run_cli(tmp_path, command, *FAST, *sets) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []  # rejected before any work
+
     @pytest.mark.parametrize("seed", [2**32, -1])
     def test_seed_outside_checkpoint_range_is_config_error(self, tmp_path, seed):
         code = run_cli(tmp_path, "train", *FAST, "--set", f"run.seed={seed}")

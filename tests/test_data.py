@@ -176,6 +176,15 @@ class TestContainerIO:
         save_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_writes_the_documented_layout(self, tmp_path):
+        ds = gen_moving_patterns(seed=20, num=4, H=8, W=8)
+        saved, built = tmp_path / "saved.bin", tmp_path / "built.bin"
+        save_dataset(ds, saved)
+        header = {"class_defs": ds.class_defs, "seed": ds.seed, "shape": list(ds.clips.shape)}
+        write_clipset(built, header, ds.clips.astype("<f4").tobytes(),
+                      ds.labels.astype("<i8").tobytes())
+        assert saved.read_bytes() == built.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTADATA" + b"\0" * 64)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikevid import autodiff as ad
-from spikevid import model as model_mod
+from spikevid import container
+from spikevid.data import gen_moving_patterns, save_dataset
 from spikevid.model import (
     CheckpointError,
     ModelConfig,
@@ -220,9 +221,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(VideoSpikeNet(tiny_config(), seed=0), path)
+    @pytest.mark.parametrize("save", [
+        lambda seed, path: save_checkpoint(VideoSpikeNet(tiny_config(), seed=seed), path),
+        lambda seed, path: save_dataset(gen_moving_patterns(seed=seed, num=2, H=8, W=8), path),
+    ], ids=["save_checkpoint", "save_dataset"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, save):
+        path = tmp_path / "saved.bin"
+        save(0, path)
         before = path.read_bytes()
 
         class DiskFull(io.FileIO):
@@ -236,10 +241,10 @@ class TestCheckpoint:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return super().write(b)
 
-        monkeypatch.setattr(model_mod, "open", lambda f, mode="r": DiskFull(f, mode),
+        monkeypatch.setattr(container, "open", lambda f, mode="r": DiskFull(f, mode),
                             raising=False)
         with pytest.raises(OSError):
-            save_checkpoint(VideoSpikeNet(tiny_config(), seed=1), path)
+            save(1, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
