@@ -27,7 +27,7 @@ from . import profiler as prof
 from .model import (CheckpointError, ModelConfig, VideoSpikeNet, load_checkpoint,
                     save_checkpoint, variant_config)
 from .neurons import NeuronConfig
-from .training import TrainConfig, check_eval_size, evaluate, fit, tau_table
+from .training import TrainConfig, check_num_clips, evaluate, fit, tau_table
 from .verification import check_tolerance, run_gradient_checks
 
 EXIT_OK = 0
@@ -199,7 +199,10 @@ def _load_datasets(cfg):
     d = cfg["data"]
     if d["path"]:
         ds = data_mod.load_dataset(d["path"])
-        split = len(ds) - min(len(ds) // 4, len(ds) - 1)
+        if len(ds) < 2:
+            raise data_mod.DatasetError(f"{d['path']} holds {len(ds)} clips; a train "
+                                        "and a test split need at least 2")
+        split = len(ds) - max(1, len(ds) // 4)
         train = data_mod.ClipDataset(ds.clips[:split], ds.labels[:split], ds.seed, ds.class_defs)
         test = data_mod.ClipDataset(ds.clips[split:], ds.labels[split:], ds.seed, ds.class_defs)
         return train, test
@@ -372,7 +375,8 @@ def run(command, config_path=None, overrides=()):
         d = cfg["data"]
         data_mod.class_definitions(d["classes"])
         data_mod.check_frames(cfg["model"]["time_steps"], d["height"], d["width"])
-        check_eval_size(d["num_test"])
+        check_num_clips(d["num_train"])
+        check_num_clips(d["num_test"])
         for a in cfg["noise"]["gaussian"]:
             data_mod.check_gaussian_level(a)
         for p in cfg["noise"]["salt_pepper"]:

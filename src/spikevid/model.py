@@ -174,29 +174,28 @@ class VideoSpikeNet(Module):
             raise ValueError("input extent too small for the configured strides")
         self.head = ClassificationHead(head_c, cfg.num_classes, T, h_out, w_out,
                                        rng, cfg.neuron)
-        self._ready = False
+        # private, so checkpoints and traversal never see it
+        self._spiking = [(name, m) for name, m in self.modules() if isinstance(m, SpikingLayer)]
 
     # -- state management ----------------------------------------------------
 
     def spiking_layers(self):
-        return [(name, m) for name, m in self.modules() if isinstance(m, SpikingLayer)]
+        return list(self._spiking)
 
     def reset_states(self):
-        for _, layer in self.spiking_layers():
+        for _, layer in self._spiking:
             layer.reset_state()
-        self._ready = True
 
     def forward(self, clip):
-        """clip: [T, B, 3, H, W] -> logits [B, num_classes]."""
+        """clip: [T, B, 3, H, W] -> logits [B, num_classes]. Every clip starts
+        from rest: the spiking layers are reset first."""
         if not isinstance(clip, Tensor):
             clip = ad.tensor(clip)
         cfg = self.cfg
         expected = (cfg.time_steps, clip.shape[1], cfg.in_channels, cfg.in_height, cfg.in_width)
         if clip.shape != expected:
             raise ad.ShapeError(f"clip shape {clip.shape}, expected {expected}")
-        if not self._ready:
-            raise RuntimeError("neuron states not reset; call reset_states() before each clip")
-        self._ready = False
+        self.reset_states()
 
         x = clip
         lp_input = None
@@ -209,6 +208,17 @@ class VideoSpikeNet(Module):
         if self.local_pathway is not None:
             x = ad.concat([x, self.local_pathway(lp_input)], axis=2)
         return self.head(x)
+
+    def predict(self, clips, batch_size):
+        """Predicted classes of a clip set [N, T, C, H, W]: eval mode, no tape,
+        ``batch_size`` clips per time-major forward."""
+        self.eval()
+        pred = np.empty(len(clips), dtype=np.intp)
+        with ad.no_grad():
+            for lo in range(0, len(clips), batch_size):
+                clip = np.ascontiguousarray(clips[lo:lo + batch_size].transpose(1, 0, 2, 3, 4))
+                pred[lo:lo + batch_size] = self(ad.tensor(clip)).data.argmax(axis=1)
+        return pred
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ records one tape node for the spikes and one for the final membrane; its
 hand-written backward walks t in reverse, carrying dL/dV (backpropagation
 through time). The forward spike is exact binary; the backward substitutes
 the derivative of a sigmoid of steepness ``surrogate_alpha`` at the
-threshold. ``step`` and ``neuron_step`` are the same primitive on a length-1
-sequence.
+threshold. ``step`` is the same primitive on a length-1 sequence.
 """
 
 from __future__ import annotations
@@ -59,13 +58,11 @@ class SpikingLayer(Module):
         self.cfg = cfg
         self.smooth = smooth  # replace Heaviside by its sigmoid surrogate (grad checks)
         self._v = None  # membrane Tensor, shape of the feature map
-        self.t = 0
         if cfg.kind == "PLIF":
             self.a = Tensor(np.array(cfg.a_init, dtype=ad.current_dtype()), requires_grad=True)
 
     def reset_state(self):
         self._v = None
-        self.t = 0
 
     @property
     def v(self):
@@ -84,7 +81,6 @@ class SpikingLayer(Module):
             tau=cfg.tau, v_threshold=cfg.v_threshold, v_reset=cfg.v_reset,
             alpha=cfg.surrogate_alpha, detach_reset=cfg.detach_reset, smooth=self.smooth,
         )
-        self.t += x_seq.shape[0]
         return s
 
     def effective_tau(self) -> float:
@@ -101,25 +97,6 @@ def _sigmoid_scalar(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-def neuron_step(v, x_t, cfg: NeuronConfig):
-    """Single functional step of the membrane recurrence on plain ndarrays.
-
-    Returns (spikes, v_next): the layer dynamics at ``a = cfg.a_init``
-    without any tape.
-    """
-    dtype = np.asarray(x_t).dtype
-    v = np.asarray(v, dtype=dtype)
-    x_t = np.asarray(x_t, dtype=dtype)
-    if v.shape != x_t.shape:
-        raise ad.ShapeError(f"shapes differ: {v.shape} vs {x_t.shape}")
-    a = Tensor(np.asarray(cfg.a_init, dtype=dtype)) if cfg.kind == "PLIF" else None
-    s, v_next = ad.lif_sequence(
-        Tensor(x_t[None]), Tensor(v), a, tau=cfg.tau, v_threshold=cfg.v_threshold,
-        v_reset=cfg.v_reset, alpha=cfg.surrogate_alpha,
-    )
-    return s.data[0], v_next.data
 
 
 def plif_a_for_tau(tau: float) -> float:

@@ -208,13 +208,8 @@ class Recording:
 
 def record(model: VideoSpikeNet, clips, batch_size=16) -> Recording:
     """One eval pass over ``clips`` [N, T, C, H, W], recorded."""
-    model.eval()
-    with Recording(model) as rec, ad.no_grad():
-        for lo in range(0, len(clips), batch_size):
-            model.reset_states()
-            clip = clips[lo:lo + batch_size].transpose(1, 0, 2, 3, 4)  # [T, B, ...]
-            model(ad.tensor(np.ascontiguousarray(clip)))
-    model.reset_states()
+    with Recording(model) as rec:
+        model.predict(clips, batch_size)
     return rec
 
 

@@ -142,14 +142,6 @@ def lr_at(step, steps_per_epoch, cfg: TrainConfig):
     return cfg.base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def iterate_batches(num_items, batch_size, rng=None):
-    order = np.arange(num_items)
-    if rng is not None:
-        rng.shuffle(order)
-    for lo in range(0, num_items, batch_size):
-        yield order[lo:lo + batch_size]
-
-
 def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
                 optimizer: AdamW, epoch, steps_per_epoch, rng) -> EpochMetrics:
     """One pass over the training set; returns loss/metrics for the epoch."""
@@ -157,11 +149,13 @@ def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
     start = time.time()
     losses = []
     lr = cfg.base_lr
-    for step_idx, batch in enumerate(iterate_batches(len(labels), cfg.batch_size, rng)):
+    order = np.arange(len(labels))
+    rng.shuffle(order)
+    for step_idx, lo in enumerate(range(0, len(labels), cfg.batch_size)):
+        batch = order[lo:lo + cfg.batch_size]
         global_step = epoch * steps_per_epoch + step_idx
         lr = lr_at(global_step, steps_per_epoch, cfg)
         clip = np.ascontiguousarray(clips[batch].transpose(1, 0, 2, 3, 4))  # [T,B,3,H,W]
-        model.reset_states()
         logits = model(ad.tensor(clip))
         loss = cross_entropy(logits, labels[batch])
         loss_val = loss.item()
@@ -172,10 +166,9 @@ def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
         clip_gradients(optimizer.params, cfg.grad_clip)
         optimizer.step(lr)
         losses.append(loss_val)
-    model.reset_states()
     return EpochMetrics(
         epoch=epoch,
-        train_loss=float(np.mean(losses)) if losses else float("nan"),
+        train_loss=float(np.mean(losses)),
         top1=float("nan"),
         lr=float(lr),
         taus=tau_table(model),
@@ -191,25 +184,16 @@ def _divergence_report(model, loss_val):
     return "\n".join(lines)
 
 
-def check_eval_size(num_clips):
+def check_num_clips(num_clips):
+    """The one bound on a clip count: each split needs at least one clip."""
     if num_clips < 1:
         raise ValueError(f"empty dataset ({num_clips} clips)")
 
 
 def evaluate(model: VideoSpikeNet, clips, labels, batch_size=16) -> float:
     """Top-1 accuracy over the dataset; eval mode, frozen statistics."""
-    check_eval_size(len(labels))
-    model.eval()
-    correct = 0
-    with ad.no_grad():
-        for batch in iterate_batches(len(labels), batch_size):
-            clip = np.ascontiguousarray(clips[batch].transpose(1, 0, 2, 3, 4))
-            model.reset_states()
-            logits = model(ad.tensor(clip))
-            pred = logits.data.argmax(axis=1)
-            correct += int((pred == labels[batch]).sum())
-    model.reset_states()
-    return correct / len(labels)
+    check_num_clips(len(labels))
+    return int((model.predict(clips, batch_size) == labels).sum()) / len(labels)
 
 
 def tau_table(model: VideoSpikeNet):
@@ -219,6 +203,7 @@ def tau_table(model: VideoSpikeNet):
 def fit(model: VideoSpikeNet, train_clips, train_labels, cfg: TrainConfig,
         test_clips=None, test_labels=None, callback=None):
     """Full training run; returns the list of per-epoch metrics."""
+    check_num_clips(len(train_labels))
     optimizer = AdamW(model.parameters(), cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     steps_per_epoch = int(np.ceil(len(train_labels) / cfg.batch_size))
@@ -230,7 +215,6 @@ def fit(model: VideoSpikeNet, train_clips, train_labels, cfg: TrainConfig,
             with Recording(model) as rec:
                 metrics.top1 = evaluate(model, test_clips, test_labels, cfg.batch_size)
             metrics.firing_rates = rec.firing_rates()
-            model.train()
         history.append(metrics)
         if callback is not None:
             callback(metrics)

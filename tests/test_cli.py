@@ -174,6 +174,13 @@ class TestCommands:
         code = run_cli(tmp_path, "eval", "--set", f"data.path={path}")
         assert code == cli.EXIT_OK
 
+    def test_two_clip_file_gives_each_split_a_clip(self, tmp_path):
+        path = tmp_path / "two.bin"
+        save_dataset(gen_moving_patterns(seed=4, num=2), path)
+        assert run_cli(tmp_path, "eval", "--set", f"data.path={path}") == cli.EXIT_OK
+        with open(tmp_path / "eval" / "metrics.jsonl") as fh:
+            assert json.loads(fh.readline())["num_clips"] == 1
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):
@@ -186,6 +193,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
         assert run_cli(tmp_path, "eval", "--set", f"data.path={bad}") == cli.EXIT_DATA
+
+    def test_clip_file_too_small_to_split_is_data_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "one.bin"
+        save_dataset(gen_moving_patterns(seed=0, num=1), path)
+        monkeypatch.setattr(cli, "VideoSpikeNet", lambda *a, **k: pytest.fail("model built"))
+        assert run_cli(tmp_path, "eval", "--set", f"data.path={path}") == cli.EXIT_DATA
+        assert "1 clips" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["magic", "checksum", "truncate"])
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, damage, capsys):
@@ -231,11 +245,14 @@ class TestExitCodes:
         ("eval", ["data.height=4", "data.width=4"]),  # the 6-pixel pattern does not fit
         ("eval", ["model.time_steps=1"]),  # motion needs 2 frames
         ("eval", ["data.num_test=0"]),
+        ("train", ["data.num_train=0"]),
+        ("eval", ["data.num_train=-1"]),
         ("noise-eval", ["noise.gaussian=[-1]"]),
         ("noise-eval", ["noise.salt_pepper=[2]"]),
         ("gradcheck", ["gradcheck.tolerance=-1"]),
     ], ids=["gaussian-not-a-number", "frame-too-small", "one-frame", "no-test-clips",
-            "gaussian-negative", "salt-pepper-above-one", "tolerance-negative"])
+            "no-train-clips", "negative-train-clips", "gaussian-negative",
+            "salt-pepper-above-one", "tolerance-negative"])
     def test_value_its_consumer_rejects_is_config_error(self, tmp_path, command, overrides):
         sets = [a for o in overrides for a in ("--set", o)]
         assert run_cli(tmp_path, command, *FAST, *sets) == cli.EXIT_CONFIG

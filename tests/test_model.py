@@ -1,5 +1,6 @@
 """Whole-network assembly, variants, determinism, and checkpointing."""
 
+import contextlib
 import errno
 import io
 import struct
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from spikevid import autodiff as ad
 from spikevid import container
 from spikevid.data import gen_moving_patterns, save_dataset
+from spikevid.layers import BatchNorm
 from spikevid.model import (
     CheckpointError,
     ModelConfig,
@@ -21,6 +23,8 @@ from spikevid.model import (
     save_checkpoint,
     variant_config,
 )
+from spikevid.module import Module
+from spikevid.neurons import NeuronConfig, SpikingLayer
 from spikevid.training import cross_entropy
 
 from conftest import make_rng, tiny_config
@@ -89,13 +93,40 @@ class TestForward:
         with pytest.raises(ad.ShapeError):
             model(ad.tensor(np.zeros((2, 3, 3, 8, 8), dtype=np.float32)))
 
-    def test_reset_contract_enforced(self):
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_every_clip_starts_from_rest(self, mode, monkeypatch):
+        # a lower threshold and running statistics set from the clip make the
+        # head spike in both modes, so a carried-over membrane moves the logits
+        model = VideoSpikeNet(tiny_config(neuron=NeuronConfig(v_threshold=0.5)), seed=0)
+        clip = ad.tensor(make_rng(2).random((2, 2, 3, 16, 16)).astype(np.float32))
+        for _, m in model.modules():
+            if isinstance(m, BatchNorm):
+                m.momentum = 1.0
+        with ad.no_grad():
+            model(clip)
+        model.train(mode == "train")
+        with ad.no_grad() if mode == "eval" else contextlib.nullcontext():
+            first = model(clip)
+            second = model(clip)  # no reset_states() in between
+            monkeypatch.setattr(SpikingLayer, "reset_state", lambda self: None)
+            carried = model(clip)
+        assert first.requires_grad == (mode == "train")
+        assert first.data.tobytes() == second.data.tobytes()
+        assert carried.data.tobytes() != first.data.tobytes()
+
+    def test_reset_reads_the_stored_layer_list(self, monkeypatch):
         model = VideoSpikeNet(tiny_config(), seed=0)
-        clip = np.zeros((2, 1, 3, 16, 16), dtype=np.float32)
+        walks = []
+        modules = Module.modules
+
+        def counted(self, prefix=""):
+            walks.append(prefix)
+            return modules(self, prefix)
+
+        monkeypatch.setattr(Module, "modules", counted)
         model.reset_states()
-        model(ad.tensor(clip))
-        with pytest.raises(RuntimeError):
-            model(ad.tensor(clip))  # stale membrane state without reset
+        model(ad.tensor(np.zeros((2, 1, 3, 16, 16), dtype=np.float32)))
+        assert walks == []
 
     def test_forward_deterministic(self):
         model = VideoSpikeNet(tiny_config(), seed=0)

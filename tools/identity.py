@@ -1,0 +1,159 @@
+"""Byte-identity check between two source trees.
+
+    PYTHONPATH=<tree>/src python3 tools/identity.py dump OUT.npz [--dtype float64]
+    python3 tools/identity.py compare A.npz B.npz
+
+``dump`` runs a fixed workload on the spikevid that ``PYTHONPATH`` selects
+and saves every array it produces:
+
+- three BPTT steps of the default model at B=16: the loss, the gradient norm
+  and the logits, plus every parameter, gradient and buffer after each step;
+- a 2-epoch ``fit`` on 32 clips: each epoch's record without its wall time,
+  the ``evaluate`` top-1, and the cost table and firing rates of one
+  ``profiler.record`` pass.
+
+``compare`` prints each key whose dtype, shape or bytes differ between two
+dumps, or that only one of them holds, and exits 1 if there is any. Run both
+dumps with the same environment (``OPENBLAS_NUM_THREADS`` in particular),
+since the BLAS thread count may change the last bits of a sum. ``compare``
+imports no spikevid, so it runs without ``PYTHONPATH``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+SEED = 41
+BATCH = 16
+TRAIN_STEPS = 3
+FIT_CLIPS = 32
+FIT_EPOCHS = 2
+
+
+def _flatten(prefix, value, out):
+    """Nested dicts of numbers, strings and number lists -> {"a/b/c": ndarray}."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flatten(f"{prefix}/{key}", item, out)
+    elif value is not None:
+        out[prefix] = np.asarray(value)
+
+
+def _state(model):
+    state = {"param": {}, "grad": {}, "buffer": dict(model.named_buffers())}
+    for name, p in model.named_parameters():
+        state["param"][name] = p.data
+        state["grad"][name] = p.grad
+    return state
+
+
+def train_steps():
+    from spikevid import autodiff as ad
+    from spikevid import training
+    from spikevid.data import gen_moving_patterns
+    from spikevid.model import ModelConfig, VideoSpikeNet
+
+    ds = gen_moving_patterns(seed=SEED, num=TRAIN_STEPS * BATCH)
+    model = VideoSpikeNet(ModelConfig(), seed=SEED)
+    model.train()
+    cfg = training.TrainConfig()
+    optimizer = training.AdamW(model.parameters(), cfg)
+    steps = {}
+    for i in range(TRAIN_STEPS):
+        batch = slice(i * BATCH, (i + 1) * BATCH)
+        clip = np.ascontiguousarray(ds.clips[batch].transpose(1, 0, 2, 3, 4))
+        model.reset_states()  # trees whose forward does not reset need it
+        logits = model(ad.tensor(clip))
+        loss = training.cross_entropy(logits, ds.labels[batch])
+        optimizer.zero_grad()
+        ad.backward(loss)
+        norm = training.clip_gradients(optimizer.params, cfg.grad_clip)
+        optimizer.step(cfg.base_lr)
+        steps[f"step{i}"] = {"loss": loss.data, "grad_norm": norm, "logits": logits.data,
+                             **_state(model)}
+    return steps
+
+
+def fit_run():
+    from spikevid import profiler, training
+    from spikevid.data import gen_moving_patterns
+    from spikevid.model import ModelConfig, VideoSpikeNet
+
+    train = gen_moving_patterns(seed=SEED, num=FIT_CLIPS)
+    test = gen_moving_patterns(seed=SEED + 1, num=BATCH)
+    model = VideoSpikeNet(ModelConfig(), seed=SEED)
+    cfg = training.TrainConfig(epochs=FIT_EPOCHS, warmup_epochs=1, seed=SEED)
+    history = training.fit(model, train.clips, train.labels, cfg, test.clips, test.labels)
+    epochs = {}
+    for metrics in history:
+        record = metrics.to_record()
+        del record["wall_time"]
+        epochs[f"epoch{metrics.epoch}"] = record
+    top1 = training.evaluate(model, test.clips, test.labels, cfg.batch_size)
+    rec = profiler.record(model, test.clips, batch_size=cfg.batch_size)
+    table = profiler.cost_table(rec, len(test.clips), exact=True)
+    return {
+        "history": epochs,
+        "evaluate_top1": top1,
+        "cost_table": {c.name: vars(c) for c in table},
+        "firing_rates": rec.firing_rates(),
+        "traces": rec.traces(),
+        "final": _state(model),
+    }
+
+
+def dump(path, dtype):
+    from spikevid import autodiff as ad
+
+    arrays = {}
+    with ad.precision(dtype):
+        _flatten("train", train_steps(), arrays)
+        _flatten("fit", fit_run(), arrays)
+    np.savez(path, **arrays)
+    print(f"{len(arrays)} arrays -> {path}")
+
+
+def compare(path_a, path_b):
+    with np.load(path_a) as a, np.load(path_b) as b:
+        keys = sorted(set(a.files) | set(b.files))
+        differ = 0
+        for key in keys:
+            if key not in a.files or key not in b.files:
+                reason = f"only in {path_a if key in a.files else path_b}"
+            else:
+                x, y = a[key], b[key]
+                if x.dtype != y.dtype:
+                    reason = f"dtype {x.dtype} vs {y.dtype}"
+                elif x.shape != y.shape:
+                    reason = f"shape {x.shape} vs {y.shape}"
+                elif x.tobytes() != y.tobytes():
+                    reason = "bytes differ"
+                else:
+                    continue
+            differ += 1
+            print(f"{key}: {reason}")
+    print(f"{len(keys)} arrays compared, {differ} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(prog="identity", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="run the fixed workload and save its arrays")
+    p.add_argument("out")
+    p.add_argument("--dtype", choices=["float32", "float64"], default="float32")
+    p = sub.add_parser("compare", help="list the arrays two dumps disagree on")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.out, args.dtype)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
