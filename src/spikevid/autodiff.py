@@ -95,7 +95,8 @@ class Tensor:
 
     ``_parents`` / ``_backward`` encode one primitive application; a backward
     traversal from a scalar loss visits every reachable node exactly once in
-    reverse topological order.
+    reverse topological order. All arithmetic goes through the module-level
+    primitives.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
@@ -128,42 +129,8 @@ class Tensor:
     def detach(self):
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; all arithmetic lives in the module-level primitives.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def backward(self):
-        backward(self)
 
 
 def tensor(data, requires_grad=False):

@@ -15,6 +15,7 @@ import copy
 import csv
 import difflib
 import json
+import math
 import os
 import sys
 
@@ -118,6 +119,8 @@ def _coerce(full, default, value):
         if not isinstance(value, bool):
             raise ConfigError(f"{full}: expected a boolean, got {value!r}")
         return value
+    if isinstance(default, (int, float)) and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{full}: expected a finite number, got {value!r}")
     if isinstance(default, int) and not isinstance(default, bool):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
             raise ConfigError(f"{full}: expected an integer, got {value!r}")
@@ -375,8 +378,8 @@ def run(command, config_path=None, overrides=()):
         d = cfg["data"]
         data_mod.class_definitions(d["classes"])
         data_mod.check_frames(cfg["model"]["time_steps"], d["height"], d["width"])
-        check_num_clips(d["num_train"])
-        check_num_clips(d["num_test"])
+        check_num_clips(d["num_train"], "data.num_train")
+        check_num_clips(d["num_test"], "data.num_test")
         for a in cfg["noise"]["gaussian"]:
             data_mod.check_gaussian_level(a)
         for p in cfg["noise"]["salt_pepper"]:

@@ -34,10 +34,6 @@ class ClipDataset:
     seed: int
     class_defs: list  # per class: {"direction": [dy, dx], "speed": px/frame}
 
-    @property
-    def num_classes(self):
-        return len(self.class_defs)
-
     def __len__(self):
         return len(self.labels)
 

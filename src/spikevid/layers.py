@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,20 +188,6 @@ class LinearBN(Module):
         return self.bn(self.linear(x))
 
 
-@dataclass
-class PatchEmbedSpec:
-    in_channels: int
-    out_channels: int
-    kernel: int = 3
-    stride: int = 2
-    padding: int = 1
-    has_input_neuron: bool = True
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-
-
 class PatchEmbed(Module):
     """Stage entry: optional spiking layer, then strided ConvBN.
 
@@ -210,14 +195,12 @@ class PatchEmbed(Module):
     raw real-valued frames; all later ones spike first.
     """
 
-    def __init__(self, spec: PatchEmbedSpec, rng, neuron_cfg: NeuronConfig,
-                 norm_mode=PLAIN_BN, time_steps=1):
+    def __init__(self, in_channels, out_channels, rng, neuron_cfg: NeuronConfig, kernel=3,
+                 stride=2, padding=1, has_input_neuron=True, norm_mode=PLAIN_BN, time_steps=1):
         super().__init__()
-        self.spec = spec
-        self.sn = SpikingLayer(neuron_cfg) if spec.has_input_neuron else None
-        self.convbn = ConvBN(spec.in_channels, spec.out_channels, spec.kernel, rng,
-                             stride=spec.stride, padding=spec.padding,
-                             norm_mode=norm_mode, time_steps=time_steps)
+        self.sn = SpikingLayer(neuron_cfg) if has_input_neuron else None
+        self.convbn = ConvBN(in_channels, out_channels, kernel, rng, stride=stride,
+                             padding=padding, norm_mode=norm_mode, time_steps=time_steps)
 
     def forward(self, x):
         if self.sn is not None:

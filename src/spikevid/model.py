@@ -27,7 +27,7 @@ from .blocks import (
     LocalFeatureExtractor,
     LocalPathway,
 )
-from .layers import NORM_MODES, PLAIN_BN, TDBN, PatchEmbed, PatchEmbedSpec
+from .layers import NORM_MODES, PLAIN_BN, TDBN, PatchEmbed
 from .module import Module
 from .neurons import NeuronConfig, SpikingLayer
 
@@ -62,6 +62,8 @@ class ModelConfig:
             raise ValueError("all stage depths must be >= 1")
         if self.time_steps < 1:
             raise ValueError("time_steps must be >= 1")
+        if self.pe_stride < 1:
+            raise ValueError("pe_stride must be >= 1")
         if self.norm_mode not in NORM_MODES:
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
         if len(self.stage_depths) == 3 and self.use_local_pathway:
@@ -145,9 +147,9 @@ class VideoSpikeNet(Module):
         self.stages = []
         in_c = cfg.in_channels
         for i, (depth, out_c) in enumerate(zip(cfg.stage_depths, cfg.channels)):
-            spec = PatchEmbedSpec(in_c, out_c, kernel=cfg.pe_kernel, stride=cfg.pe_stride,
-                                  padding=cfg.pe_padding, has_input_neuron=(i > 0))
-            pe = PatchEmbed(spec, rng, cfg.neuron, norm_mode=cfg.norm_mode, time_steps=T)
+            pe = PatchEmbed(in_c, out_c, rng, cfg.neuron, kernel=cfg.pe_kernel,
+                            stride=cfg.pe_stride, padding=cfg.pe_padding,
+                            has_input_neuron=(i > 0), norm_mode=cfg.norm_mode, time_steps=T)
             if i == 0:
                 pe.convbn.conv.expects_binary = False
                 pe.convbn.conv.is_encoder = True

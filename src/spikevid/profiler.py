@@ -44,25 +44,19 @@ class LayerCost:
     kind: str  # conv | linear | ssa_matmul
     flops: float  # dense MAC count
     fr_in: float  # firing rate of the driving spike tensor
-    sops: float = 0.0
     exact_acs: float | None = None
     mac_billed: bool = False
+    sops: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.fr_in <= 1.0:
             raise ValueError(f"firing rate {self.fr_in} outside [0, 1] for {self.name}")
+        self.sops = self.fr_in * self.flops
 
 
 def count_flops(layer, out_elems):
     """Dense MAC count for a conv/linear layer given its recorded output size."""
     return float(out_elems) * layer.macs_per_output()
-
-
-def estimate_sops(table):
-    """Populate every entry's SOP field as fr_in * FLOP."""
-    for cost in table:
-        cost.sops = cost.fr_in * cost.flops
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -251,34 +245,30 @@ def cost_table(rec: Recording, num_clips, exact=False):
         if not events:
             continue
         name = rec.names[block]
-        flops_kv = flops_qkv = 0.0
+        flops = 0.0  # the kv and qkv products have the same dense size
         wsum_k = wsum_q = 0.0
         exact_kv = exact_qkv = 0.0
         for ev in events:
             per = ev["time_steps"] * ev["batch"] * ev["tokens"] * ev["channels"] ** 2
-            flops_kv += per
-            flops_qkv += per
+            flops += per
             wsum_k += ev["fr_k"] * per
             wsum_q += ev["fr_q"] * per
             exact_kv += ev["exact_ac_kv"]
             exact_qkv += ev["exact_ac_qkv"]
         table.append(LayerCost(
-            name=f"{name}.kv", kind="ssa_matmul", flops=flops_kv / num_clips,
-            fr_in=wsum_k / flops_kv, exact_acs=exact_kv / num_clips if exact else None,
+            name=f"{name}.kv", kind="ssa_matmul", flops=flops / num_clips,
+            fr_in=wsum_k / flops, exact_acs=exact_kv / num_clips if exact else None,
         ))
         table.append(LayerCost(
-            name=f"{name}.qkv", kind="ssa_matmul", flops=flops_qkv / num_clips,
-            fr_in=wsum_q / flops_qkv, exact_acs=exact_qkv / num_clips if exact else None,
+            name=f"{name}.qkv", kind="ssa_matmul", flops=flops / num_clips,
+            fr_in=wsum_q / flops, exact_acs=exact_qkv / num_clips if exact else None,
         ))
-    return estimate_sops(table)
+    return table
 
 
 def total_energy(table, energy: EnergyModel | None = None):
     """Aggregate a cost table into the spiking and dense-counterpart energies."""
     energy = energy or EnergyModel()
-    missing = [c.name for c in table if c.sops is None]
-    if missing:
-        raise ValueError(f"SOPs not populated for {missing}")
     flops_mac = sum(c.flops for c in table if c.mac_billed)
     sops_ac = sum(c.sops for c in table if not c.mac_billed)
     dense_flops = sum(c.flops for c in table)

@@ -184,15 +184,16 @@ def _divergence_report(model, loss_val):
     return "\n".join(lines)
 
 
-def check_num_clips(num_clips):
-    """The one bound on a clip count: each split needs at least one clip."""
+def check_num_clips(num_clips, label):
+    """The one bound on a clip count: each split needs at least one clip.
+    ``label`` names the count in the error."""
     if num_clips < 1:
-        raise ValueError(f"empty dataset ({num_clips} clips)")
+        raise ValueError(f"{label}: empty dataset ({num_clips} clips)")
 
 
 def evaluate(model: VideoSpikeNet, clips, labels, batch_size=16) -> float:
     """Top-1 accuracy over the dataset; eval mode, frozen statistics."""
-    check_num_clips(len(labels))
+    check_num_clips(len(labels), "evaluation set")
     return int((model.predict(clips, batch_size) == labels).sum()) / len(labels)
 
 
@@ -203,7 +204,7 @@ def tau_table(model: VideoSpikeNet):
 def fit(model: VideoSpikeNet, train_clips, train_labels, cfg: TrainConfig,
         test_clips=None, test_labels=None, callback=None):
     """Full training run; returns the list of per-epoch metrics."""
-    check_num_clips(len(train_labels))
+    check_num_clips(len(train_labels), "training set")
     optimizer = AdamW(model.parameters(), cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     steps_per_epoch = int(np.ceil(len(train_labels) / cfg.batch_size))

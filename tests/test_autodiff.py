@@ -43,11 +43,6 @@ class TestElementwise:
              t(make_rng(2).standard_normal((3, 3)) + 3.0)])
         assert rep.passed, rep
 
-    def test_operator_sugar(self):
-        a, b = t([2.0]), t([5.0])
-        out = (a + b) * a - b / a
-        np.testing.assert_allclose(out.data, [11.5])
-
 
 class TestReductionsAndStructure:
     def test_reduce_sum_accumulates_in_float64(self):

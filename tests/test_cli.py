@@ -258,6 +258,27 @@ class TestExitCodes:
         assert run_cli(tmp_path, command, *FAST, *sets) == cli.EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []  # rejected before any work
 
+    @pytest.mark.parametrize("command, override", [
+        ("train", "data.num_train=0"),
+        ("eval", "data.num_test=0"),
+        ("eval", "data.num_train=0"),
+    ])
+    def test_empty_split_error_names_its_key(self, tmp_path, command, override, capsys):
+        assert run_cli(tmp_path, command, *FAST, "--set", override) == cli.EXIT_CONFIG
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "train.epochs=.inf",
+        "train.base_lr=.nan",
+        "train.base_lr=.inf",
+        "train.grad_clip=.nan",
+        "noise.gaussian=[.inf]",
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, override, capsys):
+        assert run_cli(tmp_path, "train", *FAST, "--set", override) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []  # rejected before any work
+        assert override.split("=")[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [2**32, -1])
     def test_seed_outside_checkpoint_range_is_config_error(self, tmp_path, seed):
         code = run_cli(tmp_path, "train", *FAST, "--set", f"run.seed={seed}")

@@ -14,7 +14,6 @@ from spikevid.layers import (
     Linear,
     LinearBN,
     PatchEmbed,
-    PatchEmbedSpec,
     fuse_linear_layers,
 )
 from spikevid.neurons import NeuronConfig
@@ -267,11 +266,9 @@ class TestLinearLayers:
             assert fresh.inputs[lin].nnz == 0 and fresh.inputs[lin].binary
 
     def test_patch_embed_first_stage_has_no_neuron(self):
-        spec = PatchEmbedSpec(3, 8, has_input_neuron=False)
-        pe = PatchEmbed(spec, make_rng(12), NeuronConfig())
+        pe = PatchEmbed(3, 8, make_rng(12), NeuronConfig(), has_input_neuron=False)
         assert pe.sn is None
-        spec2 = PatchEmbedSpec(8, 8)
-        pe2 = PatchEmbed(spec2, make_rng(13), NeuronConfig())
+        pe2 = PatchEmbed(8, 8, make_rng(13), NeuronConfig())
         assert pe2.sn is not None
 
 

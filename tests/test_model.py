@@ -49,6 +49,11 @@ class TestConfig:
             ModelConfig(stage_depths=(1, 1, 1), channels=(4, 4, 4),
                         use_local_pathway=True)
 
+    def test_patch_embed_stride_bound(self):
+        # checked with the other model bounds, before any layer is built
+        with pytest.raises(ValueError, match="pe_stride"):
+            ModelConfig(pe_stride=0)
+
     def test_spatial_after_strided_stages(self):
         cfg = tiny_config()
         assert cfg.spatial_after(1) == (8, 8)

@@ -33,6 +33,10 @@ class TestEnergyArithmetic:
         with pytest.raises(ValueError):
             prof.LayerCost(name="x", kind="conv", flops=1.0, fr_in=1.5)
 
+    def test_layer_cost_knows_its_sops_when_built(self):
+        cost = prof.LayerCost(name="x", kind="conv", flops=8.0, fr_in=0.25)
+        assert cost.sops == 2.0
+
 
 class TestExactCounters:
     def test_linear_counter_equals_loop(self):
