@@ -667,21 +667,19 @@ def surrogate_slope(h_values, v_threshold, alpha):
 # multi-step LIF / PLIF neuron
 
 
-def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
+def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
                  alpha=4.0, detach_reset=False, smooth=False):
     """T steps of leaky integrate-and-fire dynamics as one primitive.
 
-    x: [T, *S] input; v: [*S] membrane Tensor carried in (None starts at
-    rest, V = v_reset); a: the PLIF leak parameter, kappa = sigmoid(a), or
-    None for LIF with kappa = 1/tau. Each step t computes
+    x: [T, *S] input; a: the PLIF leak parameter, kappa = sigmoid(a), or None
+    for LIF with kappa = 1/tau. The membrane starts at rest, V = v_reset, and
+    each step t computes
 
         D = X_t - (V - v_reset)        H = V + kappa * D
         S_t = Heaviside(H - v_threshold)   (its sigmoid surrogate if ``smooth``)
         V = H * (1 - S_t) + S_t * v_reset
 
-    Returns ``(spikes [T, *S], v_T [*S])``. ``v_T`` is a second tape node
-    that hands dL/dV_T to the spikes node, so a membrane carried into the next
-    call stays differentiable. Backward is one reverse loop over t carrying
+    Returns the spikes [T, *S]. Backward is one reverse loop over t carrying
     dL/dV; it recomputes the surrogate slopes from the saved H through
     ``surrogate_slope`` and drops the S -> V reset path if ``detach_reset``.
     Nothing is saved when no input requires a gradient or under ``no_grad``.
@@ -693,17 +691,13 @@ def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         raise FloatingPointError("spiking layer received non-finite input")
     dt = x.data.dtype
     T, shape = x.shape[0], x.shape[1:]
-    if v is None:
-        v = Tensor(np.full(shape, v_reset, dtype=dt))
-    if v.shape != shape:
-        raise ShapeError(f"membrane shape {v.shape} does not match input {shape}")
-    parents = (x, v) if a is None else (x, v, a)
+    parents = (x,) if a is None else (x, a)
     track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
     vr = dt.type(v_reset)
     one = dt.type(1.0)
     kappa = dt.type(1.0 / tau) if a is None else _sigmoid(a.data)
-    spikes = np.empty(x.shape, dtype=np.result_type(x.data, v.data, kappa))
+    spikes = np.empty(x.shape, dtype=np.result_type(x.data, kappa))
     hs = np.empty_like(spikes) if track else None
     drives = np.empty_like(spikes) if track and a is not None and a.requires_grad else None
     # every op writes into spikes, hs, drives or one of these two step buffers;
@@ -711,7 +705,7 @@ def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     # fresh array would hold
     scratch = np.empty(shape, dtype=spikes.dtype)
     v_next = np.empty(shape, dtype=spikes.dtype)
-    v_t = v.data
+    v_t = np.full(shape, v_reset, dtype=dt)
     for t in range(T):
         drive = scratch if drives is None else drives[t]
         if v_reset:
@@ -728,9 +722,7 @@ def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         np.add(v_next, np.multiply(s, vr, out=scratch) if vr else vr, out=v_next)
         v_t = v_next
     if not track:
-        return Tensor(spikes), Tensor(v_t)
-
-    g_v_final = []  # filled by the membrane node's backward, which runs first
+        return Tensor(spikes)
 
     def bwd(g):
         slope = surrogate_slope(hs, v_threshold, alpha)
@@ -742,28 +734,18 @@ def lif_sequence(x, v=None, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
             np.multiply(hs, slope, out=hs)
             dv_dh += hs
         g_h = g * slope  # dL/dH_t from S_t alone; dL/dV_t is added below
-        g_v = g_v_final[0] if g_v_final else None
-        g_v_next = np.empty(shape, dtype=g_h.dtype)
+        g_v = np.empty(shape, dtype=g_h.dtype)
         leak = one - kappa
-        for t in range(T - 1, -1, -1):
-            if g_v is not None:
-                g_h[t] += np.multiply(g_v, dv_dh[t], out=dv_dh[t])
-            g_v = np.multiply(g_h[t], leak, out=g_v_next)
-        _accumulate(v, g_v)
+        for t in range(T - 1, 0, -1):  # nothing reads V_T, so dL/dV_T = 0
+            np.multiply(g_h[t], leak, out=g_v)  # dL/dV_{t-1}
+            g_h[t - 1] += np.multiply(g_v, dv_dh[t - 1], out=dv_dh[t - 1])
         if drives is not None:
             g_kappa = np.sum(np.multiply(g_h, drives, out=drives), dtype=np.float64)
             _accumulate(a, np.asarray(g_kappa * kappa * (1.0 - kappa)))
         g_h *= kappa
         _accumulate(x, g_h, owned=True)
 
-    out = Tensor(spikes, requires_grad=True, _parents=parents, _backward=bwd)
-
-    def hand_over(g):
-        g_v_final.append(g)
-        if out.grad is None:  # the loss reads only the membrane
-            out.grad = np.zeros_like(spikes)
-
-    return out, Tensor(v_t, requires_grad=True, _parents=(out,), _backward=hand_over)
+    return Tensor(spikes, requires_grad=True, _parents=parents, _backward=bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,7 @@ def _attn_event(q, k, v):
         "batch": B,
         "fr_q": float(q.mean()),
         "fr_k": float(k.mean()),
-        "fr_v": float(v.mean()),
         "nnz_q": int(q.sum()),
-        "nnz_k": int(k.sum()),
-        "nnz_v": int(v.sum()),
         "exact_ac_kv": exact_kv,
         "exact_ac_qkv": exact_qkv,
     }

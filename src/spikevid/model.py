@@ -176,28 +176,22 @@ class VideoSpikeNet(Module):
             raise ValueError("input extent too small for the configured strides")
         self.head = ClassificationHead(head_c, cfg.num_classes, T, h_out, w_out,
                                        rng, cfg.neuron)
-        # private, so checkpoints and traversal never see it
-        self._spiking = [(name, m) for name, m in self.modules() if isinstance(m, SpikingLayer)]
-
-    # -- state management ----------------------------------------------------
 
     def spiking_layers(self):
-        return list(self._spiking)
+        return [(name, m) for name, m in self.modules() if isinstance(m, SpikingLayer)]
 
     def reset_states(self):
-        for _, layer in self._spiking:
-            layer.reset_state()
+        """No-op, kept for old callers: every spiking layer starts from rest."""
 
     def forward(self, clip):
         """clip: [T, B, 3, H, W] -> logits [B, num_classes]. Every clip starts
-        from rest: the spiking layers are reset first."""
+        from rest, since no spiking layer keeps a membrane between calls."""
         if not isinstance(clip, Tensor):
             clip = ad.tensor(clip)
         cfg = self.cfg
         expected = (cfg.time_steps, clip.shape[1], cfg.in_channels, cfg.in_height, cfg.in_width)
         if clip.shape != expected:
             raise ad.ShapeError(f"clip shape {clip.shape}, expected {expected}")
-        self.reset_states()
 
         x = clip
         lp_input = None

@@ -44,7 +44,7 @@ class Module:
 
     def named_parameters(self, prefix=""):
         for name, value in vars(self).items():
-            if name.startswith("_"):  # private state (e.g. membrane potentials)
+            if name.startswith("_"):  # private state (hooks, aliases)
                 continue
             if isinstance(value, Tensor) and value.requires_grad:
                 yield (f"{prefix}.{name}" if prefix else name), value
@@ -75,10 +75,6 @@ class Module:
 
     def eval(self):
         return self.train(False)
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
     def param_count(self):
         return sum(p.size for p in self.parameters())

@@ -7,12 +7,12 @@ One step of membrane dynamics:
     V' = H * (1 - S) + V_reset * S
 
 A layer runs all T steps of a [T, ...] input as one multi-step primitive,
-``autodiff.lif_sequence``: the forward loops over t on plain arrays and
-records one tape node for the spikes and one for the final membrane; its
+``autodiff.lif_sequence``, starting from rest (V = V_reset): the forward
+loops over t on plain arrays and records one tape node for the spikes; its
 hand-written backward walks t in reverse, carrying dL/dV (backpropagation
 through time). The forward spike is exact binary; the backward substitutes
 the derivative of a sigmoid of steepness ``surrogate_alpha`` at the
-threshold. ``step`` is the same primitive on a length-1 sequence.
+threshold.
 """
 
 from __future__ import annotations
@@ -49,39 +49,24 @@ class NeuronConfig:
 
 
 class SpikingLayer(Module):
-    """Stateful neuron layer; the membrane potential persists across calls
-    until ``reset_state``. One layer instance is driven by one thread.
-    """
+    """Neuron layer: a function of its [T, ...] input. Every call starts from
+    rest, so no membrane is kept between calls."""
 
     def __init__(self, cfg: NeuronConfig, smooth=False):
         super().__init__()
         self.cfg = cfg
         self.smooth = smooth  # replace Heaviside by its sigmoid surrogate (grad checks)
-        self._v = None  # membrane Tensor, shape of the feature map
         if cfg.kind == "PLIF":
             self.a = Tensor(np.array(cfg.a_init, dtype=ad.current_dtype()), requires_grad=True)
 
-    def reset_state(self):
-        self._v = None
-
-    @property
-    def v(self):
-        """Current membrane potential (None until the first step)."""
-        return self._v
-
-    def step(self, x_t: Tensor) -> Tensor:
-        """Advance one time step; returns the binary spike tensor."""
-        return ad.reshape(self.forward(ad.reshape(x_t, (1,) + x_t.shape)), x_t.shape)
-
     def forward(self, x_seq: Tensor) -> Tensor:
-        """Process a [T, ...] sequence, carrying membrane state across calls."""
+        """Spikes [T, ...] of a [T, ...] sequence, from V = v_reset."""
         cfg = self.cfg
-        s, self._v = ad.lif_sequence(
-            x_seq, self._v, self.a if cfg.kind == "PLIF" else None,
+        return ad.lif_sequence(
+            x_seq, self.a if cfg.kind == "PLIF" else None,
             tau=cfg.tau, v_threshold=cfg.v_threshold, v_reset=cfg.v_reset,
             alpha=cfg.surrogate_alpha, detach_reset=cfg.detach_reset, smooth=self.smooth,
         )
-        return s
 
     def effective_tau(self) -> float:
         """Membrane time constant: learned 1/sigmoid(a) for PLIF, fixed for LIF."""

@@ -34,8 +34,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
-        if not self.warmup_epochs < self.epochs:
-            raise ValueError("warmup_epochs must be smaller than epochs")
+        if not 0 <= self.warmup_epochs < self.epochs:
+            raise ValueError(f"warmup_epochs must be in [0, epochs), got {self.warmup_epochs}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.grad_clip < 0:
@@ -160,7 +162,7 @@ def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
         loss = cross_entropy(logits, labels[batch])
         loss_val = loss.item()
         if not np.isfinite(loss_val):
-            raise FloatingPointError(_divergence_report(model, loss_val))
+            raise FloatingPointError(f"non-finite loss ({loss_val})")
         optimizer.zero_grad()
         ad.backward(loss)
         clip_gradients(optimizer.params, cfg.grad_clip)
@@ -174,14 +176,6 @@ def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
         taus=tau_table(model),
         wall_time=time.time() - start,
     )
-
-
-def _divergence_report(model, loss_val):
-    lines = [f"non-finite loss ({loss_val}); membrane-state norms by layer:"]
-    for name, layer in model.spiking_layers():
-        if layer.v is not None:
-            lines.append(f"  {name}: |V| = {float(np.abs(layer.v.data).max()):.4g}")
-    return "\n".join(lines)
 
 
 def check_num_clips(num_clips, label):

@@ -87,9 +87,7 @@ def _bn_composite(x):
 
 
 def _neuron_sequence(x_seq):
-    layer = SpikingLayer(NeuronConfig(kind="PLIF"), smooth=True)
-    layer.reset_state()
-    out = layer(x_seq)
+    out = SpikingLayer(NeuronConfig(kind="PLIF"), smooth=True)(x_seq)
     return ad.reduce_sum(ad.mul(out, ad.scale(x_seq, 0.5)))
 
 
@@ -120,7 +118,6 @@ def composed_model_check(seed=0, tol=1e-4, step=1e-4, samples_per_param=2):
         def loss_value():
             return cross_entropy(model(ad.tensor(clip)), labels)
 
-        model.zero_grad()
         loss = loss_value()
         if not np.isfinite(loss.item()):
             raise FloatingPointError("composed model produced non-finite loss")

@@ -134,7 +134,6 @@ def test_criterion_03_neuron_dynamics_oracle(report):
                 cfg = NeuronConfig(kind="PLIF", a_init=plif_a_for_tau(tau),
                                    v_threshold=v_th)
             layer = SpikingLayer(cfg)
-            layer.reset_state()
             out = layer(ad.tensor(x)).data
             if not np.array_equal(out, _scalar_recurrence(x, 1.0 / tau, v_th)):
                 mismatched += 1

@@ -234,6 +234,8 @@ class TestExitCodes:
         "data.classes=17",  # the generator has 16 motion classes
         "train.batch_size=0",
         "train.grad_clip=-1",
+        "train.warmup_epochs=-1",
+        "train.weight_decay=-1.0",
     ])
     def test_invalid_model_or_train_value_is_config_error(self, tmp_path, override):
         code = run_cli(tmp_path, "train", *FAST, "--set", override)

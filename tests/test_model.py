@@ -23,15 +23,13 @@ from spikevid.model import (
     save_checkpoint,
     variant_config,
 )
-from spikevid.module import Module
-from spikevid.neurons import NeuronConfig, SpikingLayer
+from spikevid.neurons import NeuronConfig
 from spikevid.training import cross_entropy
 
 from conftest import make_rng, tiny_config
 
 
 def forward(model, clip):
-    model.reset_states()
     return model(ad.tensor(clip)).data
 
 
@@ -94,14 +92,13 @@ class TestForward:
 
     def test_wrong_clip_shape_rejected(self):
         model = VideoSpikeNet(tiny_config(), seed=0)
-        model.reset_states()
         with pytest.raises(ad.ShapeError):
             model(ad.tensor(np.zeros((2, 3, 3, 8, 8), dtype=np.float32)))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_every_clip_starts_from_rest(self, mode, monkeypatch):
+    def test_every_clip_starts_from_rest(self, mode):
         # a lower threshold and running statistics set from the clip make the
-        # head spike in both modes, so a carried-over membrane moves the logits
+        # head spike in both modes, so a carried-over membrane would move the logits
         model = VideoSpikeNet(tiny_config(neuron=NeuronConfig(v_threshold=0.5)), seed=0)
         clip = ad.tensor(make_rng(2).random((2, 2, 3, 16, 16)).astype(np.float32))
         for _, m in model.modules():
@@ -112,26 +109,19 @@ class TestForward:
         model.train(mode == "train")
         with ad.no_grad() if mode == "eval" else contextlib.nullcontext():
             first = model(clip)
-            second = model(clip)  # no reset_states() in between
-            monkeypatch.setattr(SpikingLayer, "reset_state", lambda self: None)
-            carried = model(clip)
+            second = model(clip)
         assert first.requires_grad == (mode == "train")
         assert first.data.tobytes() == second.data.tobytes()
-        assert carried.data.tobytes() != first.data.tobytes()
 
-    def test_reset_reads_the_stored_layer_list(self, monkeypatch):
+    def test_reset_states_is_a_no_op(self):
+        # kept for old callers; no module holds anything it could clear
         model = VideoSpikeNet(tiny_config(), seed=0)
-        walks = []
-        modules = Module.modules
-
-        def counted(self, prefix=""):
-            walks.append(prefix)
-            return modules(self, prefix)
-
-        monkeypatch.setattr(Module, "modules", counted)
-        model.reset_states()
-        model(ad.tensor(np.zeros((2, 1, 3, 16, 16), dtype=np.float32)))
-        assert walks == []
+        clip = make_rng(3).random((2, 2, 3, 16, 16)).astype(np.float32)
+        first = model(ad.tensor(clip)).data
+        held = {n: {k: id(v) for k, v in vars(m).items()} for n, m in model.modules()}
+        assert model.reset_states() is None
+        assert {n: {k: id(v) for k, v in vars(m).items()} for n, m in model.modules()} == held
+        assert model(ad.tensor(clip)).data.tobytes() == first.tobytes()
 
     def test_forward_deterministic(self):
         model = VideoSpikeNet(tiny_config(), seed=0)
@@ -177,7 +167,7 @@ class TestForward:
         found = {id(l) for _, l in model.spiking_layers()}
         held = {id(o) for o in gc.get_objects() if isinstance(o, SpikingLayer)
                 and any(id(m) == id(o) for _, m in model.modules())}
-        # every layer the model can reach is reset by reset_states
+        # tau_table and make_smooth see every layer the model can reach
         assert held <= found
 
     def test_parameter_names_unique(self):
@@ -190,9 +180,7 @@ class TestBackward:
     def test_loss_backward_reaches_all_stages(self):
         model = VideoSpikeNet(tiny_config(), seed=0)
         clip = make_rng(1).random((2, 2, 3, 16, 16)).astype(np.float32)
-        model.reset_states()
         loss = cross_entropy(model(ad.tensor(clip)), np.array([0, 1]))
-        model.zero_grad()
         ad.backward(loss)
         grads = {n: p.grad for n, p in model.named_parameters()}
         assert all(g is not None for g in grads.values())

@@ -1,5 +1,7 @@
 """Membrane-dynamics tests against an independent scalar recurrence."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,47 +53,67 @@ class TestLayerMatchesRecurrence:
                 v_th = float(rng.uniform(0.3, 2.0))
                 cfg = NeuronConfig(kind="LIF", tau=tau, v_threshold=v_th)
                 x = rng.standard_normal((6, 3, 2))
-                layer = SpikingLayer(cfg)
-                layer.reset_state()
-                out = layer(ad.tensor(x)).data
+                out = SpikingLayer(cfg)(ad.tensor(x)).data
                 ref = reference_recurrence(x, 1.0 / tau, v_th, 0.0)
                 np.testing.assert_array_equal(out, ref)
 
+    def test_layer_takes_a_new_shape_each_call(self):
+        # no membrane is kept between calls, so one layer serves any [T, *S]
+        layer = SpikingLayer(NeuronConfig(kind="LIF", tau=2.0, v_threshold=0.5))
+        rng = make_rng(6)
+        for shape in ((4, 2, 3), (3, 5), (2, 1, 1, 2)):
+            x = rng.standard_normal(shape)
+            with ad.precision(np.float64):
+                out = layer(ad.tensor(x)).data
+            np.testing.assert_array_equal(out, reference_recurrence(x, 0.5, 0.5, 0.0))
+
     def test_membrane_resets_after_spike(self):
-        cfg = NeuronConfig(kind="LIF", tau=2.0)
-        layer = SpikingLayer(cfg)
-        layer.reset_state()
-        out = layer.step(ad.tensor(np.full((1,), 10.0, dtype=np.float32)))
-        assert out.data[0] == 1.0
-        assert layer.v.data[0] == 0.0  # hard reset to v_reset
+        # step 0 spikes and resets V to 0, so step 1's H is 0.75; a membrane
+        # kept at H = 5 would reach 3.25 and spike again
+        assert _spike_train(NeuronConfig(kind="LIF", tau=2.0), [10.0, 1.5]) == [1.0, 0.0]
 
     def test_subthreshold_leak(self):
         cfg = NeuronConfig(kind="LIF", tau=2.0)
-        layer = SpikingLayer(cfg)
-        layer.reset_state()
-        layer.step(ad.tensor(np.full((1,), 0.5, dtype=np.float32)))
-        # H = 0 + 0.5 * (0.5 - 0) = 0.25, no spike, V carries over
-        assert layer.v.data[0] == pytest.approx(0.25)
+        # H = 0.75 carries over and step 1 reaches 0.75 + 0.5 * (1.25 - 0.75) = 1.0
+        assert _spike_train(cfg, [1.5, 1.25]) == [0.0, 1.0]
+        # a silent step in between leaks V to 0.375, so the same drive stays below
+        assert _spike_train(cfg, [1.5, 0.0, 1.25]) == [0.0, 0.0, 0.0]
 
     def test_nonzero_reset_potential(self):
         cfg = NeuronConfig(kind="LIF", tau=2.0, v_threshold=1.0, v_reset=0.3)
-        layer = SpikingLayer(cfg)
-        layer.reset_state()
-        layer.step(ad.tensor(np.full((1,), 5.0, dtype=np.float32)))
-        assert layer.v.data[0] == pytest.approx(0.3)
-
-    def test_shape_change_between_steps_rejected(self):
-        layer = SpikingLayer(NeuronConfig())
-        layer.reset_state()
-        layer.step(ad.tensor(np.zeros((2, 2), dtype=np.float32)))
-        with pytest.raises(ad.ShapeError):
-            layer.step(ad.tensor(np.zeros((3, 3), dtype=np.float32)))
+        # rest and reset are both V = 0.3: H = 0.3 + 0.5 * 1.5 = 1.05 spikes,
+        # where a reset to 0 would give 0.75
+        assert _spike_train(cfg, [1.5]) == [1.0]
+        assert _spike_train(cfg, [5.0, 1.5]) == [1.0, 1.0]
 
     def test_nonfinite_input_rejected(self):
-        layer = SpikingLayer(NeuronConfig())
-        layer.reset_state()
         with pytest.raises(FloatingPointError):
-            layer.step(ad.tensor(np.array([np.nan], dtype=np.float32)))
+            SpikingLayer(NeuronConfig())(ad.tensor(np.array([[np.nan]], dtype=np.float32)))
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_layer_keeps_no_state_between_calls(self, grad):
+        layer = SpikingLayer(NeuronConfig(kind="PLIF", v_threshold=0.5))
+        x = ad.Tensor(make_rng(5).normal(0.5, 1.0, (4, 3, 2)).astype(np.float32),
+                      requires_grad=grad)
+        before = dict(vars(layer))
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            first = layer(x)
+            second = layer(x)
+        assert first.requires_grad == grad
+        assert 0.0 < first.data.mean() < 1.0
+        assert first.data.tobytes() == second.data.tobytes()
+        assert vars(layer) == before
+
+
+def _spike_train(cfg, drive):
+    """One neuron's spikes for the scalar drive sequence, checked against the
+    scalar recurrence at every step."""
+    x = np.asarray(drive, dtype=np.float64)[:, None]
+    with ad.precision(np.float64):
+        out = SpikingLayer(cfg)(ad.tensor(x)).data
+    ref = reference_recurrence(x, 1.0 / cfg.tau, cfg.v_threshold, cfg.v_reset)
+    np.testing.assert_array_equal(out, ref)
+    return out[:, 0].tolist()
 
 
 class TestPlifLifEquivalence:
@@ -107,8 +129,6 @@ class TestPlifLifEquivalence:
                 x = rng.standard_normal((8, 4, 4))
                 lif = SpikingLayer(NeuronConfig(kind="LIF", tau=tau))
                 plif = SpikingLayer(NeuronConfig(kind="PLIF", a_init=plif_a_for_tau(tau)))
-                lif.reset_state()
-                plif.reset_state()
                 out_l = lif(ad.tensor(x)).data
                 out_p = plif(ad.tensor(x)).data
                 # identical dynamics up to the sigmoid's rounding of 1/tau;
@@ -132,7 +152,6 @@ class TestGradientsThroughTime:
     def test_earlier_steps_receive_gradient(self):
         with ad.precision(np.float64):
             layer = SpikingLayer(NeuronConfig(), smooth=True)
-            layer.reset_state()
             x = ad.Tensor(make_rng(4).standard_normal((5, 2)), requires_grad=True)
             out = layer(x)
             ad.backward(ad.reduce_sum(ad.index(out, 4, axis=0)))
@@ -141,15 +160,14 @@ class TestGradientsThroughTime:
 
 
 def _unrolled_loss(x):
-    layer = SpikingLayer(NeuronConfig(kind="PLIF"), smooth=True)
-    layer.reset_state()
-    out = layer(x)
+    out = SpikingLayer(NeuronConfig(kind="PLIF"), smooth=True)(x)
     return ad.reduce_sum(ad.mul(out, ad.scale(x, 0.3)))
 
 
-def _stepwise_reference(x_seq, v, a, cfg, smooth):
+def _stepwise_reference(x_seq, a, cfg, smooth):
     """The per-step tape chain that ``ad.lif_sequence`` fuses, built from
-    single-op primitives: index, membrane update, spike, stack."""
+    single-op primitives from rest: index, membrane update, spike, stack."""
+    v = ad.tensor(np.full(x_seq.shape[1:], cfg.v_reset))
     outs = []
     for t in range(x_seq.shape[0]):
         x_t = ad.index(x_seq, t, axis=0)
@@ -162,35 +180,27 @@ def _stepwise_reference(x_seq, v, a, cfg, smooth):
         s_reset = s.detach() if cfg.detach_reset else s
         v = ad.add(ad.mul(h, ad.sub(ad.tensor(1.0), s_reset)), ad.scale(s_reset, cfg.v_reset))
         outs.append(s)
-    return ad.stack(outs, axis=0), v
+    return ad.stack(outs, axis=0)
 
 
-def _fused(x_seq, v, a, cfg, smooth):
+def _fused(x_seq, a, cfg, smooth):
     return ad.lif_sequence(
-        x_seq, v, a if cfg.kind == "PLIF" else None, tau=cfg.tau,
+        x_seq, a if cfg.kind == "PLIF" else None, tau=cfg.tau,
         v_threshold=cfg.v_threshold, v_reset=cfg.v_reset, alpha=cfg.surrogate_alpha,
         detach_reset=cfg.detach_reset, smooth=smooth)
 
 
-def _two_calls(run, cfg, smooth, seed, read_spikes=True):
-    """Two consecutive sequences through ``run`` with the membrane carried
-    across; returns the forward arrays and the gradients of x1, x2, V_0, a."""
+def _from_rest(run, cfg, smooth, seed):
+    """One sequence through ``run`` from rest; returns the spikes and the
+    gradients of x and a."""
     rng = make_rng(seed)
     with ad.precision(np.float64):
-        x1 = ad.Tensor(rng.normal(0.8, 1.0, (5, 3, 4)), requires_grad=True)
-        x2 = ad.Tensor(rng.normal(0.8, 1.0, (4, 3, 4)), requires_grad=True)
-        v0 = ad.Tensor(cfg.v_reset + 0.2 * rng.standard_normal((3, 4)), requires_grad=True)
+        x = ad.Tensor(rng.normal(0.8, 1.0, (9, 3, 4)), requires_grad=True)
         a = ad.Tensor(np.array(0.3), requires_grad=True)
-        w1, w2, w3 = (ad.tensor(rng.standard_normal(s)) for s in ((5, 3, 4), (4, 3, 4), (3, 4)))
-        s1, v1 = run(x1, v0, a, cfg, smooth)
-        s2, v2 = run(x2, v1, a, cfg, smooth)
-        loss = ad.reduce_sum(ad.mul(v2, w3))
-        if read_spikes:
-            loss = ad.add(loss, ad.add(ad.reduce_sum(ad.mul(s1, w1)),
-                                       ad.reduce_sum(ad.mul(s2, w2))))
-        ad.backward(loss)
-    grads = {n: t.grad for n, t in (("x1", x1), ("x2", x2), ("v0", v0), ("a", a))}
-    return (s1.data, v1.data, s2.data, v2.data), grads
+        w = ad.tensor(rng.standard_normal((9, 3, 4)))
+        s = run(x, a, cfg, smooth)
+        ad.backward(ad.reduce_sum(ad.mul(s, w)))
+    return s.data, {"x": x.grad, "a": a.grad}
 
 
 class TestFusedSequenceMatchesStepwise:
@@ -202,48 +212,24 @@ class TestFusedSequenceMatchesStepwise:
     @pytest.mark.parametrize("smooth", [False, True])
     def test_forward_exact_and_gradients_agree(self, kind, detach_reset, v_reset, smooth):
         cfg = NeuronConfig(kind=kind, tau=2.5, v_reset=v_reset, detach_reset=detach_reset)
-        fused, g_fused = _two_calls(_fused, cfg, smooth, seed=11)
-        ref, g_ref = _two_calls(_stepwise_reference, cfg, smooth, seed=11)
-        for got, want in zip(fused, ref):
-            np.testing.assert_array_equal(got, want)
+        fused, g_fused = _from_rest(_fused, cfg, smooth, seed=11)
+        ref, g_ref = _from_rest(_stepwise_reference, cfg, smooth, seed=11)
+        np.testing.assert_array_equal(fused, ref)
         if not smooth:
-            assert 0.0 < fused[0].mean() < 1.0  # spikes and silence both occur
-        for name in ("x1", "x2", "v0") + (("a",) if kind == "PLIF" else ()):
+            assert 0.0 < fused.mean() < 1.0  # spikes and silence both occur
+        for name in ("x",) + (("a",) if kind == "PLIF" else ()):
             np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=0, atol=1e-10,
                                        err_msg=name)
         if kind == "LIF":
             assert g_fused["a"] is None
 
-    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
-    def test_loss_reading_only_the_membrane(self, kind):
-        cfg = NeuronConfig(kind=kind, tau=2.5)
-        _, g_fused = _two_calls(_fused, cfg, False, seed=12, read_spikes=False)
-        _, g_ref = _two_calls(_stepwise_reference, cfg, False, seed=12, read_spikes=False)
-        for name in ("x1", "x2", "v0") + (("a",) if kind == "PLIF" else ()):
-            np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=0, atol=1e-10,
-                                       err_msg=name)
-
-    def test_layer_carries_membrane_across_forward_calls(self):
-        cfg = NeuronConfig(kind="PLIF", a_init=0.3, v_reset=0.3)
-        rng = make_rng(13)
-        x = rng.normal(0.8, 1.0, (9, 3, 4))
-        with ad.precision(np.float64):
-            layer = SpikingLayer(cfg)
-            layer.reset_state()
-            out = np.concatenate([layer(ad.tensor(x[:5])).data, layer(ad.tensor(x[5:])).data])
-            a = ad.tensor(np.array(0.3))
-            v = ad.tensor(np.full((3, 4), 0.3))
-            ref, v_ref = _stepwise_reference(ad.tensor(x), v, a, cfg, smooth=False)
-        np.testing.assert_array_equal(out, ref.data)
-        np.testing.assert_array_equal(layer.v.data, v_ref.data)
-
     def test_no_tape_node_without_grad(self):
         x = ad.Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
         a = ad.Tensor(np.array(0.0, dtype=np.float32), requires_grad=True)
         with ad.no_grad():
-            outs = _fused(x, None, a, NeuronConfig(), smooth=False)
-        outs += _fused(ad.tensor(np.ones((3, 2))), None, ad.tensor(np.array(0.0)),
-                       NeuronConfig(), smooth=False)
+            outs = [_fused(x, a, NeuronConfig(), smooth=False)]
+        outs.append(_fused(ad.tensor(np.ones((3, 2))), ad.tensor(np.array(0.0)),
+                           NeuronConfig(), smooth=False))
         for t in outs:
             assert not t.requires_grad
             assert t._parents == () and t._backward is None
@@ -253,22 +239,19 @@ class TestFusedSequenceMatchesStepwise:
     @pytest.mark.parametrize("grad", [False, True])
     def test_never_writes_into_its_inputs(self, kind, v_reset, grad):
         """The forward's step buffers and the backward's in-place work stay
-        off the caller's input and carried-in membrane."""
+        off the caller's input and leak parameter."""
         cfg = NeuronConfig(kind=kind, tau=2.5, v_reset=v_reset)
         rng = make_rng(14)
         x = ad.Tensor(rng.normal(0.8, 1.0, (5, 3, 4)), requires_grad=grad)
-        v0 = ad.Tensor(v_reset + 0.5 * rng.standard_normal((3, 4)), requires_grad=grad)
         a = ad.Tensor(np.array(0.3), requires_grad=grad)
-        x_before, v0_before = x.data.copy(), v0.data.copy()
-        s, v = _fused(x, v0, a, cfg, smooth=False)
+        x_before, a_before = x.data.copy(), a.data.copy()
+        s = _fused(x, a, cfg, smooth=False)
         if grad:
-            ad.backward(ad.add(ad.reduce_sum(ad.mul(s, x)), ad.reduce_sum(v)))
-            assert x.grad is not None and v0.grad is not None
+            ad.backward(ad.reduce_sum(ad.mul(s, x)))
+            assert x.grad is not None
         np.testing.assert_array_equal(x.data, x_before)
-        np.testing.assert_array_equal(v0.data, v0_before)
-        for out in (s.data, v.data):
-            assert not np.shares_memory(out, x.data)
-            assert not np.shares_memory(out, v0.data)
+        np.testing.assert_array_equal(a.data, a_before)
+        assert not np.shares_memory(s.data, x.data)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ad.ShapeError):
@@ -278,7 +261,6 @@ class TestFusedSequenceMatchesStepwise:
 class TestInstrumentation:
     def test_firing_rate_accounting(self):
         layer = SpikingLayer(NeuronConfig(kind="LIF", tau=2.0))
-        layer.reset_state()
         with Recording(layer) as rec:
             layer(ad.tensor(np.full((4, 10), 5.0, dtype=np.float32)))
         assert rec.spikes[layer].rate() == pytest.approx(1.0)
@@ -286,28 +268,21 @@ class TestInstrumentation:
         with Recording(layer) as fresh:
             assert fresh.spikes[layer].rate() == 0.0
 
-    def test_reset_clears_membrane_and_clock(self):
-        layer = SpikingLayer(NeuronConfig())
-        layer.reset_state()
-        layer(ad.tensor(np.zeros((3, 2), dtype=np.float32)))
-        assert layer.v is not None
-        layer.reset_state()
-        assert layer.v is None
-
 
 @settings(max_examples=30, deadline=None)
 @given(
     tau=st.floats(min_value=1.1, max_value=10.0, allow_nan=False),
     v_th=st.floats(min_value=0.2, max_value=3.0, allow_nan=False),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
 )
-def test_recurrence_property(tau, v_th, seed):
-    """Layer output equals the scalar reference for arbitrary LIF settings."""
-    cfg = NeuronConfig(kind="LIF", tau=tau, v_threshold=v_th)
+def test_recurrence_property(tau, v_th, seed, data):
+    """Layer output equals the scalar reference for arbitrary LIF settings,
+    reset potentials in [0, v_th) included."""
+    v_reset = data.draw(st.floats(min_value=0.0, max_value=v_th, exclude_max=True))
+    cfg = NeuronConfig(kind="LIF", tau=tau, v_threshold=v_th, v_reset=v_reset)
     x = make_rng(seed).standard_normal((5, 3))
     with ad.precision(np.float64):
-        layer = SpikingLayer(cfg)
-        layer.reset_state()
-        out = layer(ad.tensor(x)).data
-    ref = reference_recurrence(x, 1.0 / tau, v_th, 0.0)
+        out = SpikingLayer(cfg)(ad.tensor(x)).data
+    ref = reference_recurrence(x, 1.0 / tau, v_th, v_reset)
     np.testing.assert_array_equal(out, ref)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikevid import autodiff as ad
+from spikevid import training
 from spikevid.data import gen_moving_patterns
 from spikevid.model import VideoSpikeNet
 from spikevid.training import (
@@ -210,6 +211,17 @@ class TestLoops:
         assert losses1 == losses2
         for name in params1:
             np.testing.assert_array_equal(params1[name].data, params2[name].data)
+
+    def test_non_finite_loss_stops_before_any_update(self, monkeypatch):
+        tr = gen_moving_patterns(seed=0, num=8, T=2, H=16, W=16, classes=3)
+        model = VideoSpikeNet(tiny_config(), seed=0)
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
+        monkeypatch.setattr(training, "cross_entropy",
+                            lambda logits, labels: ad.tensor(np.array(np.nan)))
+        with pytest.raises(FloatingPointError, match=r"non-finite loss \(nan\)"):
+            fit(model, tr.clips, tr.labels, TrainConfig(epochs=1, warmup_epochs=0, batch_size=8))
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
     def test_tau_table_covers_all_layers(self):
         model = VideoSpikeNet(tiny_config(), seed=0)
