@@ -26,7 +26,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "scale",
     "exp",
     "log",
@@ -52,6 +51,13 @@ __all__ = [
 
 _DTYPE = np.float32
 _GRAD_ENABLED = True
+# A no-tape depthwise conv builds its columns in batch slices of about
+# _DW_SLICE_BYTES (the fastest of a 1-16 MB sweep, README), each a multiple
+# of _DW_SLICE_ROWS column rows, in one buffer kept between calls (see
+# ``conv``). Not thread-safe.
+_DW_SLICE_BYTES = 4 << 20
+_DW_SLICE_ROWS = 32
+_dw_columns = np.empty(0, dtype=np.uint8)
 
 
 @contextlib.contextmanager
@@ -236,13 +242,6 @@ def div(a, b):
     return _make(out_data, (a, b), bwd)
 
 
-def neg(a):
-    def bwd(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), bwd)
-
-
 def scale(a, c):
     """Multiply by a python scalar constant."""
     c = a.data.dtype.type(c)
@@ -279,12 +278,10 @@ def sqrt(a):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows; 1/(1+e) for x >= 0, e/(1+e) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a):
@@ -427,17 +424,29 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     2 or 3. Output spatial extent is floor((n + 2p - k) / s) + 1.
 
     The forward and the weight gradient are one grouped matmul each against
-    the ``[groups, P, C_g * K]`` columns of ``_im2col``. The input gradient is
-    one scatter per kernel offset onto a zeroed channels-last ``[*padded, B,
-    C_in]`` buffer, offsets in row-major order, so the inner loops run along
-    B * C_in contiguous elements. A dense conv scatters the windows of a
-    matmul back to columns, read as a ``[*out, B, C_in, *kernel]`` view. A
-    depthwise conv (``C_g == 1`` and ``C_out == groups``) skips that matmul:
-    its inner extent is 1, so each column entry is one rounded product
-    ``g * w``, and it scatters ``g * w[:, 0, offset]`` with ``g`` relaid once
-    to ``[*out, B, C]``. Either way each input element receives the same
-    rounded terms in the same order as a ``[B, C_in, *padded]`` scatter. One
-    copy then crops the padding and relays to ``[B, C_in, *spatial]``.
+    the ``[groups, P, C_g * K]`` columns of ``_im2col``. With no tape node, a
+    depthwise conv (below) builds its columns one batch slice at a time, each
+    near ``_DW_SLICE_BYTES`` so that it stays in cache, in one buffer kept
+    between calls so that no call returns its pages to the OS for the next
+    call to fault in again. Its matmul is a gemv per channel, one dot per
+    column row, and BLAS rounds a row by its place in the kernel's block of
+    rows (and in a thread's share of them), so a slice gives the same bits
+    only if every slice, the whole buffer and their halves split at the same
+    block edges: a slice holds a multiple of ``_DW_SLICE_ROWS`` rows, and a
+    conv whose P is not one is not sliced. A dense or grouped conv is never
+    sliced: its gemm's blocking depends on P.
+
+    The input gradient is one scatter per kernel offset onto a zeroed
+    channels-last ``[*padded, B, C_in]`` buffer, offsets in row-major order,
+    so the inner loops run along B * C_in contiguous elements. A dense conv
+    scatters the windows of a matmul back to columns, read as a ``[*out, B,
+    C_in, *kernel]`` view. A depthwise conv (``C_g == 1`` and ``C_out ==
+    groups``) skips that matmul: its inner extent is 1, so each column entry
+    is one rounded product ``g * w``, and it scatters ``g * w[:, 0, offset]``
+    with ``g`` relaid once to ``[*out, B, C]``. Either way each input element
+    receives the same rounded terms in the same order as a ``[B, C_in,
+    *padded]`` scatter. One copy then crops the padding and relays to ``[B,
+    C_in, *spatial]``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     rank = w.ndim - 2
@@ -461,18 +470,44 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     if any(n < 1 for n in out_spatial):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
 
-    pad_width = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    xp = np.pad(x.data, pad_width) if any(padding) else x.data
+    parents = (x, w) if bias is None else (x, w, bias)
+    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    depthwise = C_g == 1 and C_out == groups
+    interior = tuple(slice(p, p + n) for p, n in zip(padding, spatial))
+    if any(padding):
+        xp = np.zeros((B, C_in) + tuple(n + 2 * p for n, p in zip(spatial, padding)),
+                      dtype=x.data.dtype)
+        xp[(Ellipsis,) + interior] = x.data
+    else:
+        xp = x.data
 
-    cols_g = _im2col(xp, kernel, stride, out_spatial, groups)  # [g, P, CgK]
-    P = cols_g.shape[1]
     O_g = C_out // groups
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
-    out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, P, Og]
-    out_data = np.moveaxis(out_g.reshape((groups, B) + out_spatial + (O_g,)), (0, -1), (1, 2))
-    out_data = np.ascontiguousarray(out_data).reshape((B, C_out) + out_spatial)
+    rows = math.prod(out_spatial)  # column rows per clip
+    unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
+    if depthwise and not track and B % unit == 0:
+        global _dw_columns
+        clip_bytes = C_in * rows * math.prod(kernel) * xp.itemsize
+        step = min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
+        if _dw_columns.nbytes < step * clip_bytes:
+            _dw_columns = np.empty(step * clip_bytes, dtype=np.uint8)
+        out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(xp, w.data))
+        for lo in range(0, B, step):
+            n = min(step, B - lo)
+            cols = _im2col(xp[lo:lo + n], kernel, stride, out_spatial, groups,
+                           out=_dw_columns[:n * clip_bytes].view(xp.dtype))
+            out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2))  # [C, n * rows, 1]
+            out_data[lo:lo + n] = np.moveaxis(out_g.reshape((groups, n) + out_spatial), 0, 1)
+    else:
+        cols_g = _im2col(xp, kernel, stride, out_spatial, groups)  # [g, P, CgK]
+        P = cols_g.shape[1]
+        out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, P, Og]
+        out_data = np.moveaxis(out_g.reshape((groups, B) + out_spatial + (O_g,)), (0, -1), (1, 2))
+        out_data = np.ascontiguousarray(out_data).reshape((B, C_out) + out_spatial)
     if bias is not None:
         out_data = out_data + bias.data.reshape((1, C_out) + (1,) * rank)
+    if not track:
+        return Tensor(out_data)
 
     def bwd(g):
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
@@ -484,7 +519,7 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         if not x.requires_grad:
             return
         dtype = np.result_type(g, w.data)
-        if C_g == 1 and C_out == groups:
+        if depthwise:
             g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
             w_cl = np.moveaxis(w.data[:, 0], 0, -1)  # [*kernel, C]
             term = np.empty(g_cl.shape, dtype=dtype)
@@ -503,11 +538,10 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         for offset in np.ndindex(*kernel):
             window = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial))
             gx[window] += term_at(offset)
-        gx = gx[tuple(slice(p, p + n) for p, n in zip(padding, spatial))]
+        gx = gx[interior]
         _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make(out_data, parents, bwd)
+    return Tensor(out_data, requires_grad=True, _parents=parents, _backward=bwd)
 
 
 def _tuplize(v, rank):
@@ -518,12 +552,14 @@ def _tuplize(v, rank):
     return (int(v),) * rank
 
 
-def _im2col(xp, kernel, stride, out_spatial, groups):
+def _im2col(xp, kernel, stride, out_spatial, groups, out=None):
     """[B, C, *padded] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
 
     One copy of the strided window view, straight into the layout the
     grouped matmul reads: row ``p`` of group ``g`` holds the window at output
     position ``p`` of that group's channels, channel-major then kernel order.
+    The copy goes into ``out`` (a flat C-contiguous array of the right size
+    and dtype) when it is given, else into a new array.
     """
     rank = len(kernel)
     B, C = xp.shape[:2]
@@ -532,7 +568,12 @@ def _im2col(xp, kernel, stride, out_spatial, groups):
     sl = [slice(None), slice(None)] + [slice(None, None, s) for s in stride]
     view = view[tuple(sl)].reshape((B, groups, C // groups) + out_spatial + tuple(kernel))
     view = np.moveaxis(view, (1, 2), (0, 2 + rank))  # [groups, B, *out, C_g, *kernel]
-    return np.ascontiguousarray(view).reshape(groups, B * int(np.prod(out_spatial)), -1)
+    if out is None:
+        out = np.ascontiguousarray(view)
+    else:
+        out = out.reshape(view.shape)
+        np.copyto(out, view)
+    return out.reshape(groups, B * int(np.prod(out_spatial)), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# the keys that size the arrays a command allocates, named when it runs out of memory
+SIZE_KEYS = ("data.height", "data.width", "data.num_train", "data.num_test", "model.time_steps")
 
 DEFAULTS = {
     "run": {
@@ -401,6 +403,10 @@ def run(command, config_path=None, overrides=()):
     except (ArithmeticError, ad.ShapeError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"config error: out of memory ({exc}); lower one of {', '.join(SIZE_KEYS)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main(argv=None):

@@ -173,18 +173,23 @@ class Recording:
     def _on_linear(self, layer, args, out):
         stats = self.inputs[layer]
         data = args[0].data
-        stats.nnz += int(np.count_nonzero(data))
+        nnz = int(np.count_nonzero(data))
+        stats.nnz += nnz
         stats.size += data.size
-        if stats.binary:
-            stats.binary = bool(np.all((data == 0) | (data == 1)))
+        if stats.binary:  # binary iff every nonzero is a 1
+            stats.binary = int(np.count_nonzero(data == 1)) == nnz
         stats.out_count += out.data.size
 
     def _on_spikes(self, layer, args, out):
         stats = self.spikes[layer]
-        for s_t in out.data:
-            stats.total += float(s_t.sum())
-            stats.count += s_t.size
-            stats.step_rates.append(float(s_t.mean()))
+        data = out.data
+        n = data[0].size
+        sums = data.reshape(len(data), n).sum(axis=1)  # each is s_t.sum()
+        for total in sums.tolist():
+            stats.total += total
+        stats.count += data.size
+        # s_t.mean(): the float64 quotient of the step sum, in the data's dtype
+        stats.step_rates.extend((sums.astype(np.float64) / n).astype(data.dtype).tolist())
 
     def _on_qkv(self, block, key, layer, args, out):
         self._qkv.setdefault(block, {})[key] = out.data

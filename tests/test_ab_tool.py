@@ -1,0 +1,71 @@
+"""``tools/ab.py``: in-process A/B timing of a perfbench workload."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_one_tree_on_both_sides_runs_and_checks_every_operation():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
+         "--workload", "infer-b1", "--ops", "2", "--seed", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "infer-b1, seed 3, 2 operations per tree, alternating"
+    for label, line in zip("AB", lines[1:3]):
+        assert re.fullmatch(rf"{label} {re.escape(str(ROOT))}: median op \d+\.\d\d ms, "
+                            r"\d+ minor page faults", line)
+    assert re.fullmatch(r"B/A op time: median ratio \d+\.\d{3}, B faster in [012]/2 pairs",
+                        lines[3])
+    assert len(lines) == 4  # no check failed
+
+
+FAKE_WORKLOADS = '''
+import os
+import time
+from types import SimpleNamespace
+
+import spikevid
+
+
+def make(name, out_dir):
+    def op(state, i):
+        with open(os.environ["AB_LOG"], "a") as fh:
+            fh.write(f"{spikevid.LABEL}{i} ")
+        time.sleep(spikevid.DELAY)
+        return i
+
+    def check(state, i, out):
+        if spikevid.LABEL == "b" and i == 1:
+            raise AssertionError("wrong output")
+
+    return SimpleNamespace(setup=lambda seed: None, op=op, check=check)
+'''
+
+
+def fake_tree(root, label, delay):
+    (root / "src" / "spikevid").mkdir(parents=True)
+    (root / "src" / "spikevid" / "__init__.py").write_text(f"LABEL = {label!r}\nDELAY = {delay}\n")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(FAKE_WORKLOADS)
+    return str(root)
+
+
+def test_alternates_binds_each_tree_and_reports_failed_checks(tmp_path):
+    log = tmp_path / "ops.log"
+    a = fake_tree(tmp_path / "a", "a", 0.02)
+    b = fake_tree(tmp_path / "b", "b", 0.0)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), a, b,
+         "--workload", "infer-b1", "--ops", "3", "--seed", "0"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, AB_LOG=str(log)))
+    assert proc.returncode == 1, proc.stderr
+    assert log.read_text().split() == ["a0", "b0", "b1", "a1", "a2", "b2"]
+    lines = proc.stdout.splitlines()
+    assert lines[3].endswith("B faster in 3/3 pairs")
+    assert lines[4:] == ["check failed: B op 1: AssertionError: wrong output"]

@@ -298,6 +298,143 @@ class TestChannelsLastScatter:
         assert x.grad.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
+# (x shape, w shape, stride, padding, bias, slice budget in clips, the batch
+# slices expected): depthwise 5x5 p2 at s1, at s2 on odd extents (72 rows per
+# clip, so slices of 4 clips), with a bias, and the head's full-extent 3-D
+# kernel (1 row per clip, so slices of 32 clips); each leaves a short last slice
+SLICED_CASES = [
+    ((7, 16, 16, 16), (16, 1, 5, 5), 1, 2, False, 2, [2, 2, 2, 1]),
+    ((12, 16, 15, 17), (16, 1, 5, 5), 2, 2, False, 2, [4, 4, 4]),
+    ((7, 8, 8, 12), (8, 1, 5, 5), 1, 2, True, 3, [3, 3, 1]),
+    ((96, 12, 4, 2, 2), (12, 1, 4, 2, 2), 1, 0, False, 64, [64, 32]),
+]
+IM2COL = ad._im2col
+
+
+class TestSlicedDepthwise:
+    """A no-tape depthwise conv builds its columns one batch slice at a time;
+    every other conv builds them in one buffer."""
+
+    @staticmethod
+    def conv_calls(monkeypatch, budget, x, w, stride, padding, groups, bias=None):
+        """The no-tape output at a slice budget of ``budget`` bytes, and the
+        batch extent of each column buffer it built."""
+        calls = []
+
+        def counted(xp, *args, **kwargs):
+            calls.append(xp.shape[0])
+            return IM2COL(xp, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_im2col", counted)
+        monkeypatch.setattr(ad, "_DW_SLICE_BYTES", budget)
+        with ad.no_grad():
+            out = ad.conv(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding,
+                          groups=groups, bias=None if bias is None else ad.Tensor(bias))
+        return out.data, calls
+
+    @staticmethod
+    def inputs(x_shape, w_shape, bias, dtype, seed=40):
+        rng = make_rng(seed)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = rng.standard_normal(w_shape).astype(dtype)
+        b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
+        return x, w, b
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", SLICED_CASES)
+    def test_slices_match_one_buffer_bytewise(self, monkeypatch, case, dtype):
+        x_shape, w_shape, stride, padding, bias, clips, slices = case
+        x, w, b = self.inputs(x_shape, w_shape, bias, dtype)
+        C = w_shape[0]
+        out_spatial = [ad._conv_out_extent(n, k, stride, padding)
+                       for n, k in zip(x_shape[2:], w_shape[2:])]
+        clip_bytes = C * np.prod(out_spatial) * np.prod(w_shape[2:]) * x.itemsize
+        whole, whole_calls = self.conv_calls(monkeypatch, 1 << 50, x, w, stride, padding, C, b)
+        sliced, sliced_calls = self.conv_calls(monkeypatch, int(clips * clip_bytes), x, w,
+                                               stride, padding, C, b)
+        assert whole_calls == [x_shape[0]] and sliced_calls == slices
+        assert sliced.dtype == whole.dtype == dtype and sliced.flags.c_contiguous
+        assert sliced.shape == (x_shape[0], C) + tuple(out_spatial)
+        assert sliced.tobytes() == whole.tobytes()
+        taped = ad.conv(ad.Tensor(x, requires_grad=True), ad.Tensor(w), stride=stride,
+                        padding=padding, groups=C, bias=None if b is None else ad.Tensor(b))
+        assert taped.data.tobytes() == whole.tobytes()  # the tape path's forward
+
+    def test_column_buffer_kept_between_calls(self, monkeypatch):
+        # a fresh buffer per call lets malloc return its pages and fault them in again
+        monkeypatch.setattr(ad, "_dw_columns", np.empty(0, dtype=np.uint8))
+        x, w, _ = self.inputs((4, 8, 16, 16), (8, 1, 5, 5), False, np.float32)
+        clip_bytes = 8 * 16 * 16 * 25 * 4
+        first, _ = self.conv_calls(monkeypatch, 2 * clip_bytes, x, w, 1, 2, 8)
+        kept = ad._dw_columns
+        assert kept.nbytes == 2 * clip_bytes
+        x64, w64, _ = self.inputs((4, 8, 8, 8), (8, 1, 5, 5), False, np.float64, seed=44)
+        other, calls = self.conv_calls(monkeypatch, 2 * clip_bytes, x64, w64, 1, 2, 8)
+        assert ad._dw_columns is kept and calls == [4]  # 4 float64 clips of 64 rows fit
+        again, _ = self.conv_calls(monkeypatch, 2 * clip_bytes, x, w, 1, 2, 8)
+        assert again.tobytes() == first.tobytes()
+        whole, _ = self.conv_calls(monkeypatch, 1 << 50, x64, w64, 1, 2, 8)
+        assert other.tobytes() == whole.tobytes()
+
+    def test_unaligned_rows_never_sliced(self, monkeypatch):
+        # 9 x 11 = 99 rows per clip: no batch slice of 7 clips is 32-row aligned
+        x, w, _ = self.inputs((7, 8, 9, 11), (8, 1, 5, 5), False, np.float32)
+        _, calls = self.conv_calls(monkeypatch, 1, x, w, 1, 2, 8)
+        assert calls == [7]
+
+    @pytest.mark.parametrize("w_shape, padding, groups", [
+        ((8, 4, 3, 3), 1, 1), ((8, 4, 1, 1), 0, 1), ((2, 2, 3, 3), 1, 2),
+    ], ids=["dense3x3", "dense1x1", "one-output-per-group"])
+    def test_dense_conv_never_sliced(self, monkeypatch, w_shape, padding, groups):
+        rng = make_rng(41)
+        x = rng.standard_normal((9, 4, 8, 8)).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        _, calls = self.conv_calls(monkeypatch, 1, x, w, 1, padding, groups)
+        assert calls == [9]
+
+    def test_taped_depthwise_never_sliced(self, monkeypatch):
+        rng = make_rng(42)
+        x = ad.Tensor(rng.standard_normal((5, 4, 8, 8)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((4, 1, 5, 5)))
+        calls = []
+        monkeypatch.setattr(ad, "_im2col", lambda xp, *a, **k: calls.append(len(xp)) or IM2COL(xp, *a, **k))
+        monkeypatch.setattr(ad, "_DW_SLICE_BYTES", 1)
+        ad.conv(x, w, padding=2, groups=4)
+        assert calls == [5]
+
+
+def masked_sigmoid(x):
+    """The two-branch sigmoid: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 1e-30, -1e-30, 88.7, -88.7, 200.0, -200.0, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_masked_branches(self, dtype):
+        x = np.concatenate([np.array(self.EDGES),
+                            make_rng(43).standard_normal(100_000) * 30.0]).astype(dtype)
+        with np.errstate(over="ignore", under="ignore"):
+            ref = masked_sigmoid(x)
+        got = ad._sigmoid(x)
+        assert got.dtype == dtype and got.shape == x.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_gives_nan_and_scalar_keeps_shape(self, dtype):
+        assert np.all(np.isnan(ad._sigmoid(np.array([np.nan, -np.nan], dtype=dtype))))
+        a = np.array(0.25, dtype=dtype)  # a PLIF leak parameter is 0-d
+        got = ad._sigmoid(a)
+        assert got.shape == () and got.dtype == dtype
+        assert got.tobytes() == masked_sigmoid(a).tobytes()
+
+
 class TestSpike:
     def test_forward_is_binary_threshold(self):
         h = t([[0.5, 1.0], [1.5, -2.0]])
@@ -421,7 +558,7 @@ PRIMITIVE_CASES = {
     "mul_self": (lambda a: ad.reduce_sum(ad.mul(a, a)), [(3, 4)]),
     "div": (lambda a, b: ad.reduce_sum(ad.div(a, ad.add(ad.mul(b, b), ad.tensor(1.0)))),
             [(3, 4), (3, 4)]),
-    "neg_scale": (lambda a: ad.reduce_sum(ad.scale(ad.neg(a), 2.0)), [(3, 4)]),
+    "scale": (lambda a: ad.reduce_sum(ad.scale(a, -2.0)), [(3, 4)]),
     "exp_log_sqrt_sigmoid": (lambda a: ad.reduce_sum(ad.log(ad.sqrt(ad.add(
         ad.exp(a), ad.sigmoid(a))))), [(3, 4)]),
     "reduce_sum": (lambda a: ad.reduce_sum(a), [(3, 4)]),

@@ -217,6 +217,19 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    def test_out_of_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def oversized(cfg, out_dir):  # no real allocation is attempted
+            raise MemoryError("Unable to allocate 11.2 TiB for an array")
+
+        monkeypatch.setitem(cli.COMMANDS, "noise-eval", oversized)
+        assert run_cli(tmp_path, "noise-eval") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory (Unable to allocate 11.2 TiB")
+        for key in ("data.height", "data.width", "data.num_train", "data.num_test",
+                    "model.time_steps"):
+            assert key in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_numeric_error(self, tmp_path):
         # a diverging learning rate drives the loss to non-finite values

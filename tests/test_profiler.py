@@ -246,3 +246,65 @@ class TestRecording:
         again = prof.cost_table(rec, len(ds.clips), exact=True)
         assert [vars(c) for c in again] == [vars(c) for c in table]
         assert (rec.firing_rates(), rec.traces()) == prof.record_firing_rates(model, ds.clips)
+
+
+def per_step_spike_stats(batches):
+    """The per-step hook loop: one sum and one mean per time step."""
+    stats = prof.SpikeStats()
+    for data in batches:
+        for s_t in data:
+            stats.total += float(s_t.sum())
+            stats.count += s_t.size
+            stats.step_rates.append(float(s_t.mean()))
+    return stats
+
+
+def elementwise_input_stats(batches):
+    """The hook's reference: nonzeros counted, binarity tested per element."""
+    stats = prof.InputStats()
+    for data in batches:
+        stats.nnz += int(np.count_nonzero(data))
+        stats.size += data.size
+        if stats.binary:
+            stats.binary = bool(np.all((data == 0) | (data == 1)))
+        stats.out_count += 2 * data.size
+    return stats
+
+
+class TestHooksReadOnce:
+    """Each hook reads its tensor once and records what the per-step and
+    per-element formulations record, to the bit."""
+
+    @pytest.mark.parametrize("binary, dtype, shape", [
+        (True, np.float32, (8, 4, 6, 5, 5)),
+        (False, np.float32, (8, 4, 6, 5, 5)),  # smooth (non-binary) spikes
+        (False, np.float64, (4, 3, 16, 4, 4)),
+        (False, np.float32, (5, 3, 7, 11)),  # 231 elements per step
+    ], ids=["binary", "smooth", "float64", "odd-step"])
+    def test_spike_stats_match_per_step_loop(self, binary, dtype, shape):
+        batches = [(spikes(shape, seed) if binary else make_rng(seed).random(shape)).astype(dtype)
+                   for seed in (50, 51)]
+        layer = object()
+        rec = prof.Recording(None)
+        rec.spikes[layer] = prof.SpikeStats()
+        for data in batches:
+            rec._on_spikes(layer, (), ad.Tensor(data))
+        got, ref = rec.spikes[layer], per_step_spike_stats(batches)
+        assert got.total == ref.total and got.count == ref.count
+        assert got.step_rates == ref.step_rates
+        assert all(type(r) is float for r in got.step_rates)
+
+    @pytest.mark.parametrize("batches", [
+        [np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)],
+        [np.array([0.0, 1.0, 0.5], dtype=np.float32)],
+        [np.array([-0.0, 1.0, 0.0]), np.array([1.0, -0.0])],
+        [np.array([0.0, np.nan, 1.0], dtype=np.float32)],
+        [np.array([1.0, 0.0]), np.array([0.5, 0.0]), np.array([1.0, 1.0])],
+    ], ids=["binary", "half", "negative-zero", "nan", "non-binary-batch-sticks"])
+    def test_input_stats_match_elementwise(self, batches):
+        layer = object()
+        rec = prof.Recording(None)
+        rec.inputs[layer] = prof.InputStats()
+        for data in batches:
+            rec._on_linear(layer, (ad.Tensor(data),), ad.Tensor(np.zeros(2 * data.size)))
+        assert rec.inputs[layer] == elementwise_input_stats(batches)

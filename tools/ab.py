@@ -1,0 +1,123 @@
+"""In-process A/B timing of one perfbench workload on two source trees.
+
+    python3 tools/ab.py TREE_A TREE_B --workload profile-b16 --ops 20 --seed 7
+
+Each tree is a source checkout with ``src/spikevid`` and
+``perfbench/workloads.py``. Both are loaded into this one process, each
+workload module bound to its own tree's ``spikevid``, and both workloads are
+set up from the seed. Then ``--ops`` operations run per tree, alternating
+AB, BA, AB, ... so both trees see the same heap, the same host phase and the
+same operation index; every output goes through the workload's own check.
+The tool prints each tree's median operation time and minor page faults per
+operation, the median of the paired B/A op-time ratios and the number of
+pairs B won, and exits 1 if any check failed. BLAS and OpenMP are pinned to one thread, as in perfbench.
+
+Perfbench runs each tree in its own process and scales its times by a host
+speed kernel timed in the heap the operation leaves behind, so a change that
+moves the heap moves its scaled figures too; raw op times measured side by
+side are the comparison this tool makes. The two trees also share one heap,
+though: the largest block either frees sets glibc malloc's thresholds for
+both, so a change whose cost is page faults (memory returned to the OS and
+faulted in again) can read faster here than in a process of its own. The
+page-fault counts show that cost; confirm with perfbench pairs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import resource
+import sys
+import tempfile
+import time
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+WORKLOADS = ("train-b16", "infer-b1", "profile-b16")
+
+
+def load_workloads(tree, label):
+    """Import ``tree``'s spikevid and its ``perfbench/workloads.py`` as ``label``."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    path = os.path.join(os.path.abspath(tree), "perfbench", "workloads.py")
+    for name in [n for n in sys.modules if n == "spikevid" or n.startswith("spikevid.")]:
+        del sys.modules[name]  # the other tree's copy stays bound in its own workloads
+    sys.path.insert(0, src)
+    try:
+        spec = importlib.util.spec_from_file_location(f"workloads_{label}", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+        package = sys.modules["spikevid"].__file__
+    finally:
+        sys.path.remove(src)
+    if os.path.dirname(os.path.realpath(package)) != os.path.realpath(os.path.join(src, "spikevid")):
+        raise ImportError(f"{tree}: spikevid imported from {package}, not from {src}")
+    return module
+
+
+def run(tree_a, tree_b, workload, ops, seed):
+    """Run ``ops`` alternating operations per tree. Returns each tree's median
+    op time (s) and page faults per op, the median B/A ratio, B's win count
+    and the check failures."""
+    import numpy as np
+
+    trees = {"A": tree_a, "B": tree_b}
+    modules = {label: load_workloads(tree, label) for label, tree in trees.items()}
+    times = {label: [] for label in trees}
+    faults = {label: [] for label in trees}
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="ab-") as out_dir:
+        runs = {}
+        for label, module in modules.items():
+            wl = module.make(workload, os.path.join(out_dir, label))
+            runs[label] = (wl, wl.setup(seed))
+        for i in range(ops):
+            for label in ("AB" if i % 2 == 0 else "BA"):
+                wl, state = runs[label]
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                t0 = time.perf_counter()
+                out = wl.op(state, i)
+                times[label].append(time.perf_counter() - t0)
+                faults[label].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+                try:
+                    wl.check(state, i, out)
+                except Exception as exc:  # reported, and the loop goes on
+                    failures.append(f"{label} op {i}: {type(exc).__name__}: {exc}")
+    ratios = np.asarray(times["B"]) / np.asarray(times["A"])
+    return {
+        "median_s": {label: float(np.median(t)) for label, t in times.items()},
+        "faults_p50": {label: float(np.median(f)) for label, f in faults.items()},
+        "ratio_p50": float(np.median(ratios)),
+        "b_wins": int(np.sum(ratios < 1.0)),
+        "pairs": ops,
+        "failures": failures,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(prog="ab", description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.ops < 1 or args.seed < 0:
+        parser.error("--ops must be >= 1 and --seed >= 0")
+    for var in THREAD_VARS:  # before numpy is first imported
+        os.environ[var] = "1"
+    res = run(args.tree_a, args.tree_b, args.workload, args.ops, args.seed)
+    print(f"{args.workload}, seed {args.seed}, {args.ops} operations per tree, alternating")
+    for label, tree in (("A", args.tree_a), ("B", args.tree_b)):
+        print(f"{label} {tree}: median op {1e3 * res['median_s'][label]:.2f} ms, "
+              f"{res['faults_p50'][label]:.0f} minor page faults")
+    print(f"B/A op time: median ratio {res['ratio_p50']:.3f}, "
+          f"B faster in {res['b_wins']}/{res['pairs']} pairs")
+    for message in res["failures"]:
+        print(f"check failed: {message}")
+    return 1 if res["failures"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
