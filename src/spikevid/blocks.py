@@ -131,30 +131,6 @@ class SpikingSelfAttention(Module):
         return ad.add(x, self.out_proj(self.sn_attn(attn)))
 
 
-def _attn_event(q, k, v):
-    """Exact accumulate counts for the two attention matmuls on binary spikes.
-
-    K^T @ V accumulates wherever a K bit and a V bit share a token; the outer
-    product with real-valued K^T V is gated by Q bits alone.
-    """
-    T, B, N, C = q.shape
-    k_rows = k.sum(axis=-1)  # [T, B, N] ones per token row
-    v_rows = v.sum(axis=-1)
-    exact_kv = float((k_rows * v_rows).sum())
-    exact_qkv = float(q.sum()) * C
-    return {
-        "tokens": N,
-        "channels": C,
-        "time_steps": T,
-        "batch": B,
-        "fr_q": float(q.mean()),
-        "fr_k": float(k.mean()),
-        "nnz_q": int(q.sum()),
-        "exact_ac_kv": exact_kv,
-        "exact_ac_qkv": exact_qkv,
-    }
-
-
 class GlobalSelfAttention(Module):
     """Spiking self-attention followed by a residual MLP; shape preserving."""
 

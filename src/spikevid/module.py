@@ -42,14 +42,14 @@ class Module:
         for name, child in self.children():
             yield from child.modules(f"{prefix}.{name}" if prefix else name)
 
-    def named_parameters(self, prefix=""):
-        for name, value in vars(self).items():
-            if name.startswith("_"):  # private state (hooks, aliases)
-                continue
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield (f"{prefix}.{name}" if prefix else name), value
-        for name, child in self.children():
-            yield from child.named_parameters(f"{prefix}.{name}" if prefix else name)
+    def _named_state(self, keep):
+        for prefix, m in self.modules():
+            for name, value in vars(m).items():
+                if not name.startswith("_") and keep(value):  # private state (hooks, aliases)
+                    yield (f"{prefix}.{name}" if prefix else name), value
+
+    def named_parameters(self):
+        return self._named_state(lambda v: isinstance(v, Tensor) and v.requires_grad)
 
     def parameters(self):
         for _, p in self.named_parameters():
@@ -57,14 +57,8 @@ class Module:
 
     # -- persisted non-parameter state (running statistics etc.) ------------
 
-    def named_buffers(self, prefix=""):
-        for name, value in vars(self).items():
-            if name.startswith("_"):
-                continue
-            if isinstance(value, np.ndarray):
-                yield (f"{prefix}.{name}" if prefix else name), value
-        for name, child in self.children():
-            yield from child.named_buffers(f"{prefix}.{name}" if prefix else name)
+    def named_buffers(self):
+        return self._named_state(lambda v: isinstance(v, np.ndarray))
 
     # -- modes ---------------------------------------------------------------
 

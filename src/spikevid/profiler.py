@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import SpikingSelfAttention, _attn_event
+from .blocks import SpikingSelfAttention
 from .layers import Conv, Linear
 from .model import VideoSpikeNet
 from .neurons import SpikingLayer
@@ -131,8 +131,8 @@ class Recording:
     """Forward hooks on every module of ``model``, attached only inside the
     ``with`` block. They fill ``inputs`` (conv/linear layer -> InputStats),
     ``spikes`` (spiking layer -> SpikeStats) and ``attn`` (attention block ->
-    one ``_attn_event`` per forward, from the spikes of its sn_q/sn_k/sn_v,
-    held only until the block's own forward returns).
+    exact K^T V accumulate count summed over its forwards, from the spikes of
+    its sn_k/sn_v, held only until the block's own forward returns).
     """
 
     def __init__(self, model):
@@ -141,7 +141,7 @@ class Recording:
         self.inputs = {}
         self.spikes = {}
         self.attn = {}
-        self._qkv = {}  # attention block -> {"q"|"k"|"v": spikes} of its running forward
+        self._kv = {}  # attention block -> {sn_k|sn_v: spikes} of its running forward
         self._handles = []
 
     def __enter__(self):
@@ -154,10 +154,9 @@ class Recording:
                 self.spikes[m] = SpikeStats()
                 self._attach(m, self._on_spikes)
             elif isinstance(m, SpikingSelfAttention):
-                self.attn[m] = []
-                for key in "qkv":
-                    self._attach(getattr(m, f"sn_{key}"),
-                                 functools.partial(self._on_qkv, m, key))
+                self.attn[m] = 0.0
+                for sn in (m.sn_k, m.sn_v):
+                    self._attach(sn, functools.partial(self._on_kv, m))
                 self._attach(m, self._on_attention)
         return self
 
@@ -165,7 +164,7 @@ class Recording:
         for handle in self._handles:
             handle.remove()
         self._handles.clear()
-        self._qkv.clear()
+        self._kv.clear()
 
     def _attach(self, module, hook):
         self._handles.append(module.register_forward_hook(hook))
@@ -191,12 +190,12 @@ class Recording:
         # s_t.mean(): the float64 quotient of the step sum, in the data's dtype
         stats.step_rates.extend((sums.astype(np.float64) / n).astype(data.dtype).tolist())
 
-    def _on_qkv(self, block, key, layer, args, out):
-        self._qkv.setdefault(block, {})[key] = out.data
+    def _on_kv(self, block, layer, args, out):
+        self._kv.setdefault(block, {})[layer] = out.data
 
     def _on_attention(self, block, args, out):
-        qkv = self._qkv.pop(block)
-        self.attn[block].append(_attn_event(qkv["q"], qkv["k"], qkv["v"]))
+        kv = self._kv.pop(block)
+        self.attn[block] += exact_ac_count_matmul(kv[block.sn_k], kv[block.sn_v])
 
     def firing_rates(self):
         return {self.names[m]: stats.rate() for m, stats in self.spikes.items()}
@@ -246,27 +245,22 @@ def cost_table(rec: Recording, num_clips, exact=False):
         kind = "conv" if isinstance(m, Conv) else "linear"
         table.append(LayerCost(name=rec.names[m], kind=kind, fr_in=fr, mac_billed=m.is_encoder,
                                flops=count_flops(m, stats.out_count) / num_clips))
-    for block, events in rec.attn.items():
-        if not events:
+    for block, exact_kv in rec.attn.items():
+        q = rec.spikes[block.sn_q]
+        if q.count == 0:
             continue
         name = rec.names[block]
-        flops = 0.0  # the kv and qkv products have the same dense size
-        wsum_k = wsum_q = 0.0
-        exact_kv = exact_qkv = 0.0
-        for ev in events:
-            per = ev["time_steps"] * ev["batch"] * ev["tokens"] * ev["channels"] ** 2
-            flops += per
-            wsum_k += ev["fr_k"] * per
-            wsum_q += ev["fr_q"] * per
-            exact_kv += ev["exact_ac_kv"]
-            exact_qkv += ev["exact_ac_qkv"]
+        # K^T V and Q (K^T V) each take T*B*N*C*C MACs: C per element of Q
+        C = block.q_proj.linear.out_features
+        flops = q.count * C / num_clips
         table.append(LayerCost(
-            name=f"{name}.kv", kind="ssa_matmul", flops=flops / num_clips,
-            fr_in=wsum_k / flops, exact_acs=exact_kv / num_clips if exact else None,
+            name=f"{name}.kv", kind="ssa_matmul", flops=flops,
+            fr_in=rec.spikes[block.sn_k].rate(),
+            exact_acs=exact_kv / num_clips if exact else None,
         ))
         table.append(LayerCost(
-            name=f"{name}.qkv", kind="ssa_matmul", flops=flops / num_clips,
-            fr_in=wsum_q / flops, exact_acs=exact_qkv / num_clips if exact else None,
+            name=f"{name}.qkv", kind="ssa_matmul", flops=flops, fr_in=q.rate(),
+            exact_acs=q.total * C / num_clips if exact else None,
         ))
     return table
 

@@ -8,7 +8,7 @@ The optimizer is an adaptive-moment method with decoupled weight decay.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,15 +55,7 @@ class EpochMetrics:
     wall_time: float = 0.0
 
     def to_record(self):
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "top1": self.top1,
-            "lr": self.lr,
-            "firing_rates": self.firing_rates,
-            "taus": self.taus,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -21,7 +21,6 @@ from spikevid.blocks import (
     BlockConfig,
     GlobalSelfAttention,
     LocalFeatureExtractor,
-    _attn_event,
 )
 from spikevid.data import (
     add_gaussian_noise,
@@ -257,10 +256,10 @@ def test_criterion_07_sop_ac_equivalence(report):
         q = spikes((1, 2, N, C), 500 + trial, p=float(rng.random()))
         k = spikes((1, 2, N, C), 600 + trial, p=float(rng.random()))
         v = spikes((1, 2, N, C), 700 + trial, p=float(rng.random()))
-        ev = _attn_event(q, k, v)
-        bounds_ok &= ev["exact_ac_qkv"] <= ev["nnz_q"] * C
-        bounds_ok &= ev["exact_ac_kv"] <= int(k.sum()) * C  # nnz(K)-derived
-        bounds_ok &= ev["exact_ac_kv"] <= 2 * N * C * C     # dense K^T V
+        exact_kv = prof.exact_ac_count_matmul(k, v)
+        bounds_ok &= prof.exact_ac_count_linear(q, C) <= int(q.sum()) * C
+        bounds_ok &= exact_kv <= int(k.sum()) * C  # nnz(K)-derived
+        bounds_ok &= exact_kv <= 2 * N * C * C     # dense K^T V
     report(7, "sop-ac-equivalence", exact_ok and bounds_ok,
            f"100 exact identities={exact_ok}, attention bounds={bounds_ok}")
 

@@ -15,7 +15,7 @@ from spikevid.blocks import (
     to_tokens,
 )
 from spikevid.neurons import NeuronConfig
-from spikevid.profiler import Recording
+from spikevid.profiler import Recording, exact_ac_count_matmul
 
 from conftest import make_rng
 
@@ -103,29 +103,28 @@ class TestAttentionMath:
         cfg = BlockConfig(channels=4, time_steps=2)
         ssa = SpikingSelfAttention(cfg, make_rng(7))
         x = ad.tensor(make_rng(8).standard_normal((2, 3, 16, 4)).astype(np.float32))
+        held = {}
+        handles = [sn.register_forward_hook(lambda m, args, out: held.setdefault(m, out.data))
+                   for sn in (ssa.sn_k, ssa.sn_v)]
         with Recording(ssa) as rec:
             out = ssa(x)
+        for handle in handles:
+            handle.remove()
         assert out.shape == (2, 3, 16, 4)
-        assert len(rec.attn[ssa]) == 1
-        ev = rec.attn[ssa][0]
-        assert ev["tokens"] == 16 and ev["channels"] == 4
-        assert ev["exact_ac_qkv"] == ev["nnz_q"] * 4
+        k, v = held[ssa.sn_k], held[ssa.sn_v]
+        assert k.shape == v.shape == (2, 3, 16, 4)
+        assert rec.attn[ssa] == exact_ac_count_matmul(k, v)
 
     def test_exact_kv_count_matches_naive(self):
-        rng = make_rng(9)
-        from spikevid.blocks import _attn_event
-
         k = spikes((1, 1, 6, 3), 10)
         v = spikes((1, 1, 6, 3), 11)
-        q = spikes((1, 1, 6, 3), 12)
-        ev = _attn_event(q, k, v)
         # naive: K^T V entry (i, j) accumulates once per token where K bit i
         # and V bit j are both one
         naive = sum(
             float(k[0, 0, n, i]) * float(v[0, 0, n, j])
             for n in range(6) for i in range(3) for j in range(3)
         )
-        assert ev["exact_ac_kv"] == naive
+        assert exact_ac_count_matmul(k, v) == naive
 
 
 class TestLocalPathway:

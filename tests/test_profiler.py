@@ -6,8 +6,8 @@ import pytest
 from spikevid import autodiff as ad
 from spikevid import profiler as prof
 from spikevid.data import gen_moving_patterns
-from spikevid.layers import Conv, Linear
-from spikevid.model import VideoSpikeNet
+from spikevid.layers import BatchNorm, Conv, Linear
+from spikevid.model import ModelConfig, VideoSpikeNet
 
 from conftest import make_rng, tiny_config
 
@@ -191,6 +191,53 @@ class TestModelProfiling:
         assert loaded["energy_mJ"] == pytest.approx(summary["energy_mJ"])
 
 
+@pytest.fixture(scope="module", params=[np.float32, np.float64], ids=["float32", "float64"])
+def spiking(request):
+    """A default model whose attention spikes, recorded over 16 clips.
+
+    A freshly built model never spikes in eval mode, so its BatchNorm running
+    statistics are first set to those of one train-mode batch (momentum 1,
+    no tape), as perfbench's ``calibrate`` does.
+    """
+    ds = gen_moving_patterns(seed=0, num=16)
+    with ad.precision(request.param):
+        model = VideoSpikeNet(ModelConfig(), seed=0)
+        for _, m in model.modules():
+            if isinstance(m, BatchNorm):
+                m.momentum = 1.0
+        model.train()
+        with ad.no_grad():
+            model(ad.tensor(np.ascontiguousarray(ds.clips.transpose(1, 0, 2, 3, 4))))
+        rec = prof.record(model, ds.clips, batch_size=16)
+    return rec, {c.name: c for c in prof.cost_table(rec, len(ds.clips), exact=True)}
+
+
+class TestSpikingAttention:
+    def test_every_attention_block_spikes(self, spiking):
+        rec, _ = spiking
+        assert rec.attn
+        for block, exact_kv in rec.attn.items():
+            assert exact_kv > 0
+            for sn in (block.sn_q, block.sn_k, block.sn_v):
+                assert rec.spikes[sn].rate() > 0
+
+    def test_rates_are_the_spiking_layers_rates(self, spiking):
+        rec, rows = spiking
+        for block in rec.attn:
+            name = rec.names[block]
+            assert rows[f"{name}.kv"].fr_in == rec.spikes[block.sn_k].rate()
+            assert rows[f"{name}.qkv"].fr_in == rec.spikes[block.sn_q].rate()
+
+    def test_qkv_sops_equal_the_exact_count(self, spiking):
+        # Q (K^T V) has a uniform fanout of C per Q spike, so fr * FLOPs is
+        # the exact count; the spike counts are powers of two, so it is exact
+        # in floating point too
+        rec, rows = spiking
+        for block in rec.attn:
+            row = rows[f"{rec.names[block]}.qkv"]
+            assert row.sops == row.exact_acs
+
+
 class TestFlopCounting:
     def test_conv_layer_flops(self):
         rng = make_rng(7)
@@ -215,8 +262,12 @@ class TestRecording:
         model, ds, _ = profiled
         rec = prof.record(model, ds.clips, batch_size=3)
         assert self.hooked(model) == []
-        assert not rec._qkv  # no attention spikes held past their block
-        assert all(len(events) == 3 for events in rec.attn.values())  # one per batch
+        assert not rec._kv  # no attention spikes held past their block
+        per_batch = [prof.record(model, ds.clips[lo:lo + 3], batch_size=3).attn
+                     for lo in range(0, len(ds.clips), 3)]
+        assert len(per_batch) == 3
+        for block, count in rec.attn.items():  # summed over the three batches
+            assert count == sum(attn[block] for attn in per_batch)
 
     def test_wrong_clip_shape_leaves_no_hook(self, profiled):
         model, ds, _ = profiled

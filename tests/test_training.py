@@ -184,7 +184,10 @@ class TestLoops:
         rates = metrics.firing_rates
         assert set(rates) == {n for n, _ in model.spiking_layers()}
         assert all(0.0 <= r <= 1.0 for r in rates.values())
-        assert metrics.to_record()["firing_rates"] == rates
+        record = metrics.to_record()
+        assert record["firing_rates"] == rates
+        assert list(record) == ["epoch", "train_loss", "top1", "lr", "firing_rates", "taus",
+                                "wall_time"]  # metrics.jsonl's key order
 
     def test_evaluate_bounds_and_determinism(self, small_run):
         model, _, te = small_run

@@ -9,8 +9,12 @@ and saves every array it produces:
 - three BPTT steps of the default model at B=16: the loss, the gradient norm
   and the logits, plus every parameter, gradient and buffer after each step;
 - a 2-epoch ``fit`` on 32 clips: each epoch's record without its wall time,
-  the ``evaluate`` top-1, and the cost table and firing rates of one
-  ``profiler.record`` pass.
+  the ``evaluate`` top-1, the cost table and firing rates of one
+  ``profiler.record`` pass, and the bytes of the model's checkpoint;
+- one ``profiler.record`` pass of a calibrated model (cost table, firing
+  rates and traces). The fitted model does not spike yet, so this is the
+  pass that covers nonzero rates and SOPs: a fresh model's BatchNorm running
+  statistics are set to those of one train-mode batch (momentum 1, no tape).
 
 ``compare`` prints each key whose dtype, shape or bytes differ between two
 dumps, or that only one of them holds, and exits 1 if there is any. Run both
@@ -22,7 +26,9 @@ imports no spikevid, so it runs without ``PYTHONPATH``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -65,7 +71,6 @@ def train_steps():
     for i in range(TRAIN_STEPS):
         batch = slice(i * BATCH, (i + 1) * BATCH)
         clip = np.ascontiguousarray(ds.clips[batch].transpose(1, 0, 2, 3, 4))
-        model.reset_states()  # trees whose forward does not reset need it
         logits = model(ad.tensor(clip))
         loss = training.cross_entropy(logits, ds.labels[batch])
         optimizer.zero_grad()
@@ -80,7 +85,7 @@ def train_steps():
 def fit_run():
     from spikevid import profiler, training
     from spikevid.data import gen_moving_patterns
-    from spikevid.model import ModelConfig, VideoSpikeNet
+    from spikevid.model import ModelConfig, VideoSpikeNet, save_checkpoint
 
     train = gen_moving_patterns(seed=SEED, num=FIT_CLIPS)
     test = gen_moving_patterns(seed=SEED + 1, num=BATCH)
@@ -95,6 +100,11 @@ def fit_run():
     top1 = training.evaluate(model, test.clips, test.labels, cfg.batch_size)
     rec = profiler.record(model, test.clips, batch_size=cfg.batch_size)
     table = profiler.cost_table(rec, len(test.clips), exact=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "final.ckpt")
+        save_checkpoint(model, path)
+        with open(path, "rb") as fh:
+            checkpoint = np.frombuffer(fh.read(), dtype=np.uint8)
     return {
         "history": epochs,
         "evaluate_top1": top1,
@@ -102,6 +112,31 @@ def fit_run():
         "firing_rates": rec.firing_rates(),
         "traces": rec.traces(),
         "final": _state(model),
+        "checkpoint": checkpoint,
+    }
+
+
+def calibrated_run():
+    from spikevid import autodiff as ad
+    from spikevid import profiler
+    from spikevid.data import gen_moving_patterns
+    from spikevid.layers import BatchNorm
+    from spikevid.model import ModelConfig, VideoSpikeNet
+
+    clips = gen_moving_patterns(seed=SEED + 2, num=BATCH).clips
+    model = VideoSpikeNet(ModelConfig(), seed=SEED)
+    for _, m in model.modules():
+        if isinstance(m, BatchNorm):
+            m.momentum = 1.0
+    model.train()
+    with ad.no_grad():
+        model(ad.tensor(np.ascontiguousarray(clips.transpose(1, 0, 2, 3, 4))))
+    rec = profiler.record(model, clips, batch_size=BATCH)
+    table = profiler.cost_table(rec, len(clips), exact=True)
+    return {
+        "cost_table": {c.name: vars(c) for c in table},
+        "firing_rates": rec.firing_rates(),
+        "traces": rec.traces(),
     }
 
 
@@ -112,6 +147,7 @@ def dump(path, dtype):
     with ad.precision(dtype):
         _flatten("train", train_steps(), arrays)
         _flatten("fit", fit_run(), arrays)
+        _flatten("calibrated", calibrated_run(), arrays)
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays -> {path}")
 
