@@ -4,7 +4,7 @@ Storage is row-major float32 by default (float64 available through the
 ``precision`` context manager, used e.g. by gradient checks). Reductions
 accumulate in float64 regardless of storage dtype to limit drift over long
 unrolled sequences. Convolution uses cross-correlation semantics with zero
-padding.
+padding. Every primitive takes Tensors; ``tensor`` wraps an array.
 """
 
 from __future__ import annotations
@@ -143,12 +143,6 @@ def tensor(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=_DTYPE), requires_grad=requires_grad)
 
 
-def _as_tensor(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=_DTYPE))
-
-
 def _make(data, parents, backward_fn):
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     if requires:
@@ -195,7 +189,6 @@ def _check_broadcast(a, b, op):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
     out_data = a.data + b.data
 
@@ -207,7 +200,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
     out_data = a.data - b.data
 
@@ -219,7 +211,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
     out_data = a.data * b.data
 
@@ -231,7 +222,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "div")
     out_data = a.data / b.data
 
@@ -318,7 +308,6 @@ def permute(a, axes):
 
 
 def concat(tensors: Sequence[Tensor], axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
@@ -333,7 +322,6 @@ def concat(tensors: Sequence[Tensor], axis=0):
 
 
 def stack(tensors: Sequence[Tensor], axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
 
     def bwd(g):
@@ -391,7 +379,6 @@ def reduce_mean(a, axes=None, keepdims=False):
 
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least rank 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -421,7 +408,8 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     """Grouped N-D cross-correlation.
 
     x: [B, C_in, *spatial], w: [C_out, C_in // groups, *kernel]; spatial rank
-    2 or 3. Output spatial extent is floor((n + 2p - k) / s) + 1.
+    2 or 3. The int ``stride`` and ``padding`` apply on every spatial axis;
+    output spatial extent is floor((n + 2p - k) / s) + 1.
 
     The forward and the weight gradient are one grouped matmul each against
     the ``[groups, P, C_g * K]`` columns of ``_im2col``. With no tape node, a
@@ -448,14 +436,13 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     *padded]`` scatter. One copy then crops the padding and relays to ``[B,
     C_in, *spatial]``.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     rank = w.ndim - 2
     if rank not in (2, 3):
         raise ShapeError(f"conv: spatial rank must be 2 or 3, got weight shape {w.shape}")
     if x.ndim != rank + 2:
         raise ShapeError(f"conv: input {x.shape} incompatible with weight {w.shape}")
-    stride = _tuplize(stride, rank)
-    padding = _tuplize(padding, rank)
+    stride = (int(stride),) * rank
+    padding = (int(padding),) * rank
     B, C_in = x.shape[0], x.shape[1]
     C_out, C_g = w.shape[0], w.shape[1]
     if C_in % groups or C_out % groups:
@@ -544,14 +531,6 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     return Tensor(out_data, requires_grad=True, _parents=parents, _backward=bwd)
 
 
-def _tuplize(v, rank):
-    if isinstance(v, (tuple, list)):
-        if len(v) != rank:
-            raise ShapeError(f"conv: expected {rank} stride/padding entries, got {v}")
-        return tuple(int(i) for i in v)
-    return (int(v),) * rank
-
-
 def _im2col(xp, kernel, stride, out_spatial, groups, out=None):
     """[B, C, *padded] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
 
@@ -603,7 +582,6 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     Outputs and gradients are bit for bit the chain's when this node is the
     only consumer of ``x``. Without a tape every step runs in place.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     track = _GRAD_ENABLED and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
@@ -664,7 +642,6 @@ def spike(h, v_threshold, alpha, smooth=False):
     forward is the sigmoid itself, making the op a genuinely smooth primitive
     for finite-difference verification.
     """
-    h = _as_tensor(h)
     out_data = _spike_forward(h.data, v_threshold, alpha, smooth)
     local = surrogate_slope(h.data, v_threshold, alpha)
 
@@ -725,7 +702,6 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     ``surrogate_slope`` and drops the S -> V reset path if ``detach_reset``.
     Nothing is saved when no input requires a gradient or under ``no_grad``.
     """
-    x = _as_tensor(x)
     if x.ndim < 1 or x.shape[0] == 0:
         raise ShapeError(f"lif_sequence: expected a non-empty [T, ...] input, got {x.shape}")
     if not np.all(np.isfinite(x.data)):

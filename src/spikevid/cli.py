@@ -5,7 +5,10 @@ Configuration is a nested YAML file; flag overrides use dotted paths
 rejected with the nearest valid key. All outputs land under
 ``<out_root>/<run_id>/``.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure. Generated
+data that a loaded checkpoint's model cannot take is a config error; a clip
+file that the model cannot take is a data error. Both are found before any
+forward pass.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 # the keys that size the arrays a command allocates, named when it runs out of memory
 SIZE_KEYS = ("data.height", "data.width", "data.num_train", "data.num_test", "model.time_steps")
+# a key that a config object also holds takes its default from that object
+_MODEL, _TRAIN = ModelConfig(), TrainConfig()
 
 DEFAULTS = {
     "run": {
@@ -46,28 +51,22 @@ DEFAULTS = {
     },
     "model": {
         "variant": "tiny",
-        "time_steps": 8,
-        "norm_mode": "tdbn",
-        "neuron_kind": "PLIF",
+        "time_steps": _MODEL.time_steps,
+        "norm_mode": _MODEL.norm_mode,
+        "neuron_kind": _MODEL.neuron.kind,
         "use_local_pathway": None,  # None: the variant's default
-        "surrogate_alpha": 4.0,
+        "surrogate_alpha": _MODEL.neuron.surrogate_alpha,
         "checkpoint": None,
     },
-    "train": {
-        "epochs": 30,
-        "batch_size": 16,
-        "base_lr": 1e-3,
-        "warmup_epochs": 3,
-        "weight_decay": 1e-2,
-        "grad_clip": 5.0,
-    },
+    "train": {key: getattr(_TRAIN, key) for key in (
+        "epochs", "batch_size", "base_lr", "warmup_epochs", "weight_decay", "grad_clip")},
     "data": {
         "path": None,  # load a saved container instead of generating
-        "classes": 8,
+        "classes": _MODEL.num_classes,
         "num_train": 320,
         "num_test": 128,
-        "height": 32,
-        "width": 32,
+        "height": _MODEL.in_height,
+        "width": _MODEL.in_width,
         "seed": 1,
     },
     "noise": {
@@ -192,28 +191,51 @@ def _model_config(cfg) -> ModelConfig:
 
 
 def _train_config(cfg) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=t["epochs"], batch_size=t["batch_size"], base_lr=t["base_lr"],
-        warmup_epochs=t["warmup_epochs"], weight_decay=t["weight_decay"],
-        grad_clip=t["grad_clip"], seed=cfg["run"]["seed"],
-    )
+    return TrainConfig(**cfg["train"], seed=cfg["run"]["seed"])
 
 
-def _load_datasets(cfg):
+def _check_file_fits(ds, mcfg: ModelConfig, path):
+    """A clip file's frames and labels must be what the model takes."""
+    frames = (mcfg.time_steps, mcfg.in_channels, mcfg.in_height, mcfg.in_width)
+    if ds.clips.shape[1:] != frames:
+        raise data_mod.DatasetError(f"{path}: clips of shape {list(ds.clips.shape[1:])}, "
+                                    f"the model takes {list(frames)}")
+    if not 0 <= ds.labels.min() <= ds.labels.max() < mcfg.num_classes:
+        raise data_mod.DatasetError(f"{path}: labels in [{ds.labels.min()}, {ds.labels.max()}], "
+                                    f"the model has {mcfg.num_classes} classes")
+
+
+def _check_generated_fits(cfg, mcfg: ModelConfig):
+    """Generated clips must be what a loaded checkpoint's model takes."""
+    m, d = cfg["model"], cfg["data"]
+    wrong = [f"{key}={value} (checkpoint: {want})" for key, value, want in (
+        ("model.time_steps", m["time_steps"], mcfg.time_steps),
+        ("data.height", d["height"], mcfg.in_height),
+        ("data.width", d["width"], mcfg.in_width),
+    ) if value != want]
+    if d["classes"] > mcfg.num_classes:
+        wrong.append(f"data.classes={d['classes']} (checkpoint: {mcfg.num_classes} classes)")
+    if wrong:
+        raise ConfigError(f"generated data does not fit the checkpoint: {', '.join(wrong)}")
+
+
+def _load_datasets(cfg, mcfg: ModelConfig, with_train):
+    """The (train, test) splits for a model of config ``mcfg``; train is None
+    unless ``with_train``, and is then not generated."""
     d = cfg["data"]
     if d["path"]:
         ds = data_mod.load_dataset(d["path"])
         if len(ds) < 2:
             raise data_mod.DatasetError(f"{d['path']} holds {len(ds)} clips; a train "
                                         "and a test split need at least 2")
+        _check_file_fits(ds, mcfg, d["path"])
         split = len(ds) - max(1, len(ds) // 4)
         train = data_mod.ClipDataset(ds.clips[:split], ds.labels[:split], ds.seed, ds.class_defs)
         test = data_mod.ClipDataset(ds.clips[split:], ds.labels[split:], ds.seed, ds.class_defs)
-        return train, test
+        return (train if with_train else None), test
     T = cfg["model"]["time_steps"]
     train = data_mod.gen_moving_patterns(d["seed"], classes=d["classes"], num=d["num_train"],
-                                         T=T, H=d["height"], W=d["width"])
+                                         T=T, H=d["height"], W=d["width"]) if with_train else None
     test = data_mod.gen_moving_patterns(d["seed"] + 1, classes=d["classes"], num=d["num_test"],
                                         T=T, H=d["height"], W=d["width"])
     return train, test
@@ -248,11 +270,19 @@ def emit_metrics(records, out_dir, csv_fields=("epoch", "train_loss", "top1")):
     return jsonl, summary
 
 
-def _build_or_load_model(cfg):
+def _eval_setup(cfg):
+    """The model (the checkpoint's, else a fresh one) and the test split of
+    eval, profile and noise-eval, checked to fit each other before any
+    forward pass."""
     checkpoint = cfg["model"]["checkpoint"]
-    if checkpoint:
-        return load_checkpoint(checkpoint)
-    return VideoSpikeNet(_model_config(cfg), seed=cfg["run"]["seed"])
+    model = load_checkpoint(checkpoint) if checkpoint else None
+    mcfg = _model_config(cfg) if model is None else model.cfg
+    if model is not None and not cfg["data"]["path"]:
+        _check_generated_fits(cfg, mcfg)
+    _, test_ds = _load_datasets(cfg, mcfg, with_train=False)
+    if model is None:
+        model = VideoSpikeNet(mcfg, seed=cfg["run"]["seed"])
+    return model, test_ds
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +290,9 @@ def _build_or_load_model(cfg):
 
 
 def cmd_train(cfg, out_dir):
-    train_ds, test_ds = _load_datasets(cfg)
-    model = VideoSpikeNet(_model_config(cfg), seed=cfg["run"]["seed"])
+    mcfg = _model_config(cfg)
+    train_ds, test_ds = _load_datasets(cfg, mcfg, with_train=True)
+    model = VideoSpikeNet(mcfg, seed=cfg["run"]["seed"])
     tcfg = _train_config(cfg)
     records = []
 
@@ -282,8 +313,7 @@ def cmd_train(cfg, out_dir):
 
 
 def cmd_eval(cfg, out_dir):
-    _, test_ds = _load_datasets(cfg)
-    model = _build_or_load_model(cfg)
+    model, test_ds = _eval_setup(cfg)
     top1 = evaluate(model, test_ds.clips, test_ds.labels, cfg["train"]["batch_size"])
     print(f"top1 {top1:.4f}")
     emit_metrics([{"top1": top1, "num_clips": len(test_ds)}], out_dir,
@@ -292,8 +322,7 @@ def cmd_eval(cfg, out_dir):
 
 
 def cmd_profile(cfg, out_dir):
-    _, test_ds = _load_datasets(cfg)
-    model = _build_or_load_model(cfg)
+    model, test_ds = _eval_setup(cfg)
     profile_dir = os.path.join(out_dir, "profile")
     rec = prof.record(model, test_ds.clips, batch_size=cfg["train"]["batch_size"])
     table = prof.cost_table(rec, len(test_ds.clips), exact=True)
@@ -318,8 +347,7 @@ _CORRUPTIONS = (
 
 
 def cmd_noise_eval(cfg, out_dir):
-    _, test_ds = _load_datasets(cfg)
-    model = _build_or_load_model(cfg)
+    model, test_ds = _eval_setup(cfg)
     batch = cfg["train"]["batch_size"]
     noise_seed = cfg["noise"]["seed"]
     rows = []
@@ -397,6 +425,9 @@ def run(command, config_path=None, overrides=()):
         out_dir = _out_dir(cfg, command)
         _echo_config(cfg, out_dir)
         return COMMANDS[command](cfg, out_dir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (data_mod.DatasetError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -73,12 +73,6 @@ class BatchNorm(Module):
         self.running_var += self.momentum * (var - self.running_var)
         return out
 
-    def frozen_scale_shift(self):
-        """Per-(t?, c) multiplier and offset equivalent to eval-mode BN."""
-        w = self.gamma.data / np.sqrt(self.running_var + self.eps)
-        b = self.beta.data - self.running_mean * w
-        return w, b
-
 
 class _ProfiledLayer(Module):
     """Static profiling metadata of a conv/linear layer; the profiler's
@@ -104,7 +98,7 @@ class Conv(_ProfiledLayer):
     """Grouped 2-D/3-D cross-correlation with learnable kernel."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1, padding=0,
-                 groups=1, bias=False, spatial_rank=2):
+                 groups=1, spatial_rank=2):
         super().__init__()
         kernel = (kernel,) * spatial_rank if isinstance(kernel, int) else tuple(kernel)
         if in_channels % groups or out_channels % groups:
@@ -121,9 +115,7 @@ class Conv(_ProfiledLayer):
             trunc_normal(rng, (out_channels, in_channels // groups) + kernel),
             requires_grad=True,
         )
-        self.bias = None
-        if bias:
-            self.bias = Tensor(np.zeros(out_channels, dtype=ad.current_dtype()), requires_grad=True)
+        self.bias = None  # set only by the batch-norm fold
 
     def forward(self, x):
         return ad.conv(x, self.weight, stride=self.stride, padding=self.padding,
@@ -209,49 +201,61 @@ class PatchEmbed(Module):
 
 
 class FusedLayer(Module):
-    """Inference-only ConvBN/LinearBN with eval-mode normalization folded into
-    a biased conv/linear: one per time step under TDBN, whose folded scale
-    differs per step, or one shared by every step under plain BN.
+    """Inference-only ConvBN/LinearBN: one conv/linear with the eval-mode
+    normalization folded into its weight and bias. Plain BN folds into one
+    layer that every step shares. TDBN's folded scale differs per step: a
+    linear weight becomes [T, 1, C, D], applied to [T, B, N, C] tokens by one
+    broadcast matmul, and a conv becomes one grouped conv with T * groups
+    groups, run over the steps stacked on the channel axis.
     """
 
-    def __init__(self, steps):
+    def __init__(self, layer, time_steps):
         super().__init__()
-        self.steps = steps  # list of Conv or Linear layers
+        self.layer = layer  # the folded Conv or Linear
+        self.time_steps = time_steps  # T under TDBN, None under plain BN
 
     def forward(self, x):
-        if len(self.steps) > 1:
-            if x.shape[0] != len(self.steps):
-                raise ad.ShapeError(f"fused TDBN layer has {len(self.steps)} steps, "
-                                    f"input has T={x.shape[0]}")
-            return ad.stack([self.steps[t](ad.index(x, t, axis=0))
-                             for t in range(x.shape[0])], axis=0)
-        layer = self.steps[0]
-        return per_frame(layer, x) if isinstance(layer, Conv) else layer(x)
+        T = self.time_steps
+        if T is not None and x.shape[0] != T:
+            raise ad.ShapeError(f"fused TDBN layer has {T} steps, input has T={x.shape[0]}")
+        if not isinstance(self.layer, Conv):
+            return self.layer(x)
+        if T is None:
+            return per_frame(self.layer, x)
+        B = x.shape[1]
+        stacked = ad.reshape(ad.permute(x, (1, 0, 2, 3, 4)), (B, T * x.shape[2]) + x.shape[3:])
+        out = self.layer(stacked)  # [B, T * C_out, H', W']
+        out = ad.reshape(out, (B, T, out.shape[1] // T) + out.shape[2:])
+        return ad.permute(out, (1, 0, 2, 3, 4))
 
 
 def fuse_linear_layers(layer):
     """Fold eval-mode batch normalization into the preceding conv/linear.
 
-    W' = gamma * W / sqrt(var + eps),  b' = gamma * (b - mean) / sqrt(var + eps) + beta.
-    Each folded layer keeps the original's profiling metadata.
+    W' = gamma * W / sqrt(var + eps),  b' = beta - gamma * mean / sqrt(var + eps).
+    The folded layer keeps the original's profiling metadata and MAC count.
     """
     if not isinstance(layer, (ConvBN, LinearBN)):
         raise TypeError(f"cannot fuse {type(layer).__name__}")
     if layer.training:
         raise RuntimeError("fusion requires eval mode with frozen statistics")
-    w_scale, b_shift = layer.bn.frozen_scale_shift()
+    bn = layer.bn
+    scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)  # [t, 1, C, 1, 1] or [t, 1, 1, C]
+    shift = bn.beta.data - bn.running_mean * scale
+    t = scale.shape[0]  # T under TDBN, 1 under plain BN
     is_conv = isinstance(layer, ConvBN)
-    inner = layer.conv if is_conv else layer.linear
-    w = inner.weight.data
-    # output channels lie on axis 0 of a conv kernel, on the last axis of a linear map
-    out_axis = (-1,) + (1,) * (w.ndim - 1) if is_conv else (1, -1)
-    base_bias = inner.bias.data if inner.bias is not None else 0.0
-    steps = []
-    for scale, shift in zip(w_scale, b_shift):  # one (scale, shift) per step under TDBN
-        scale, shift = scale.reshape(-1), shift.reshape(-1)  # per out-channel
-        folded = copy.copy(inner)
-        folded._forward_hooks = {}  # the copy would share the original's hooks
-        folded.weight = Tensor((w * scale.reshape(out_axis)).astype(w.dtype))
-        folded.bias = Tensor((base_bias * scale + shift).astype(w.dtype))
-        steps.append(folded)
-    return FusedLayer(steps).eval()
+    folded = copy.copy(layer.conv if is_conv else layer.linear)
+    folded._forward_hooks = {}  # the copy would share the original's hooks
+    w, dtype = folded.weight.data, folded.weight.data.dtype
+    if is_conv:
+        # each step's kernel, scaled per output channel (axis 0), stacked on axis 0
+        w = (w * scale.reshape((t, -1) + (1,) * (w.ndim - 1))).reshape((-1,) + w.shape[1:])
+        shift = shift.reshape(-1)
+        folded.in_channels *= t
+        folded.out_channels *= t
+        folded.groups *= t
+    else:
+        w = w * scale  # [t, 1, C_in, D]: output channels on the last axis
+    folded.weight = Tensor(w.astype(dtype))
+    folded.bias = Tensor(shift.astype(dtype))
+    return FusedLayer(folded, t if bn.norm_mode == TDBN else None).eval()

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .autodiff import Tensor
 from .blocks import (
     BlockConfig,
     ClassificationHead,
@@ -184,10 +183,8 @@ class VideoSpikeNet(Module):
         """No-op, kept for old callers: every spiking layer starts from rest."""
 
     def forward(self, clip):
-        """clip: [T, B, 3, H, W] -> logits [B, num_classes]. Every clip starts
-        from rest, since no spiking layer keeps a membrane between calls."""
-        if not isinstance(clip, Tensor):
-            clip = ad.tensor(clip)
+        """clip: a Tensor [T, B, 3, H, W] -> logits [B, num_classes]. Every clip
+        starts from rest, since no spiking layer keeps a membrane between calls."""
         cfg = self.cfg
         expected = (cfg.time_steps, clip.shape[1], cfg.in_channels, cfg.in_height, cfg.in_width)
         if clip.shape != expected:

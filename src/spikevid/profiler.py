@@ -265,13 +265,13 @@ def cost_table(rec: Recording, num_clips, exact=False):
     return table
 
 
-def total_energy(table, energy: EnergyModel | None = None):
+def total_energy(table):
     """Aggregate a cost table into the spiking and dense-counterpart energies."""
-    energy = energy or EnergyModel()
+    energy = EnergyModel()
     flops_mac = sum(c.flops for c in table if c.mac_billed)
     sops_ac = sum(c.sops for c in table if not c.mac_billed)
     dense_flops = sum(c.flops for c in table)
-    report = energy_from_totals(flops_mac, sops_ac, energy)
+    report = energy_from_totals(flops_mac, sops_ac)
     report["ann_total_flops"] = dense_flops
     report["ann_energy_mJ"] = energy.e_mac * dense_flops / PJ_PER_MJ
     if report["ann_energy_mJ"] > 0:
@@ -279,9 +279,9 @@ def total_energy(table, energy: EnergyModel | None = None):
     return report
 
 
-def energy_from_totals(flops_mac, sops_ac, energy: EnergyModel | None = None):
+def energy_from_totals(flops_mac, sops_ac):
     """The headline arithmetic: E = e_ac * SOPs + e_mac * first-layer FLOPs."""
-    energy = energy or EnergyModel()
+    energy = EnergyModel()
     pj = energy.e_ac * sops_ac + energy.e_mac * flops_mac
     return {
         "total_flops_mac": flops_mac,

@@ -1,5 +1,6 @@
 """Configuration plumbing, command behavior, and exit codes."""
 
+import csv
 import json
 import os
 
@@ -7,9 +8,14 @@ import numpy as np
 import pytest
 import yaml
 
+from spikevid import autodiff as ad
 from spikevid import cli
+from spikevid import data as data_mod
 from spikevid.data import gen_moving_patterns, save_dataset
-from spikevid.model import VideoSpikeNet, load_checkpoint, save_checkpoint, variant_config
+from spikevid.layers import BatchNorm
+from spikevid.model import (ModelConfig, VideoSpikeNet, load_checkpoint, save_checkpoint,
+                            variant_config)
+from spikevid.training import TrainConfig
 
 from conftest import make_rng, tiny_config
 
@@ -66,6 +72,19 @@ class TestConfigParsing:
     def test_override_without_equals_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(overrides=["train.epochs"])
+
+    def test_defaults_come_from_the_config_objects(self):
+        cfg = cli.parse_config()
+        model, train = ModelConfig(), TrainConfig()
+        assert cfg["train"] == {key: getattr(train, key) for key in (
+            "epochs", "batch_size", "base_lr", "warmup_epochs", "weight_decay", "grad_clip")}
+        assert cli._train_config(cfg) == train  # run.seed and TrainConfig.seed are both 0
+        m, d = cfg["model"], cfg["data"]
+        assert (m["time_steps"], m["norm_mode"]) == (model.time_steps, model.norm_mode)
+        assert (m["neuron_kind"], m["surrogate_alpha"]) == (model.neuron.kind,
+                                                            model.neuron.surrogate_alpha)
+        assert (d["classes"], d["height"], d["width"]) == (model.num_classes, model.in_height,
+                                                           model.in_width)
 
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -167,6 +186,52 @@ class TestCommands:
         assert code == cli.EXIT_OK
         assert calls == [4, 4, 2]  # ceil(10 / 4) batches, each seen once
 
+    def test_profile_of_a_spiking_model(self, tmp_path):
+        # BatchNorm statistics from one train-mode batch at momentum 1: a model
+        # that spikes without training
+        clips = gen_moving_patterns(seed=2, num=16).clips
+        model = VideoSpikeNet(ModelConfig(), seed=0)
+        for _, m in model.modules():
+            if isinstance(m, BatchNorm):
+                m.momentum = 1.0
+        model.train()
+        with ad.no_grad():
+            model(ad.tensor(np.ascontiguousarray(clips.transpose(1, 0, 2, 3, 4))))
+        ckpt = tmp_path / "calibrated.ckpt"
+        save_checkpoint(model, ckpt)
+        code = run_cli(tmp_path, "profile", "--set", f"model.checkpoint={ckpt}",
+                       "--set", "data.num_test=16")
+        assert code == cli.EXIT_OK
+        prof_dir = tmp_path / "profile" / "profile"
+        summary = json.loads((prof_dir / "energy_summary.json").read_text())
+        assert summary["total_sops"] > 0
+        rates = json.loads((prof_dir / "firing_rates.json").read_text())["rates"]
+        assert max(rates.values()) > 0
+        with open(prof_dir / "layer_costs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        qkv = [r for r in rows if r["layer"].endswith(".qkv")]
+        assert qkv and all(r["exact_acs"] != "" for r in qkv)
+        # each row's energy_pJ is rounded to 0.1 pJ
+        total = sum(float(r["energy_pJ"]) for r in rows)
+        assert abs(total - summary["energy_pJ"]) <= 0.05 * len(rows)
+
+    @pytest.mark.parametrize("command", ["eval", "profile", "noise-eval"])
+    def test_eval_commands_generate_only_the_test_split(self, tmp_path, monkeypatch, command):
+        generate = data_mod.gen_moving_patterns
+        nums = []
+
+        def recorded(seed, **kw):
+            nums.append(kw["num"])
+            if kw["num"] != 8:  # never generate the (huge) training split
+                pytest.fail(f"generated {kw['num']} clips")
+            return generate(seed, **kw)
+
+        monkeypatch.setattr(data_mod, "gen_moving_patterns", recorded)
+        code = run_cli(tmp_path, command, "--set", "data.num_train=1000000000",
+                       "--set", "data.num_test=8")
+        assert code == cli.EXIT_OK
+        assert nums == [8]
+
     def test_dataset_file_input(self, tmp_path):
         ds = gen_moving_patterns(seed=4, num=16)
         path = tmp_path / "clips.bin"
@@ -200,6 +265,59 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "VideoSpikeNet", lambda *a, **k: pytest.fail("model built"))
         assert run_cli(tmp_path, "eval", "--set", f"data.path={path}") == cli.EXIT_DATA
         assert "1 clips" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_forward(self, monkeypatch):
+        monkeypatch.setattr(VideoSpikeNet, "forward",
+                            lambda self, clip: pytest.fail("a forward ran"))
+
+    @pytest.mark.parametrize("overrides, keys", [
+        ([], ["data.classes"]),  # 8 classes against the checkpoint's 4
+        (["data.classes=4", "data.height=24", "data.width=24"], ["data.height", "data.width"]),
+        (["data.classes=4", "model.time_steps=4"], ["model.time_steps"]),
+    ], ids=["classes", "frame-size", "time-steps"])
+    @pytest.mark.parametrize("command", ["eval", "profile", "noise-eval"])
+    def test_generated_data_the_checkpoint_cannot_take_is_config_error(
+            self, tmp_path, no_forward, capsys, command, overrides, keys):
+        ckpt = tmp_path / "four.ckpt"
+        save_checkpoint(VideoSpikeNet(ModelConfig(num_classes=4), seed=0), ckpt)
+        sets = [a for o in overrides for a in ("--set", o)]
+        code = run_cli(tmp_path, command, "--set", f"model.checkpoint={ckpt}",
+                       "--set", "data.num_test=8", *sets)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: generated data does not fit the checkpoint")
+        assert [k for k in ("model.time_steps", "data.height", "data.width", "data.classes")
+                if k in err] == keys
+
+    def test_generated_subset_of_checkpoint_classes_is_accepted(self, tmp_path):
+        ckpt = tmp_path / "eight.ckpt"
+        save_checkpoint(VideoSpikeNet(ModelConfig(), seed=0), ckpt)
+        assert run_cli(tmp_path, "eval", "--set", f"model.checkpoint={ckpt}",
+                       "--set", "data.num_test=8", "--set", "data.classes=4") == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command, case", [
+        ("train", "labels"), ("eval", "labels"), ("train", "frames"), ("eval", "frames"),
+        ("eval", "checkpoint-labels"),
+    ])
+    def test_clip_file_the_model_cannot_take_is_data_error(
+            self, tmp_path, no_forward, capsys, command, case):
+        path = tmp_path / "clips.bin"
+        sets = ["--set", f"data.path={path}", "--set", "data.classes=4", *FAST]
+        if case == "frames":
+            save_dataset(gen_moving_patterns(seed=0, num=8, classes=4, H=24, W=24), path)
+            expect = "clips of shape [8, 3, 24, 24], the model takes [8, 3, 32, 32]"
+        else:
+            save_dataset(gen_moving_patterns(seed=0, num=8, classes=8), path)
+            expect = "labels in [0, 7], the model has 4 classes"
+        if case == "checkpoint-labels":
+            ckpt = tmp_path / "four.ckpt"
+            save_checkpoint(VideoSpikeNet(ModelConfig(num_classes=4), seed=0), ckpt)
+            sets[3] = "data.classes=8"  # the checkpoint's 4 classes bound the labels
+            sets += ["--set", f"model.checkpoint={ckpt}"]
+        assert run_cli(tmp_path, command, *sets) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and expect in err
 
     @pytest.mark.parametrize("damage", ["magic", "checksum", "truncate"])
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, damage, capsys):

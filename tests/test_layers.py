@@ -17,6 +17,7 @@ from spikevid.layers import (
     fuse_linear_layers,
 )
 from spikevid.neurons import NeuronConfig
+from spikevid import profiler as prof
 from spikevid.profiler import Recording
 
 from conftest import make_rng
@@ -297,7 +298,9 @@ class TestFusion:
             layer(ad.tensor(rng.standard_normal((3, 2, 4, 5, 5)).astype(np.float32)))
         layer.eval()
         fused = fuse_linear_layers(layer)
-        assert len(fused.steps) == 3
+        # the 3 steps' kernels stacked in one grouped conv, one group per step
+        assert fused.layer.weight.shape == (3 * 4, 4, 3, 3)
+        assert fused.layer.groups == 3
         x = self._spike_input((3, 2, 4, 5, 5), 200)
         np.testing.assert_allclose(fused(ad.tensor(x)).data, layer(ad.tensor(x)).data,
                                    atol=1e-5)
@@ -312,6 +315,17 @@ class TestFusion:
             with pytest.raises(ad.ShapeError):
                 module(x)
 
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_tdbn_linear_fusion_rejects_other_step_counts(self, steps):
+        # a [1, B, N, C] input would broadcast against the [3, 1, C, D] weight
+        layer = LinearBN(2, 2, make_rng(22), norm_mode=TDBN, time_steps=3)
+        layer.eval()
+        fused = fuse_linear_layers(layer)
+        x = ad.tensor(self._spike_input((steps, 1, 4, 2), 202))
+        for module in (layer, fused):
+            with pytest.raises(ad.ShapeError):
+                module(x)
+
     def test_linearbn_fusion(self):
         rng = make_rng(16)
         layer = LinearBN(6, 4, rng, norm_mode=TDBN, time_steps=2)
@@ -319,9 +333,38 @@ class TestFusion:
             layer(ad.tensor(rng.standard_normal((2, 3, 7, 6)).astype(np.float32)))
         layer.eval()
         fused = fuse_linear_layers(layer)
+        assert fused.layer.weight.shape == (2, 1, 6, 4)  # [T, 1, C, D]
         x = self._spike_input((2, 3, 7, 6), 300)
         np.testing.assert_allclose(fused(ad.tensor(x)).data, layer(ad.tensor(x)).data,
                                    atol=1e-5)
+
+    @pytest.mark.parametrize("case", ["conv_plain", "conv_tdbn", "conv_tdbn_grouped",
+                                      "linear_plain", "linear_tdbn"])
+    def test_fused_layer_is_one_cost_row_with_unfused_flops(self, case):
+        rng = make_rng(21)
+        if case.startswith("conv"):
+            T, groups = (1, 1) if case == "conv_plain" else (3, 2 if "grouped" in case else 1)
+            layer = ConvBN(4, 6, 3, rng, stride=2, padding=1, groups=groups,
+                           norm_mode=PLAIN_BN if T == 1 else TDBN, time_steps=T)
+            shape = (3, 2, 4, 7, 7)
+        else:
+            T = 1 if case == "linear_plain" else 3
+            layer = LinearBN(6, 5, rng, norm_mode=PLAIN_BN if T == 1 else TDBN, time_steps=T)
+            shape = (3, 2, 7, 6)
+        for _ in range(3):
+            layer(ad.tensor(rng.standard_normal(shape).astype(np.float32)))
+        layer.eval()
+        fused = fuse_linear_layers(layer)
+        x = ad.tensor(self._spike_input(shape, 400))
+        tables = []
+        for module in (layer, fused):
+            with Recording(module) as rec:
+                module(x)
+            tables.append(prof.cost_table(rec, num_clips=2))
+        (unfused,), (folded,) = tables
+        assert (folded.kind, folded.flops, folded.fr_in) == (unfused.kind, unfused.flops,
+                                                             unfused.fr_in)
+        np.testing.assert_allclose(fused(x).data, layer(x).data, atol=1e-5)
 
     def test_fusion_requires_eval_mode(self):
         layer = ConvBN(2, 2, 3, make_rng(17))
@@ -334,9 +377,8 @@ class TestFusion:
         layer.conv.is_encoder = True
         layer.eval()
         fused = fuse_linear_layers(layer)
-        for folded in fused.steps:
-            assert not folded.expects_binary
-            assert folded.is_encoder
+        assert not fused.layer.expects_binary
+        assert fused.layer.is_encoder
 
     def test_unfusable_type_rejected(self):
         lin = Linear(2, 2, make_rng(19))
