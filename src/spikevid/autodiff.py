@@ -10,6 +10,7 @@ padding. Every primitive takes Tensors; ``tensor`` wraps an array.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -412,7 +413,8 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     output spatial extent is floor((n + 2p - k) / s) + 1.
 
     The forward and the weight gradient are one grouped matmul each against
-    the ``[groups, P, C_g * K]`` columns of ``_im2col``. With no tape node, a
+    the ``[groups, P, C_g * K]`` columns of ``_im2col``, one gather along a
+    window index cached per shape. With no tape node, a
     depthwise conv (below) builds its columns one batch slice at a time, each
     near ``_DW_SLICE_BYTES`` so that it stays in cache, in one buffer kept
     between calls so that no call returns its pages to the OS for the next
@@ -434,7 +436,9 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     with ``g`` relaid once to ``[*out, B, C]``. Either way each input element
     receives the same rounded terms in the same order as a ``[B, C_in,
     *padded]`` scatter. One copy then crops the padding and relays to ``[B,
-    C_in, *spatial]``.
+    C_in, *spatial]``. A conv whose one kernel offset reaches every input
+    element once (a 1x1 kernel, stride 1, no padding) skips the buffer and
+    the scatter: one pass adds +0.0 to its terms while relaying them.
     """
     rank = w.ndim - 2
     if rank not in (2, 3):
@@ -460,13 +464,6 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     parents = (x, w) if bias is None else (x, w, bias)
     track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     depthwise = C_g == 1 and C_out == groups
-    interior = tuple(slice(p, p + n) for p, n in zip(padding, spatial))
-    if any(padding):
-        xp = np.zeros((B, C_in) + tuple(n + 2 * p for n, p in zip(spatial, padding)),
-                      dtype=x.data.dtype)
-        xp[(Ellipsis,) + interior] = x.data
-    else:
-        xp = x.data
 
     O_g = C_out // groups
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
@@ -474,19 +471,19 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
     if depthwise and not track and B % unit == 0:
         global _dw_columns
-        clip_bytes = C_in * rows * math.prod(kernel) * xp.itemsize
+        clip_bytes = C_in * rows * math.prod(kernel) * x.data.itemsize
         step = min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
         if _dw_columns.nbytes < step * clip_bytes:
             _dw_columns = np.empty(step * clip_bytes, dtype=np.uint8)
-        out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(xp, w.data))
+        out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x.data, w.data))
         for lo in range(0, B, step):
             n = min(step, B - lo)
-            cols = _im2col(xp[lo:lo + n], kernel, stride, out_spatial, groups,
-                           out=_dw_columns[:n * clip_bytes].view(xp.dtype))
+            cols = _im2col(x.data[lo:lo + n], kernel, stride, padding, out_spatial, groups,
+                           out=_dw_columns[:n * clip_bytes].view(x.data.dtype))
             out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2))  # [C, n * rows, 1]
             out_data[lo:lo + n] = np.moveaxis(out_g.reshape((groups, n) + out_spatial), 0, 1)
     else:
-        cols_g = _im2col(xp, kernel, stride, out_spatial, groups)  # [g, P, CgK]
+        cols_g = _im2col(x.data, kernel, stride, padding, out_spatial, groups)  # [g, P, CgK]
         P = cols_g.shape[1]
         out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, P, Og]
         out_data = np.moveaxis(out_g.reshape((groups, B) + out_spatial + (O_g,)), (0, -1), (1, 2))
@@ -521,38 +518,64 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
 
             def term_at(offset):
                 return gcols[(Ellipsis,) + offset]
-        gx = np.zeros(xp.shape[2:] + (B, C_in), dtype=dtype)
+        if math.prod(kernel) == 1 and out_spatial == spatial and not any(padding):
+            # one term per input element: relay it in one pass; + 0.0 turns -0.0
+            # into +0.0, as adding it onto a zeroed buffer does
+            gx = np.add(np.moveaxis(term_at((0,) * rank), (-2, -1), (0, 1)), 0.0,
+                        out=np.empty(x.shape, dtype=dtype))
+            _accumulate(x, gx, owned=True)
+            return
+        gx = np.zeros(tuple(n + 2 * p for n, p in zip(spatial, padding)) + (B, C_in), dtype=dtype)
         for offset in np.ndindex(*kernel):
             window = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial))
             gx[window] += term_at(offset)
-        gx = gx[interior]
+        gx = gx[tuple(slice(p, p + n) for p, n in zip(padding, spatial))]
         _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
 
     return Tensor(out_data, requires_grad=True, _parents=parents, _backward=bwd)
 
 
-def _im2col(xp, kernel, stride, out_spatial, groups, out=None):
-    """[B, C, *padded] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
+def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None):
+    """[B, C, *spatial] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
 
-    One copy of the strided window view, straight into the layout the
-    grouped matmul reads: row ``p`` of group ``g`` holds the window at output
-    position ``p`` of that group's channels, channel-major then kernel order.
-    The copy goes into ``out`` (a flat C-contiguous array of the right size
-    and dtype) when it is given, else into a new array.
+    Row ``p`` of group ``g`` holds the window at output position ``p`` of that
+    group's channels, channel-major then kernel order: the layout the grouped
+    matmul reads. The zero-padded input is written once as a ``[groups, B,
+    C_g * prod(padded)]`` source, and one ``np.take`` gathers every clip's
+    rows along the window index of ``_window_index``. The gather goes into
+    ``out`` (a flat C-contiguous array of the right size and dtype) when it
+    is given, else into a new array.
     """
-    rank = len(kernel)
-    B, C = xp.shape[:2]
-    view = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=tuple(range(2, 2 + rank)))
-    # view: [B, C, *valid, *kernel]; subsample by stride
-    sl = [slice(None), slice(None)] + [slice(None, None, s) for s in stride]
-    view = view[tuple(sl)].reshape((B, groups, C // groups) + out_spatial + tuple(kernel))
-    view = np.moveaxis(view, (1, 2), (0, 2 + rank))  # [groups, B, *out, C_g, *kernel]
-    if out is None:
-        out = np.ascontiguousarray(view)
+    B, C = x.shape[:2]
+    C_g = C // groups
+    spatial = x.shape[2:]
+    padded = tuple(n + 2 * p for n, p in zip(spatial, padding))
+    if any(padding) or groups > 1:
+        src = np.zeros((groups, B, C_g) + padded, dtype=x.dtype)
+        src[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))] = (
+            x.reshape((B, groups, C_g) + spatial).swapaxes(0, 1))
     else:
-        out = out.reshape(view.shape)
-        np.copyto(out, view)
-    return out.reshape(groups, B * int(np.prod(out_spatial)), -1)
+        src = x
+    index = _window_index(padded, kernel, stride, out_spatial, C_g)  # [prod(out), C_g * K]
+    if out is not None:
+        out = out.reshape((groups, B) + index.shape)
+    # every index is in range, so "wrap" reads what "raise" would, without
+    # its bounds check per element or the temporary it makes of ``out``
+    out = np.take(src.reshape(groups, B, -1), index, axis=2, out=out, mode="wrap")
+    return out.reshape(groups, B * index.shape[0], -1)
+
+
+@functools.lru_cache(maxsize=32)
+def _window_index(padded, kernel, stride, out_spatial, C_g):
+    """``[prod(out), C_g * prod(kernel)]``: the flat position in a ``[C_g,
+    *padded]`` block of each column entry, read-only, one per shape."""
+    rank = len(kernel)
+    flat = np.arange(C_g * math.prod(padded), dtype=np.intp).reshape((C_g,) + padded)
+    view = np.lib.stride_tricks.sliding_window_view(flat, kernel, axis=tuple(range(1, 1 + rank)))
+    view = view[(slice(None),) + tuple(slice(None, None, s) for s in stride)]  # [C_g, *out, *kernel]
+    index = np.ascontiguousarray(np.moveaxis(view, 0, rank)).reshape(math.prod(out_spatial), -1)
+    index.flags.writeable = False
+    return index
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import difflib
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -243,10 +244,7 @@ def _load_datasets(cfg, mcfg: ModelConfig, with_train):
 
 def _out_dir(cfg, command):
     root = os.environ.get("SPIKEVID_OUT_ROOT", cfg["run"]["out_root"])
-    run_id = cfg["run"]["run_id"] or command
-    path = os.path.join(root, run_id)
-    os.makedirs(path, exist_ok=True)
-    return path
+    return os.path.join(root, cfg["run"]["run_id"] or command)
 
 
 def _echo_config(cfg, out_dir):
@@ -421,13 +419,14 @@ def run(command, config_path=None, overrides=()):
     except (ValueError, FileNotFoundError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out_dir = _out_dir(cfg, command)
+    created = not os.path.exists(out_dir)
     try:
-        out_dir = _out_dir(cfg, command)
+        os.makedirs(out_dir, exist_ok=True)
         _echo_config(cfg, out_dir)
         return COMMANDS[command](cfg, out_dir)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message = f"config error: {exc}"
     except (data_mod.DatasetError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -435,9 +434,13 @@ def run(command, config_path=None, overrides=()):
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
-        print(f"config error: out of memory ({exc}); lower one of {', '.join(SIZE_KEYS)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        message = f"config error: out of memory ({exc}); lower one of {', '.join(SIZE_KEYS)}"
+    # a refused config leaves no output behind, as the checks above do; a
+    # directory that was there before this call is left as it is
+    if created:
+        shutil.rmtree(out_dir, ignore_errors=True)
+    print(message, file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def main(argv=None):

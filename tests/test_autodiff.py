@@ -267,13 +267,14 @@ def scatter_input_grad(g, w, stride, padding, groups, x_shape):
 
 # (x shape, w shape, stride, padding, groups): depthwise 5x5 p2 at s1 and s2
 # on odd extents, the head's full-extent 3-D depthwise kernel, dense 3x3 p1
-# s2, dense 1x1 p0, and a grouped conv with two channels per group
+# s2, dense 1x1 p0 at s1 and s2, and a grouped conv with two channels per group
 SCATTER_CASES = [
     ((2, 3, 7, 9), (3, 1, 5, 5), 1, 2, 3),
     ((2, 3, 9, 7), (3, 1, 5, 5), 2, 2, 3),
     ((2, 3, 2, 4, 4), (3, 1, 2, 4, 4), 1, 0, 3),
     ((2, 4, 7, 9), (5, 4, 3, 3), 2, 1, 1),
     ((2, 4, 5, 6), (3, 4, 1, 1), 1, 0, 1),
+    ((2, 4, 5, 6), (3, 4, 1, 1), 2, 0, 1),
     ((2, 4, 6, 5), (4, 2, 3, 3), 1, 1, 2),
 ]
 
@@ -402,6 +403,115 @@ class TestSlicedDepthwise:
         ad.conv(x, w, padding=2, groups=4)
         assert calls == [5]
 
+
+
+def sliding_window_columns(x, kernel, stride, padding, out_spatial, groups):
+    """Reference columns: one copy of the strided window view of the
+    zero-padded input, moved to ``[groups, B * prod(out), C_g * prod(kernel)]``."""
+    rank = len(kernel)
+    B, C = x.shape[:2]
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    view = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=tuple(range(2, 2 + rank)))
+    view = view[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)]
+    view = view.reshape((B, groups, C // groups) + tuple(out_spatial) + tuple(kernel))
+    view = np.moveaxis(view, (1, 2), (0, 2 + rank))  # [groups, B, *out, C_g, *kernel]
+    return np.ascontiguousarray(view).reshape(groups, B * int(np.prod(out_spatial)), -1)
+
+
+def column_args(x_shape, kernel, stride, padding):
+    rank = len(kernel)
+    out_spatial = tuple(ad._conv_out_extent(n, k, stride, padding)
+                        for n, k in zip(x_shape[2:], kernel))
+    return tuple(kernel), (stride,) * rank, (padding,) * rank, out_spatial
+
+
+class TestGatherColumns:
+    """``_im2col`` gathers its columns along a cached window index; the
+    sliding-window copy it replaced is the reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("spatial, kernel", [((7, 5), (3, 2)), ((3, 5, 7), (2, 3, 1))],
+                             ids=["rank2", "rank3"])
+    def test_columns_match_sliding_window_copy(self, spatial, kernel, stride, padding, groups,
+                                               dtype):
+        for B in (1, 3):
+            x_shape = (B, 4) + spatial
+            x = make_rng(50).standard_normal(x_shape).astype(dtype)
+            args = column_args(x_shape, kernel, stride, padding)
+            cols = ad._im2col(x, *args, groups)
+            ref = sliding_window_columns(x, *args, groups)
+            assert cols.dtype == dtype and cols.shape == ref.shape and cols.flags.c_contiguous
+            assert cols.tobytes() == ref.tobytes()
+
+    def test_strided_input(self):
+        # a permuted view, as the model's token/map relayouts hand over
+        x = make_rng(51).standard_normal((5, 7, 3, 2)).astype(np.float32).transpose(3, 2, 0, 1)
+        for groups, padding in ((1, 0), (1, 2), (3, 1)):
+            args = column_args(x.shape, (3, 3), 1, padding)
+            assert (ad._im2col(x, *args, groups).tobytes()
+                    == sliding_window_columns(x, *args, groups).tobytes())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_into_kept_buffer_with_short_last_slice(self, dtype):
+        x = make_rng(52).standard_normal((7, 6, 9, 8)).astype(dtype)
+        args = column_args(x.shape, (5, 5), 2, 2)
+        clip = 6 * int(np.prod(args[3])) * 25  # column entries per clip
+        buf = np.empty(3 * clip, dtype=dtype)
+        for lo in range(0, 7, 3):  # slices of 3, 3 and 1 clips
+            n = min(3, 7 - lo)
+            cols = ad._im2col(x[lo:lo + n], *args, 6, out=buf[:n * clip])
+            assert np.shares_memory(cols, buf)
+            assert cols.tobytes() == sliding_window_columns(x[lo:lo + n], *args, 6).tobytes()
+
+    def test_window_index_cached_read_only_and_batch_free(self):
+        cached = ad._window_index
+        assert cached.cache_info().maxsize is not None  # bounded
+        cached.cache_clear()
+        args = column_args((2, 4, 9, 9), (5, 5), 1, 2)
+        for B in (2, 5, 2):
+            x = np.ones((B, 4, 9, 9), dtype=np.float32)
+            ad._im2col(x, *args, 4)
+        assert cached.cache_info().misses == 1 and cached.cache_info().hits == 2
+        index = cached((13, 13), (5, 5), (1, 1), (9, 9), 1)
+        assert cached.cache_info().hits == 3
+        assert index.shape == (81, 25) and not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+        other = cached((13, 13), (5, 5), (2, 2), (5, 5), 1)
+        assert other is not index and cached.cache_info().misses == 2
+
+
+# (x shape, w shape, groups): 1x1 convs at stride 1 and padding 0, whose input
+# gradient is one relaying pass: dense, grouped, depthwise and a 3-D kernel
+ONE_BY_ONE_CASES = [
+    ((2, 4, 5, 6), (3, 4, 1, 1), 1),
+    ((2, 4, 5, 3), (6, 2, 1, 1), 2),
+    ((2, 4, 3, 5), (4, 1, 1, 1), 4),
+    ((2, 4, 2, 3, 3), (5, 4, 1, 1, 1), 1),
+]
+
+
+class TestOneByOneInputGrad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ONE_BY_ONE_CASES)
+    def test_bytes_match_scatter_with_negative_zeros(self, case, dtype):
+        x_shape, w_shape, groups = case
+        rank = len(w_shape) - 2
+        rng = make_rng(53)
+        x = ad.Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal(w_shape).astype(dtype), requires_grad=True)
+        with ad.precision(dtype):
+            out = ad.conv(x, w, groups=groups)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            g[:, :, ::2] = -0.0  # terms of -0.0, which a zeroed buffer makes +0.0
+            ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
+        ref = scatter_input_grad(g, w.data, (1,) * rank, (0,) * rank, groups, x_shape)
+        assert not np.signbit(ref[:, :, ::2]).any()
+        assert x.grad.dtype == dtype and x.grad.shape == x_shape and x.grad.flags.c_contiguous
+        assert x.grad.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 def masked_sigmoid(x):
     """The two-branch sigmoid: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) below."""

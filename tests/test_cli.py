@@ -290,6 +290,22 @@ class TestExitCodes:
         assert [k for k in ("model.time_steps", "data.height", "data.width", "data.classes")
                 if k in err] == keys
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-run-dir", "existing-run-dir"])
+    def test_config_error_in_the_command_removes_only_a_run_dir_it_made(
+            self, tmp_path, no_forward, existing):
+        ckpt = tmp_path / "four.ckpt"
+        save_checkpoint(VideoSpikeNet(ModelConfig(num_classes=4), seed=0), ckpt)
+        kept = tmp_path / "eval" / "metrics.jsonl"
+        if existing:
+            kept.parent.mkdir()
+            kept.write_text("an earlier run\n")
+        code = run_cli(tmp_path, "eval", "--set", f"model.checkpoint={ckpt}",
+                       "--set", "data.num_test=8")
+        assert code == cli.EXIT_CONFIG
+        assert (tmp_path / "eval").is_dir() == existing
+        if existing:
+            assert kept.read_text() == "an earlier run\n"
+
     def test_generated_subset_of_checkpoint_classes_is_accepted(self, tmp_path):
         ckpt = tmp_path / "eight.ckpt"
         save_checkpoint(VideoSpikeNet(ModelConfig(), seed=0), ckpt)
@@ -347,6 +363,7 @@ class TestExitCodes:
                     "model.time_steps"):
             assert key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "noise-eval").exists()  # the run directory it made is gone
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_numeric_error(self, tmp_path):
