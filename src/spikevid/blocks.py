@@ -4,35 +4,17 @@ All blocks keep the [T, B, C, H, W] feature-map shape except the
 classification head, which collapses time and space into class logits.
 Residual connections carry real-valued (pre-spike) membrane features around
 each block, so zero-initialized branch weights make every block the identity.
+Every block reads its settings (neuron, norm mode, T, MLP ratio, depthwise
+kernel, attention scale, patch stride, class count) from the model's
+``ModelConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import autodiff as ad
-from .layers import PLAIN_BN, BatchNorm, Conv, Linear, LinearBN, per_frame
+from .layers import BatchNorm, Conv, Linear, LinearBN, per_frame
 from .module import Module
-from .neurons import NeuronConfig, SpikingLayer
-
-
-@dataclass
-class BlockConfig:
-    channels: int = 64
-    mlp_ratio: int = 2
-    dw_kernel: int = 5
-    attn_scale: float = 0.125
-    norm_mode: str = PLAIN_BN
-    time_steps: int = 1
-    neuron: NeuronConfig = field(default_factory=NeuronConfig)
-
-    def __post_init__(self):
-        if self.mlp_ratio < 1:
-            raise ValueError("mlp_ratio must be >= 1")
-        if self.attn_scale <= 0:
-            raise ValueError("attn_scale must be positive")
-        if self.dw_kernel % 2 == 0:
-            raise ValueError("dw_kernel must be odd")
+from .neurons import SpikingLayer
 
 
 def to_tokens(x):
@@ -50,14 +32,14 @@ def from_tokens(x, height, width):
 class Mlp(Module):
     """Two SN-Linear-BN motifs expanding C -> r*C -> C, token-wise."""
 
-    def __init__(self, cfg: BlockConfig, rng):
+    def __init__(self, cfg, channels, rng):
         super().__init__()
-        hidden = cfg.channels * cfg.mlp_ratio
+        hidden = channels * cfg.mlp_ratio
         self.sn1 = SpikingLayer(cfg.neuron)
-        self.fc1 = LinearBN(cfg.channels, hidden, rng, norm_mode=cfg.norm_mode,
+        self.fc1 = LinearBN(channels, hidden, rng, norm_mode=cfg.norm_mode,
                             time_steps=cfg.time_steps)
         self.sn2 = SpikingLayer(cfg.neuron)
-        self.fc2 = LinearBN(hidden, cfg.channels, rng, norm_mode=cfg.norm_mode,
+        self.fc2 = LinearBN(hidden, channels, rng, norm_mode=cfg.norm_mode,
                             time_steps=cfg.time_steps)
 
     def forward(self, x):
@@ -69,22 +51,18 @@ class LocalFeatureExtractor(Module):
     both with membrane-shortcut residuals.
     """
 
-    def __init__(self, cfg: BlockConfig, rng):
+    def __init__(self, cfg, channels, rng):
         super().__init__()
-        C = cfg.channels
+        C, k = channels, cfg.dw_kernel
         self.sn = SpikingLayer(cfg.neuron)
         self.pw1 = Conv(C, C, 1, rng)
-        self.dw = Conv(C, C, cfg.dw_kernel, rng, padding=cfg.dw_kernel // 2, groups=C)
-        self.pw2 = Conv(C, C, 1, rng)
         # interior of the cascade consumes real-valued maps, not spikes; the
         # entry SN is still the driving spike source for their SOP accounting
-        self.dw.expects_binary = False
-        self.pw2.expects_binary = False
-        self.dw.fr_source = self.sn
-        self.pw2.fr_source = self.sn
+        self.dw = Conv(C, C, k, rng, padding=k // 2, groups=C, fr_source=self.sn)
+        self.pw2 = Conv(C, C, 1, rng, fr_source=self.sn)
         self.bn = BatchNorm(C, norm_mode=cfg.norm_mode, time_steps=cfg.time_steps,
                             layout="map")
-        self.mlp = Mlp(cfg, rng)
+        self.mlp = Mlp(cfg, C, rng)
 
     def conv_branch(self, x):
         s = self.sn(x)
@@ -106,9 +84,9 @@ class SpikingSelfAttention(Module):
     order costs O(N * C^2) accumulations instead of O(N^2 * C).
     """
 
-    def __init__(self, cfg: BlockConfig, rng):
+    def __init__(self, cfg, channels, rng):
         super().__init__()
-        C = cfg.channels
+        C = channels
         self.scale = cfg.attn_scale
         self.sn_in = SpikingLayer(cfg.neuron)
         self.q_proj = LinearBN(C, C, rng, norm_mode=cfg.norm_mode, time_steps=cfg.time_steps)
@@ -134,10 +112,10 @@ class SpikingSelfAttention(Module):
 class GlobalSelfAttention(Module):
     """Spiking self-attention followed by a residual MLP; shape preserving."""
 
-    def __init__(self, cfg: BlockConfig, rng):
+    def __init__(self, cfg, channels, rng):
         super().__init__()
-        self.ssa = SpikingSelfAttention(cfg, rng)
-        self.mlp = Mlp(cfg, rng)
+        self.ssa = SpikingSelfAttention(cfg, channels, rng)
+        self.mlp = Mlp(cfg, channels, rng)
 
     def forward(self, x):
         H, W = x.shape[3], x.shape[4]
@@ -148,20 +126,18 @@ class GlobalSelfAttention(Module):
 
 class LocalPathway(Module):
     """SN -> DWConv -> PWConv -> BN tap from the third stage's input features,
-    downsampling by the depthwise stride so its output matches the final
-    stage's resolution and channel count.
+    downsampling by the patch-embedding stride so its output matches the
+    final stage's resolution and channel count.
     """
 
-    def __init__(self, in_channels, out_channels, rng, neuron_cfg: NeuronConfig,
-                 norm_mode=PLAIN_BN, time_steps=1, dw_kernel=5, stride=2):
+    def __init__(self, cfg, in_channels, out_channels, rng):
         super().__init__()
-        self.sn = SpikingLayer(neuron_cfg)
-        self.dw = Conv(in_channels, in_channels, dw_kernel, rng, stride=stride,
-                       padding=dw_kernel // 2, groups=in_channels)
-        self.pw = Conv(in_channels, out_channels, 1, rng)
-        self.pw.expects_binary = False
-        self.pw.fr_source = self.sn
-        self.bn = BatchNorm(out_channels, norm_mode=norm_mode, time_steps=time_steps,
+        k = cfg.dw_kernel
+        self.sn = SpikingLayer(cfg.neuron)
+        self.dw = Conv(in_channels, in_channels, k, rng, stride=cfg.pe_stride,
+                       padding=k // 2, groups=in_channels)
+        self.pw = Conv(in_channels, out_channels, 1, rng, fr_source=self.sn)
+        self.bn = BatchNorm(out_channels, norm_mode=cfg.norm_mode, time_steps=cfg.time_steps,
                             layout="map")
 
     def forward(self, x):
@@ -175,18 +151,15 @@ class ClassificationHead(Module):
     3-D convolution, then BN and a linear classifier.
     """
 
-    def __init__(self, channels, num_classes, time_steps, height, width, rng,
-                 neuron_cfg: NeuronConfig):
+    def __init__(self, cfg, channels, height, width, rng):
         super().__init__()
         self.channels = channels
-        self.extent = (time_steps, height, width)
-        self.sn = SpikingLayer(neuron_cfg)
+        self.extent = (cfg.time_steps, height, width)
+        self.sn = SpikingLayer(cfg.neuron)
         self.conv3d = Conv(channels, channels, self.extent, rng, groups=channels,
                            spatial_rank=3)
         self.bn = BatchNorm(channels, layout="vec")
-        self.fc = Linear(channels, num_classes, rng, bias=True)
-        self.fc.expects_binary = False
-        self.fc.fr_source = self.sn
+        self.fc = Linear(channels, cfg.num_classes, rng, bias=True, fr_source=self.sn)
 
     def forward(self, x):
         if x.shape[0] != self.extent[0] or x.shape[3:] != self.extent[1:]:

@@ -271,7 +271,7 @@ def emit_metrics(records, out_dir, csv_fields=("epoch", "train_loss", "top1")):
 def _eval_setup(cfg):
     """The model (the checkpoint's, else a fresh one) and the test split of
     eval, profile and noise-eval, checked to fit each other before any
-    forward pass."""
+    forward pass or any output is written."""
     checkpoint = cfg["model"]["checkpoint"]
     model = load_checkpoint(checkpoint) if checkpoint else None
     mcfg = _model_config(cfg) if model is None else model.cfg
@@ -291,6 +291,7 @@ def cmd_train(cfg, out_dir):
     mcfg = _model_config(cfg)
     train_ds, test_ds = _load_datasets(cfg, mcfg, with_train=True)
     model = VideoSpikeNet(mcfg, seed=cfg["run"]["seed"])
+    _echo_config(cfg, out_dir)
     tcfg = _train_config(cfg)
     records = []
 
@@ -312,6 +313,7 @@ def cmd_train(cfg, out_dir):
 
 def cmd_eval(cfg, out_dir):
     model, test_ds = _eval_setup(cfg)
+    _echo_config(cfg, out_dir)
     top1 = evaluate(model, test_ds.clips, test_ds.labels, cfg["train"]["batch_size"])
     print(f"top1 {top1:.4f}")
     emit_metrics([{"top1": top1, "num_clips": len(test_ds)}], out_dir,
@@ -321,6 +323,7 @@ def cmd_eval(cfg, out_dir):
 
 def cmd_profile(cfg, out_dir):
     model, test_ds = _eval_setup(cfg)
+    _echo_config(cfg, out_dir)
     profile_dir = os.path.join(out_dir, "profile")
     rec = prof.record(model, test_ds.clips, batch_size=cfg["train"]["batch_size"])
     table = prof.cost_table(rec, len(test_ds.clips), exact=True)
@@ -346,6 +349,7 @@ _CORRUPTIONS = (
 
 def cmd_noise_eval(cfg, out_dir):
     model, test_ds = _eval_setup(cfg)
+    _echo_config(cfg, out_dir)
     batch = cfg["train"]["batch_size"]
     noise_seed = cfg["noise"]["seed"]
     rows = []
@@ -371,6 +375,7 @@ def cmd_noise_eval(cfg, out_dir):
 
 
 def cmd_gradcheck(cfg, out_dir):
+    _echo_config(cfg, out_dir)
     tol = cfg["gradcheck"]["tolerance"]
     reports = run_gradient_checks(seed=cfg["run"]["seed"], tol=tol)
     records = []
@@ -422,8 +427,9 @@ def run(command, config_path=None, overrides=()):
     out_dir = _out_dir(cfg, command)
     created = not os.path.exists(out_dir)
     try:
+        # each command writes config.resolved once it has read and checked its
+        # inputs, so a run refused there leaves an earlier run's files as they were
         os.makedirs(out_dir, exist_ok=True)
-        _echo_config(cfg, out_dir)
         return COMMANDS[command](cfg, out_dir)
     except ConfigError as exc:
         message = f"config error: {exc}"

@@ -78,28 +78,25 @@ class _ProfiledLayer(Module):
     """Static profiling metadata of a conv/linear layer; the profiler's
     forward hooks measure what it consumes."""
 
-    def __init__(self):
+    def __init__(self, fr_source=None):
         super().__init__()
-        self.expects_binary = True
+        # a layer driven by another layer's spikes consumes real-valued maps
+        self.expects_binary = fr_source is None
         self.is_encoder = False  # first layer: consumes raw frames, billed at MAC cost
-        self._fr_source = None  # spiking layer whose rate drives this layer's SOPs
+        self._fr_source = fr_source  # spiking layer whose rate drives this layer's SOPs
 
     @property
     def fr_source(self):
         # held privately so module traversal does not treat the alias as a child
         return self._fr_source
 
-    @fr_source.setter
-    def fr_source(self, layer):
-        self._fr_source = layer
-
 
 class Conv(_ProfiledLayer):
     """Grouped 2-D/3-D cross-correlation with learnable kernel."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1, padding=0,
-                 groups=1, spatial_rank=2):
-        super().__init__()
+                 groups=1, spatial_rank=2, fr_source=None):
+        super().__init__(fr_source)
         kernel = (kernel,) * spatial_rank if isinstance(kernel, int) else tuple(kernel)
         if in_channels % groups or out_channels % groups:
             raise ad.ShapeError(
@@ -126,8 +123,8 @@ class Conv(_ProfiledLayer):
 
 
 class Linear(_ProfiledLayer):
-    def __init__(self, in_features, out_features, rng, bias=False):
-        super().__init__()
+    def __init__(self, in_features, out_features, rng, bias=False, fr_source=None):
+        super().__init__(fr_source)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(trunc_normal(rng, (in_features, out_features)), requires_grad=True)
@@ -193,6 +190,9 @@ class PatchEmbed(Module):
         self.sn = SpikingLayer(neuron_cfg) if has_input_neuron else None
         self.convbn = ConvBN(in_channels, out_channels, kernel, rng, stride=stride,
                              padding=padding, norm_mode=norm_mode, time_steps=time_steps)
+        if self.sn is None:  # the encoder: raw frames, billed at MAC cost
+            self.convbn.conv.expects_binary = False
+            self.convbn.conv.is_encoder = True
 
     def forward(self, x):
         if self.sn is not None:

@@ -19,14 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .blocks import (
-    BlockConfig,
-    ClassificationHead,
-    GlobalSelfAttention,
-    LocalFeatureExtractor,
-    LocalPathway,
-)
-from .layers import NORM_MODES, PLAIN_BN, TDBN, PatchEmbed
+from .blocks import ClassificationHead, GlobalSelfAttention, LocalFeatureExtractor, LocalPathway
+from .layers import NORM_MODES, TDBN, PatchEmbed
 from .module import Module
 from .neurons import NeuronConfig, SpikingLayer
 
@@ -63,6 +57,12 @@ class ModelConfig:
             raise ValueError("time_steps must be >= 1")
         if self.pe_stride < 1:
             raise ValueError("pe_stride must be >= 1")
+        if self.mlp_ratio < 1:
+            raise ValueError("mlp_ratio must be >= 1")
+        if self.attn_scale <= 0:
+            raise ValueError("attn_scale must be positive")
+        if self.dw_kernel % 2 == 0:
+            raise ValueError("dw_kernel must be odd")
         if self.norm_mode not in NORM_MODES:
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
         if len(self.stage_depths) == 3 and self.use_local_pathway:
@@ -135,29 +135,16 @@ class VideoSpikeNet(Module):
         self.cfg = cfg
         self.seed = seed
         rng = np.random.Generator(np.random.PCG64(seed))
-        T = cfg.time_steps
-
-        def block_cfg(channels):
-            return BlockConfig(channels=channels, mlp_ratio=cfg.mlp_ratio,
-                               dw_kernel=cfg.dw_kernel, attn_scale=cfg.attn_scale,
-                               norm_mode=cfg.norm_mode, time_steps=T, neuron=cfg.neuron)
-
         self.patch_embeds = []
         self.stages = []
         in_c = cfg.in_channels
         for i, (depth, out_c) in enumerate(zip(cfg.stage_depths, cfg.channels)):
-            pe = PatchEmbed(in_c, out_c, rng, cfg.neuron, kernel=cfg.pe_kernel,
-                            stride=cfg.pe_stride, padding=cfg.pe_padding,
-                            has_input_neuron=(i > 0), norm_mode=cfg.norm_mode, time_steps=T)
-            if i == 0:
-                pe.convbn.conv.expects_binary = False
-                pe.convbn.conv.is_encoder = True
-            self.patch_embeds.append(pe)
-            if i < cfg.local_stages:
-                blocks = [LocalFeatureExtractor(block_cfg(out_c), rng) for _ in range(depth)]
-            else:
-                blocks = [GlobalSelfAttention(block_cfg(out_c), rng) for _ in range(depth)]
-            self.stages.append(blocks)
+            self.patch_embeds.append(PatchEmbed(
+                in_c, out_c, rng, cfg.neuron, kernel=cfg.pe_kernel, stride=cfg.pe_stride,
+                padding=cfg.pe_padding, has_input_neuron=(i > 0), norm_mode=cfg.norm_mode,
+                time_steps=cfg.time_steps))
+            block = LocalFeatureExtractor if i < cfg.local_stages else GlobalSelfAttention
+            self.stages.append([block(cfg, out_c, rng) for _ in range(depth)])
             in_c = out_c
 
         final_c = cfg.channels[-1]
@@ -165,16 +152,12 @@ class VideoSpikeNet(Module):
         head_c = final_c
         if cfg.use_local_pathway:
             # taps the third patch-embedding output (stage index 2)
-            self.local_pathway = LocalPathway(
-                cfg.channels[2], final_c, rng, cfg.neuron, norm_mode=cfg.norm_mode,
-                time_steps=T, dw_kernel=cfg.dw_kernel, stride=cfg.pe_stride,
-            )
+            self.local_pathway = LocalPathway(cfg, cfg.channels[2], final_c, rng)
             head_c = 2 * final_c
         h_out, w_out = cfg.spatial_after(cfg.num_stages)
         if h_out < 1 or w_out < 1:
             raise ValueError("input extent too small for the configured strides")
-        self.head = ClassificationHead(head_c, cfg.num_classes, T, h_out, w_out,
-                                       rng, cfg.neuron)
+        self.head = ClassificationHead(cfg, head_c, h_out, w_out, rng)
 
     def spiking_layers(self):
         return [(name, m) for name, m in self.modules() if isinstance(m, SpikingLayer)]

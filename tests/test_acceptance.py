@@ -17,11 +17,7 @@ import pytest
 from spikevid import autodiff as ad
 from spikevid import cli
 from spikevid import profiler as prof
-from spikevid.blocks import (
-    BlockConfig,
-    GlobalSelfAttention,
-    LocalFeatureExtractor,
-)
+from spikevid.blocks import GlobalSelfAttention, LocalFeatureExtractor
 from spikevid.data import (
     add_gaussian_noise,
     add_salt_pepper,
@@ -195,16 +191,15 @@ def test_criterion_06_shape_identity_laws(report):
         B = int(rng.integers(1, 3))
         H = int(rng.choice([4, 6]))
         norm = str(rng.choice(["plain", "tdbn"]))
-        cfg = BlockConfig(channels=C, norm_mode=norm, time_steps=T,
-                          mlp_ratio=int(rng.integers(1, 3)))
+        cfg = ModelConfig(norm_mode=norm, time_steps=T, mlp_ratio=int(rng.integers(1, 3)))
         cls = LocalFeatureExtractor if trial % 2 == 0 else GlobalSelfAttention
-        block = cls(cfg, make_rng(100 + trial))
+        block = cls(cfg, C, make_rng(100 + trial))
         x = ad.tensor(rng.standard_normal((T, B, C, H, H)).astype(np.float32))
         shapes_ok &= block(x).shape == x.shape
 
     identity_ok = True
     for cls in (LocalFeatureExtractor, GlobalSelfAttention):
-        block = cls(BlockConfig(channels=4, time_steps=2), make_rng(2))
+        block = cls(ModelConfig(norm_mode="plain", time_steps=2), 4, make_rng(2))
         for _, p in block.named_parameters():
             p.data = np.zeros_like(p.data)
         x = ad.tensor(make_rng(3).standard_normal((2, 2, 4, 4, 4)).astype(np.float32))

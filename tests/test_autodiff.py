@@ -483,6 +483,38 @@ class TestGatherColumns:
         other = cached((13, 13), (5, 5), (2, 2), (5, 5), 1)
         assert other is not index and cached.cache_info().misses == 2
 
+    def test_window_index_cache_holds_every_default_model_shape(self):
+        # the default model's train step and eval passes, at any batch size,
+        # ask for 11 window indexes: all are built by the first step and the
+        # first eval pass, and the cache keeps them with room to spare
+        from spikevid import training
+        from spikevid.data import gen_moving_patterns
+        from spikevid.model import ModelConfig, VideoSpikeNet
+
+        cached = ad._window_index
+        cached.cache_clear()
+        ds = gen_moving_patterns(seed=3, num=16)
+        model = VideoSpikeNet(ModelConfig(), seed=3)
+        cfg = training.TrainConfig()
+        optimizer = training.AdamW(model.parameters(), cfg)
+
+        def train_step():
+            model.train()
+            clip = np.ascontiguousarray(ds.clips.transpose(1, 0, 2, 3, 4))
+            loss = training.cross_entropy(model(ad.tensor(clip)), ds.labels)
+            optimizer.zero_grad()
+            ad.backward(loss)
+            optimizer.step(cfg.base_lr)
+
+        train_step()
+        model.predict(ds.clips, 16)
+        misses = cached.cache_info().misses
+        model.predict(ds.clips[:2], 1)
+        train_step()
+        info = cached.cache_info()
+        assert info.misses == misses
+        assert info.currsize <= info.maxsize // 2
+
 
 # (x shape, w shape, groups): 1x1 convs at stride 1 and padding 0, whose input
 # gradient is one relaying pass: dense, grouped, depthwise and a 3-D kernel

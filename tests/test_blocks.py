@@ -1,11 +1,13 @@
 """Block-level laws: shape preservation, identity at zero init, attention math."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 from spikevid import autodiff as ad
 from spikevid.blocks import (
-    BlockConfig,
     ClassificationHead,
     GlobalSelfAttention,
     LocalFeatureExtractor,
@@ -14,7 +16,7 @@ from spikevid.blocks import (
     from_tokens,
     to_tokens,
 )
-from spikevid.neurons import NeuronConfig
+from spikevid.model import ModelConfig
 from spikevid.profiler import Recording, exact_ac_count_matmul
 
 from conftest import make_rng
@@ -46,10 +48,9 @@ class TestShapePreservation:
             B = int(rng.integers(1, 3))
             H = int(rng.choice([4, 6]))
             norm = str(rng.choice(["plain", "tdbn"]))
-            cfg = BlockConfig(channels=C, norm_mode=norm, time_steps=T,
-                              mlp_ratio=int(rng.integers(1, 3)))
+            cfg = ModelConfig(norm_mode=norm, time_steps=T, mlp_ratio=int(rng.integers(1, 3)))
             block_cls = LocalFeatureExtractor if trial % 2 == 0 else GlobalSelfAttention
-            block = block_cls(cfg, make_rng(100 + trial))
+            block = block_cls(cfg, C, make_rng(100 + trial))
             x = ad.tensor(rng.standard_normal((T, B, C, H, H)).astype(np.float32))
             assert block(x).shape == x.shape, f"trial {trial}: {block_cls.__name__}"
 
@@ -65,14 +66,14 @@ class TestIdentityAtZeroInit:
         return block
 
     def test_lfe_identity(self):
-        cfg = BlockConfig(channels=4, time_steps=2)
-        block = self._zero_branch(LocalFeatureExtractor(cfg, make_rng(2)))
+        cfg = ModelConfig(norm_mode="plain", time_steps=2)
+        block = self._zero_branch(LocalFeatureExtractor(cfg, 4, make_rng(2)))
         x = ad.tensor(make_rng(3).standard_normal((2, 2, 4, 6, 6)).astype(np.float32))
         np.testing.assert_array_equal(block(x).data, x.data)
 
     def test_gsa_identity(self):
-        cfg = BlockConfig(channels=4, time_steps=2)
-        block = self._zero_branch(GlobalSelfAttention(cfg, make_rng(4)))
+        cfg = ModelConfig(norm_mode="plain", time_steps=2)
+        block = self._zero_branch(GlobalSelfAttention(cfg, 4, make_rng(4)))
         x = ad.tensor(make_rng(5).standard_normal((2, 2, 4, 4, 4)).astype(np.float32))
         np.testing.assert_array_equal(block(x).data, x.data)
 
@@ -100,8 +101,8 @@ class TestAttentionMath:
             np.testing.assert_allclose(right, left, atol=1e-4)
 
     def test_ssa_output_shape_and_event_recording(self):
-        cfg = BlockConfig(channels=4, time_steps=2)
-        ssa = SpikingSelfAttention(cfg, make_rng(7))
+        cfg = ModelConfig(norm_mode="plain", time_steps=2)
+        ssa = SpikingSelfAttention(cfg, 4, make_rng(7))
         x = ad.tensor(make_rng(8).standard_normal((2, 3, 16, 4)).astype(np.float32))
         held = {}
         handles = [sn.register_forward_hook(lambda m, args, out: held.setdefault(m, out.data))
@@ -129,12 +130,12 @@ class TestAttentionMath:
 
 class TestLocalPathway:
     def test_downsamples_and_projects(self):
-        lp = LocalPathway(4, 8, make_rng(13), NeuronConfig(), time_steps=2)
+        lp = LocalPathway(ModelConfig(norm_mode="plain", time_steps=2), 4, 8, make_rng(13))
         x = ad.tensor(make_rng(14).standard_normal((2, 3, 4, 8, 8)).astype(np.float32))
         assert lp(x).shape == (2, 3, 8, 4, 4)
 
     def test_interior_layer_flagged_nonbinary(self):
-        lp = LocalPathway(4, 8, make_rng(15), NeuronConfig())
+        lp = LocalPathway(ModelConfig(norm_mode="plain", time_steps=1), 4, 8, make_rng(15))
         assert lp.dw.expects_binary
         assert not lp.pw.expects_binary
         assert lp.pw.fr_source is lp.sn
@@ -142,19 +143,19 @@ class TestLocalPathway:
 
 class TestClassificationHead:
     def test_logit_shape(self):
-        head = ClassificationHead(6, 5, 2, 4, 4, make_rng(16), NeuronConfig())
+        head = ClassificationHead(ModelConfig(time_steps=2, num_classes=5), 6, 4, 4, make_rng(16))
         x = ad.tensor(make_rng(17).standard_normal((2, 3, 6, 4, 4)).astype(np.float32))
         assert head(x).shape == (3, 5)
 
     def test_extent_mismatch_rejected(self):
-        head = ClassificationHead(6, 5, 2, 4, 4, make_rng(18), NeuronConfig())
+        head = ClassificationHead(ModelConfig(time_steps=2, num_classes=5), 6, 4, 4, make_rng(18))
         with pytest.raises(ad.ShapeError):
             head(ad.tensor(np.zeros((3, 3, 6, 4, 4), dtype=np.float32)))
 
     def test_temporal_weighting_is_learnable_per_step(self):
         # the full-extent depthwise kernel assigns one weight per (c, t, y, x);
         # zeroing all but step 0 must make the logits ignore later steps
-        head = ClassificationHead(2, 3, 2, 2, 2, make_rng(19), NeuronConfig())
+        head = ClassificationHead(ModelConfig(time_steps=2, num_classes=3), 2, 2, 2, make_rng(19))
         head.conv3d.weight.data[:, :, 1:] = 0.0
         head.eval()
         x0 = spikes((2, 1, 2, 2, 2), 20, p=0.5)
@@ -165,3 +166,22 @@ class TestClassificationHead:
         # step-1 membrane states differ, but the zeroed kernel slice blocks them
         # only if the spike outputs at step 0 agree (they do: same input there)
         np.testing.assert_array_equal(out0, out1)
+
+
+BILLING_ROLES = {"expects_binary", "is_encoder", "fr_source"}
+
+
+@pytest.mark.parametrize("module", ["model.py", "blocks.py"])
+def test_billing_roles_are_not_assigned_after_construction(module):
+    """Conv/linear layers get their billing role from their constructor (and
+    the encoder from its PatchEmbed), so neither the blocks nor the model
+    writes one into a layer it holds."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikevid" / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets += node.targets if isinstance(node, ast.Assign) else [node.target]
+    written = [f"line {t.lineno}: .{t.attr}" for target in targets for t in ast.walk(target)
+               if isinstance(t, ast.Attribute) and t.attr in BILLING_ROLES]
+    assert written == []

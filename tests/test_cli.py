@@ -306,6 +306,22 @@ class TestExitCodes:
         if existing:
             assert kept.read_text() == "an earlier run\n"
 
+    @pytest.mark.parametrize("command", ["eval", "profile", "noise-eval"])
+    def test_refused_run_leaves_an_existing_run_dir_unchanged(
+            self, tmp_path, no_forward, command):
+        ckpt = tmp_path / "four.ckpt"
+        save_checkpoint(VideoSpikeNet(ModelConfig(num_classes=4), seed=0), ckpt)
+        run_dir = tmp_path / command
+        run_dir.mkdir()
+        earlier = {"config.resolved": b"an earlier run's config\n",
+                   "metrics.jsonl": b"an earlier run's metrics\n"}
+        for name, content in earlier.items():
+            (run_dir / name).write_bytes(content)
+        code = run_cli(tmp_path, command, "--set", f"model.checkpoint={ckpt}",
+                       "--set", "data.num_test=8")  # 8 classes against the checkpoint's 4
+        assert code == cli.EXIT_CONFIG
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == earlier
+
     def test_generated_subset_of_checkpoint_classes_is_accepted(self, tmp_path):
         ckpt = tmp_path / "eight.ckpt"
         save_checkpoint(VideoSpikeNet(ModelConfig(), seed=0), ckpt)

@@ -52,6 +52,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="pe_stride"):
             ModelConfig(pe_stride=0)
 
+    @pytest.mark.parametrize("bad", [dict(mlp_ratio=0), dict(attn_scale=0.0),
+                                     dict(dw_kernel=4)], ids=lambda d: next(iter(d)))
+    def test_block_bounds(self, bad):
+        # the blocks read these from the model config, so it checks them
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModelConfig(**bad)
+
     def test_spatial_after_strided_stages(self):
         cfg = tiny_config()
         assert cfg.spatial_after(1) == (8, 8)
@@ -170,6 +177,22 @@ class TestForward:
         # tau_table and make_smooth see every layer the model can reach
         assert held <= found
 
+    def test_billing_roles_set_at_construction(self):
+        from spikevid.layers import Conv, Linear
+
+        model = VideoSpikeNet(tiny_config(), seed=0)
+        layers = {n: m for n, m in model.modules() if isinstance(m, (Conv, Linear))}
+        assert [n for n, m in layers.items() if m.is_encoder] == ["patch_embeds.0.convbn.conv"]
+        driven = {n: m.fr_source for n, m in layers.items() if m.fr_source is not None}
+        lfe = [model.stages[0][0], model.stages[1][0]]
+        assert driven == {
+            "stages.0.0.dw": lfe[0].sn, "stages.0.0.pw2": lfe[0].sn,
+            "stages.1.0.dw": lfe[1].sn, "stages.1.0.pw2": lfe[1].sn,
+            "local_pathway.pw": model.local_pathway.sn, "head.fc": model.head.sn,
+        }
+        for n, m in layers.items():
+            assert m.expects_binary == (n not in driven and not m.is_encoder), n
+
     def test_parameter_names_unique(self):
         model = VideoSpikeNet(tiny_config(), seed=0)
         names = [n for n, _ in model.named_parameters()]
@@ -225,6 +248,14 @@ class TestCheckpoint:
         restored = load_checkpoint(path)
         assert restored.cfg == cfg
         assert restored.seed == 5
+
+    def test_saved_config_roundtrips_through_from_dict(self, tmp_path):
+        cfg = tiny_config(mlp_ratio=3, dw_kernel=3, attn_scale=0.25, norm_mode="plain")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(VideoSpikeNet(cfg, seed=1), path)
+        saved = load_checkpoint(path).cfg
+        assert saved == cfg
+        assert ModelConfig.from_dict(saved.to_dict()) == cfg
 
     def test_mismatched_model_rejected_with_names(self, tmp_path):
         model = VideoSpikeNet(tiny_config(), seed=0)

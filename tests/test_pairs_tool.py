@@ -8,8 +8,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# A perfbench stand-in: it logs which tree ran which seed, then prints a
-# report line and a result line whose values follow from the tree and seed.
+# A perfbench stand-in: it logs which tree ran which seed, writes to TOUCH_MB
+# fresh megabytes (minor page faults), then prints a report line and a result
+# line whose values follow from the tree and seed.
 FAKE_RUN = '''
 import argparse
 import json
@@ -23,6 +24,7 @@ p.add_argument("--trace", type=int)
 a = p.parse_args()
 with open(os.environ["PAIRS_LOG"], "a") as fh:
     fh.write(f"{SIDE}:{a.workload}:{a.seed}:{a.seconds:g}:{a.trace} ")
+touched = bytearray(TOUCH_MB << 20)  # zero-filled, so every page is written
 speed = BASE + a.seed
 values = {"setup_s": 0.5, "peak_rss_mb": 100.0 + a.seed, "clips_per_s": speed,
           "op_ms_p50": 1000.0 / speed, "op_ms_tail": 1200.0 / speed}
@@ -36,11 +38,11 @@ print(json.dumps({"correct": FAILED == 0, "attempted": 10, "failed": FAILED,
 '''
 
 
-def make_tree(path, side, base, commit=None, failed=0):
+def make_tree(path, side, base, commit=None, failed=0, touch_mb=0):
     (path / "perfbench").mkdir(parents=True)
     (path / "perfbench" / "run.py").write_text(
         f"SIDE = {side!r}\nBASE = {base!r}\nCOMMIT = {commit!r}\nFAILED = {failed!r}\n"
-        + FAKE_RUN)
+        f"TOUCH_MB = {touch_mb!r}\n" + FAKE_RUN)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     (path / "BENCHMARK.json").write_text(json.dumps(bench))
     return path
@@ -58,7 +60,7 @@ def run_pairs(tmp_path, parent, change, *extra):
 
 def test_pairs_alternate_and_summarise_like_the_committed_bench_files(tmp_path):
     parent = make_tree(tmp_path / "parent", "p", 40.0, commit="abc123")
-    change = make_tree(tmp_path / "change", "c", 50.0)
+    change = make_tree(tmp_path / "change", "c", 50.0, touch_mb=40)
     proc, log, out = run_pairs(tmp_path, parent, change, "--workload", "infer-b1",
                                "--workload", "train-b16", "--seeds", "3-5,9", "--seconds", "2")
     assert proc.returncode == 0, proc.stderr
@@ -98,6 +100,13 @@ def test_pairs_alternate_and_summarise_like_the_committed_bench_files(tmp_path):
     rss = w["metrics"]["peak_rss_mb"]
     assert rss["change_wins"] == 0 and rss["median_gap"] == 0.0  # ties count for neither
     assert w["raw_metrics"]["clips_per_s"]["change"]["median"] == 27.25
+    # 40 MB of 4 KiB pages over 10 operations: at least 1,024 more faults per op
+    faults = {side: [r["minflt_per_op"] for r in doc["runs"]
+                     if r["workload"] == "train-b16" and r["side"] == side]
+              for side in ("parent", "change")}
+    assert all(f > 0 for side in faults.values() for f in side)
+    assert w["minflt_per_op"] == {side: statistics.median(f) for side, f in faults.items()}
+    assert w["minflt_per_op"]["change"] - w["minflt_per_op"]["parent"] > 1000
 
 
 def test_failed_operations_or_runs_exit_1(tmp_path):

@@ -19,7 +19,10 @@ change is better in, ties counting for neither), the gap between the
 medians, the parent's interquartile range and the gap relative to the
 parent's median. ``raw_metrics`` does the same for the unscaled wall-clock
 figures of each run's report, and ``runs`` keeps every run with its median
-host-speed factor. The tool exits 1
+host-speed factor and its minor page faults per operation (the run's
+``ru_minflt``, from ``getrusage(RUSAGE_CHILDREN)`` around it, over its
+attempted operations); each workload holds each side's median of those as
+``minflt_per_op``. The tool exits 1
 if a run printed no result, or reported a failed or incorrect operation.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,16 +52,23 @@ def parse_seeds(text):
     return seeds
 
 
+def minor_faults():
+    """Minor page faults of every child process this one has waited for."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def run_once(tree, workload, seed, seconds):
-    """One perfbench run in its own process -> (report, result) dicts."""
+    """One perfbench run in its own process -> (report, result, minor page faults)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    faults = minor_faults()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = minor_faults() - faults
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-2]), json.loads(lines[-1])
+    return json.loads(lines[-2]), json.loads(lines[-1]), faults
 
 
 def order(i):
@@ -133,15 +144,18 @@ def main(argv=None):
     bad = False
     for workload in args.workload:
         runs = {side: [] for side in SIDES}  # (report, result) per pair
+        faults = {side: [] for side in SIDES}  # minor page faults per operation, per pair
         for i, seed in enumerate(args.seeds):
             for side in order(i):
                 t0 = time.monotonic()
                 try:
-                    report, result = run_once(getattr(args, side), workload, seed, args.seconds)
+                    report, result, minflt = run_once(getattr(args, side), workload, seed,
+                                                      args.seconds)
                 except (RuntimeError, ValueError) as exc:
                     print(f"{workload} seed {seed} {side}: {exc}", file=sys.stderr)
                     return 1
                 runs[side].append((report, result))
+                faults[side].append(round(minflt / result["attempted"], 1))
                 env = report["env"]
                 doc["src_sha256"][side] = env["src_sha256"]
                 if side == "parent":
@@ -149,7 +163,8 @@ def main(argv=None):
                 doc["host"] = {k: env[k] for k in HOST_KEYS}
                 doc["runs"].append({"workload": workload, "seed": seed, "side": side,
                                     "result": result, "raw": report["raw"],
-                                    "host_speed_factor_p50": report["host_speed_factor_p50"]})
+                                    "host_speed_factor_p50": report["host_speed_factor_p50"],
+                                    "minflt_per_op": faults[side][-1]})
                 bad |= not result["correct"] or result["failed"] > 0
                 print(f"{workload} seed {seed} {side}: clips_per_s "
                       f"{result['metrics']['clips_per_s']['value']:.2f} "
@@ -164,6 +179,7 @@ def main(argv=None):
             "failed": {side: sum(res["failed"] for _, res in runs[side]) for side in SIDES},
             "attempted": {side: sum(res["attempted"] for _, res in runs[side])
                           for side in SIDES},
+            "minflt_per_op": {side: statistics.median(faults[side]) for side in SIDES},
             "metrics": summarise(scaled, better),
             "raw_metrics": summarise(raw, better),
         }
