@@ -144,9 +144,14 @@ def tensor(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=_DTYPE), requires_grad=requires_grad)
 
 
+def _tracks(parents):
+    """A node joins the tape iff grad is on and one of its parents needs it."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn):
-    requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    if requires:
+    """The one place a tape node is made."""
+    if _tracks(parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 
@@ -353,12 +358,8 @@ def reduce_sum(a, axes=None, keepdims=False):
     in_shape = a.data.shape
 
     def bwd(g):
-        if axes is None:
-            _accumulate(a, np.broadcast_to(g, in_shape))
-            return
-        ax = axes if isinstance(axes, tuple) else (axes,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
+        if not keepdims and axes is not None:
+            g = np.expand_dims(g, axes)
         _accumulate(a, np.broadcast_to(g, in_shape))
 
     return _make(out_data, (a,), bwd)
@@ -412,11 +413,13 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     2 or 3. The int ``stride`` and ``padding`` apply on every spatial axis;
     output spatial extent is floor((n + 2p - k) / s) + 1.
 
-    The forward and the weight gradient are one grouped matmul each against
-    the ``[groups, P, C_g * K]`` columns of ``_im2col``, one gather along a
-    window index cached per shape. With no tape node, a
-    depthwise conv (below) builds its columns one batch slice at a time, each
-    near ``_DW_SLICE_BYTES`` so that it stays in cache, in one buffer kept
+    The forward is one loop over batch slices: each slice's ``[groups, P,
+    C_g * K]`` columns (``_im2col``, one gather along a window index cached
+    per shape) go through one grouped matmul, and its output is written into
+    its rows of one preallocated output. A slice is the whole batch, and the
+    weight gradient is one grouped matmul against its columns, unless a
+    depthwise conv runs with no tape node (below): then each slice is near
+    ``_DW_SLICE_BYTES`` so that its columns stay in cache, in one buffer kept
     between calls so that no call returns its pages to the OS for the next
     call to fault in again. Its matmul is a gemv per channel, one dot per
     column row, and BLAS rounds a row by its place in the kernel's block of
@@ -462,12 +465,13 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
 
     parents = (x, w) if bias is None else (x, w, bias)
-    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    track = _tracks(parents)
     depthwise = C_g == 1 and C_out == groups
 
     O_g = C_out // groups
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
     rows = math.prod(out_spatial)  # column rows per clip
+    step, columns = B, None  # one slice of the whole batch, columns in a new array
     unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
     if depthwise and not track and B % unit == 0:
         global _dw_columns
@@ -475,27 +479,22 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         step = min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
         if _dw_columns.nbytes < step * clip_bytes:
             _dw_columns = np.empty(step * clip_bytes, dtype=np.uint8)
-        out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x.data, w.data))
-        for lo in range(0, B, step):
-            n = min(step, B - lo)
-            cols = _im2col(x.data[lo:lo + n], kernel, stride, padding, out_spatial, groups,
-                           out=_dw_columns[:n * clip_bytes].view(x.data.dtype))
-            out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2))  # [C, n * rows, 1]
-            out_data[lo:lo + n] = np.moveaxis(out_g.reshape((groups, n) + out_spatial), 0, 1)
-    else:
-        cols_g = _im2col(x.data, kernel, stride, padding, out_spatial, groups)  # [g, P, CgK]
-        P = cols_g.shape[1]
-        out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, P, Og]
-        out_data = np.moveaxis(out_g.reshape((groups, B) + out_spatial + (O_g,)), (0, -1), (1, 2))
-        out_data = np.ascontiguousarray(out_data).reshape((B, C_out) + out_spatial)
+        columns = _dw_columns
+    out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x.data, w.data))
+    out_view = out_data.reshape((B, groups, O_g) + out_spatial)
+    for lo in range(0, B, step):
+        n = min(step, B - lo)
+        out = None if columns is None else columns[:n * clip_bytes].view(x.data.dtype)
+        cols_g = _im2col(x.data[lo:lo + n], kernel, stride, padding, out_spatial, groups, out=out)
+        out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, n * rows, Og]
+        out_view[lo:lo + n] = np.moveaxis(out_g.reshape((groups, n) + out_spatial + (O_g,)),
+                                          (0, -1), (1, 2))
     if bias is not None:
         out_data = out_data + bias.data.reshape((1, C_out) + (1,) * rank)
-    if not track:
-        return Tensor(out_data)
 
     def bwd(g):
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
-        g_flat = np.ascontiguousarray(g_flat).reshape(groups, P, O_g)
+        g_flat = np.ascontiguousarray(g_flat).reshape(groups, B * rows, O_g)
         gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols_g)  # [g, Og, CgK]
         _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
@@ -532,7 +531,7 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         gx = gx[tuple(slice(p, p + n) for p, n in zip(padding, spatial))]
         _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
 
-    return Tensor(out_data, requires_grad=True, _parents=parents, _backward=bwd)
+    return _make(out_data, parents, bwd)
 
 
 def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None):
@@ -592,10 +591,10 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     """Normalize ``x`` over ``axes``, then ``* gamma + beta``, as one tape node.
 
     With ``stats=None`` (train mode) the statistics are the batch's: float64
-    sums of ``x`` and of ``diff**2`` scaled by ``1/n``, then
-    ``inv = 1 / sqrt(var + eps)``. With ``stats=(mean, var)`` (eval mode) they
-    are frozen and ``inv = 1 / sqrt(var + eps)`` is formed in their dtype.
-    Returns ``(y, mean, var)``.
+    sums of ``x`` and of ``diff**2`` scaled by ``1/n``. With ``stats=(mean,
+    var)`` (eval mode) they are frozen, taken in the current precision. Both
+    modes then run one formula: ``diff = x - mean``, ``inv = 1 / sqrt(var +
+    eps)``, ``xhat = diff * inv``. Returns ``(y, mean, var)``.
 
     The float ops, their operand layouts and dtypes (constants in the current
     precision) are those of the chain reduce_mean, sub, mul, reduce_mean, add,
@@ -607,7 +606,7 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    track = _GRAD_ENABLED and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    track = _tracks((x, gamma, beta))
     one = np.asarray(1.0, dtype=_DTYPE)
     xd = x.data
     if stats is None:
@@ -616,19 +615,14 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
         diff = xd - mean
         sq = np.multiply(diff, diff)
         var = np.sum(sq, axis=axes, keepdims=True, dtype=np.float64).astype(sq.dtype) * c
-        sd = np.sqrt(var + np.asarray(eps, dtype=_DTYPE))
-        inv = one / sd
-        xhat = np.multiply(diff, inv, out=_into(sq, diff, inv))
     else:
-        mean, var = stats
-        inv = np.asarray(1.0 / np.sqrt(var + eps), dtype=_DTYPE)
-        d = xd - np.asarray(mean, dtype=_DTYPE)
-        xhat = np.multiply(d, inv, out=_into(d, d, inv))
-        diff = None
+        mean, var = (np.asarray(s, dtype=_DTYPE) for s in stats)
+        diff = sq = xd - mean  # no backward reads diff, so xhat takes its buffer
+    sd = np.sqrt(var + np.asarray(eps, dtype=_DTYPE))
+    inv = one / sd
+    xhat = np.multiply(diff, inv, out=_into(sq, diff, inv))
     y = np.multiply(xhat, gamma.data, out=None if track else _into(xhat, xhat, gamma.data))
     y = np.add(y, beta.data, out=_into(y, y, beta.data))
-    if not track:
-        return Tensor(y), mean, var
 
     def bwd(g):
         _accumulate(beta, g)
@@ -638,7 +632,7 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
             return
         g_xhat = (g * gamma.data).astype(xhat.dtype, copy=False)
         g_x = (g_xhat * inv).astype(xd.dtype, copy=False)  # dL/d(diff) so far
-        if diff is not None:  # the batch statistics depend on x
+        if stats is None:  # the batch statistics depend on x
             g_inv = _unbroadcast(g_xhat * diff, inv.shape).astype(inv.dtype, copy=False)
             g_sd = (-g_inv * one / (sd * sd)).astype(sd.dtype, copy=False)
             g_var = (g_sd * (0.5 / sd)).astype(var.dtype)
@@ -732,7 +726,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     dt = x.data.dtype
     T, shape = x.shape[0], x.shape[1:]
     parents = (x,) if a is None else (x, a)
-    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    track = _tracks(parents)
 
     vr = dt.type(v_reset)
     one = dt.type(1.0)
@@ -761,8 +755,6 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         # s * vr is vr itself when vr is +-0 (s >= 0), the common case
         np.add(v_next, np.multiply(s, vr, out=scratch) if vr else vr, out=v_next)
         v_t = v_next
-    if not track:
-        return Tensor(spikes)
 
     def bwd(g):
         slope = surrogate_slope(hs, v_threshold, alpha)
@@ -785,7 +777,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         g_h *= kappa
         _accumulate(x, g_h, owned=True)
 
-    return Tensor(spikes, requires_grad=True, _parents=parents, _backward=bwd)
+    return _make(spikes, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,7 @@ class ClassificationHead(Module):
         self.channels = channels
         self.extent = (cfg.time_steps, height, width)
         self.sn = SpikingLayer(cfg.neuron)
-        self.conv3d = Conv(channels, channels, self.extent, rng, groups=channels,
-                           spatial_rank=3)
+        self.conv3d = Conv(channels, channels, self.extent, rng, groups=channels)
         self.bn = BatchNorm(channels, layout="vec")
         self.fc = Linear(channels, cfg.num_classes, rng, bias=True, fr_source=self.sn)
 

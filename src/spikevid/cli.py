@@ -22,6 +22,7 @@ import math
 import os
 import shutil
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import yaml
@@ -142,18 +143,6 @@ def _coerce(full, default, value):
     return value
 
 
-def _apply_override(tree, dotted, raw):
-    value = yaml.safe_load(raw)
-    keys = dotted.split(".")
-    sub = {}
-    node = sub
-    for key in keys[:-1]:
-        node[key] = {}
-        node = node[key]
-    node[keys[-1]] = value
-    return _merge_checked(tree, sub)
-
-
 def parse_config(config_path=None, overrides=()):
     """Resolve defaults + file + dotted overrides into a validated tree."""
     resolved = copy.deepcopy(DEFAULTS)
@@ -167,7 +156,10 @@ def parse_config(config_path=None, overrides=()):
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
         dotted, raw = item.split("=", 1)
-        resolved = _apply_override(resolved, dotted, raw)
+        nested = yaml.safe_load(raw)
+        for key in reversed(dotted.split(".")):
+            nested = {key: nested}
+        resolved = _merge_checked(resolved, nested)
     seed = resolved["run"]["seed"]
     if not isinstance(seed, int) or not 0 <= seed < 2**32:
         # checkpoints store the seed as an unsigned 32-bit integer
@@ -299,8 +291,7 @@ def cmd_train(cfg, out_dir):
     os.makedirs(ckpt_dir, exist_ok=True)
 
     def on_epoch(metrics):
-        rec = metrics.to_record()
-        records.append(rec)
+        records.append(asdict(metrics))
         print(f"epoch {metrics.epoch:3d}  loss {metrics.train_loss:.4f}  "
               f"top1 {metrics.top1:.4f}  lr {metrics.lr:.2e}", flush=True)
 

@@ -92,12 +92,13 @@ class _ProfiledLayer(Module):
 
 
 class Conv(_ProfiledLayer):
-    """Grouped 2-D/3-D cross-correlation with learnable kernel."""
+    """Grouped 2-D/3-D cross-correlation with learnable kernel: an int
+    ``kernel`` is a square 2-D one, a tuple gives every extent."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1, padding=0,
-                 groups=1, spatial_rank=2, fr_source=None):
+                 groups=1, fr_source=None):
         super().__init__(fr_source)
-        kernel = (kernel,) * spatial_rank if isinstance(kernel, int) else tuple(kernel)
+        kernel = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
         if in_channels % groups or out_channels % groups:
             raise ad.ShapeError(
                 f"groups={groups} incompatible with channels {in_channels}->{out_channels}"

@@ -237,8 +237,8 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def load_checkpoint(path, model: VideoSpikeNet | None = None) -> VideoSpikeNet:
-    """Rebuild (or populate) a model from a checkpoint, bit-exactly."""
+def load_checkpoint(path) -> VideoSpikeNet:
+    """Rebuild a model from a checkpoint, bit-exactly."""
     def parse(r):
         (cfg_len,) = r.unpack("<I")
         cfg = ModelConfig.from_dict(json.loads(r.take(cfg_len).decode()))
@@ -261,8 +261,7 @@ def load_checkpoint(path, model: VideoSpikeNet | None = None) -> VideoSpikeNet:
         return cfg, seed, arrays
 
     cfg, seed, arrays = container.read(path, _MAGIC, _VERSION, CheckpointError, parse)
-    if model is None:
-        model = VideoSpikeNet(cfg, seed=seed)
+    model = VideoSpikeNet(cfg, seed=seed)
     slots = dict(model.named_parameters())
     buffers = dict(model.named_buffers())
     expected = {name: tuple(t.data.shape) for name, t in slots.items()}

@@ -17,6 +17,15 @@ class HookHandle:
         self._hooks.pop(self, None)
 
 
+def _walk(name, value):
+    """The modules in an attribute value: itself, or those in a list/tuple."""
+    if isinstance(value, Module):
+        yield name, value
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _walk(f"{name}.{i}", item)
+
+
 class Module:
     def __init__(self):
         self.training = True
@@ -25,17 +34,9 @@ class Module:
     # -- traversal ----------------------------------------------------------
 
     def children(self):
-        def walk(name, value):
-            if isinstance(value, Module):
-                yield name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    yield from walk(f"{name}.{i}", item)
-
         for name, value in vars(self).items():
-            if name.startswith("_"):  # private refs (aliases, caches) are not children
-                continue
-            yield from walk(name, value)
+            if not name.startswith("_"):  # private refs (aliases, caches) are not children
+                yield from _walk(name, value)
 
     def modules(self, prefix=""):
         yield prefix, self
@@ -69,9 +70,6 @@ class Module:
 
     def eval(self):
         return self.train(False)
-
-    def param_count(self):
-        return sum(p.size for p in self.parameters())
 
     def register_forward_hook(self, hook):
         """Call ``hook(module, args, output)`` after every ``forward``."""

@@ -54,11 +54,6 @@ class LayerCost:
         self.sops = self.fr_in * self.flops
 
 
-def count_flops(layer, out_elems):
-    """Dense MAC count for a conv/linear layer given its recorded output size."""
-    return float(out_elems) * layer.macs_per_output()
-
-
 # ---------------------------------------------------------------------------
 # exact accumulate counters (diagnostic oracles for the estimate)
 
@@ -244,7 +239,7 @@ def cost_table(rec: Recording, num_clips, exact=False):
         fr = rec.spikes[m.fr_source].rate() if m.fr_source is not None else stats.nnz / stats.size
         kind = "conv" if isinstance(m, Conv) else "linear"
         table.append(LayerCost(name=rec.names[m], kind=kind, fr_in=fr, mac_billed=m.is_encoder,
-                               flops=count_flops(m, stats.out_count) / num_clips))
+                               flops=float(stats.out_count) * m.macs_per_output() / num_clips))
     for block, exact_kv in rec.attn.items():
         q = rec.spikes[block.sn_q]
         if q.count == 0:

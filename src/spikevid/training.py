@@ -8,7 +8,7 @@ The optimizer is an adaptive-moment method with decoupled weight decay.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class EpochMetrics:
     firing_rates: dict = field(default_factory=dict)
     taus: dict = field(default_factory=dict)
     wall_time: float = 0.0
-
-    def to_record(self):
-        return asdict(self)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

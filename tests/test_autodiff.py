@@ -731,6 +731,29 @@ PRIMITIVE_CASES = {
 }
 
 
+class TestTapeNodes:
+    def test_every_tape_node_is_made_by_make(self, monkeypatch):
+        from spikevid.model import ModelConfig, VideoSpikeNet
+        from spikevid.training import cross_entropy
+
+        made = []  # kept alive, so no other tensor can reuse one of their ids
+        make = ad._make
+
+        def spy(data, parents, backward_fn):
+            made.append(make(data, parents, backward_fn))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_make", spy)
+        model = VideoSpikeNet(ModelConfig(), seed=0)
+        model.train()
+        clip = ad.tensor(make_rng(42).random((model.cfg.time_steps, 2, 3, 32, 32)))
+        loss = cross_entropy(model(clip), np.array([0, 1]))
+        made_ids = {id(t) for t in made}
+        nodes = [t for t in _reachable(loss) if t._backward is not None]
+        bypass = [t for t in nodes if id(t) not in made_ids]
+        assert nodes and not bypass, f"{len(bypass)} of {len(nodes)} tape nodes bypass _make"
+
+
 class TestGradientOwnership:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", list(PRIMITIVE_CASES))

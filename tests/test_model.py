@@ -258,12 +258,21 @@ class TestCheckpoint:
         assert ModelConfig.from_dict(saved.to_dict()) == cfg
 
     def test_mismatched_model_rejected_with_names(self, tmp_path):
-        model = VideoSpikeNet(tiny_config(), seed=0)
+        # a CRC-valid file whose arrays do not fit its own config: one model's
+        # header (config, digest, seed) spliced onto another model's arrays
+        parts = []
+        for cfg in (tiny_config(), tiny_config(channels=(4, 4, 4, 8))):
+            save_checkpoint(VideoSpikeNet(cfg, seed=0), tmp_path / "part.ckpt")
+            blob = (tmp_path / "part.ckpt").read_bytes()
+            (cfg_len,) = struct.unpack_from("<I", blob, 12)  # after magic and version
+            parts.append((blob, 16 + cfg_len + 64 + 4))  # the entry count's offset
+        (head, head_end), (arrays, arrays_start) = parts
+        body = head[8:head_end] + arrays[arrays_start:-4]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        other = VideoSpikeNet(tiny_config(channels=(4, 4, 4, 8)), seed=0)
+        path.write_bytes(head[:8] + body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(CheckpointError) as err:
-            load_checkpoint(path, model=other)
+            load_checkpoint(path)
+        assert "does not match model" in str(err.value)
         assert "head" in str(err.value)  # names the offending entries
 
     def test_corruption_rejected(self, tmp_path):
@@ -317,7 +326,7 @@ class TestScaleDiagnostics:
         cfg = variant_config("base")
         # conv/linear parameter arithmetic without instantiating 224x224 maps
         model = VideoSpikeNet(cfg, seed=0)
-        count = model.param_count()
+        count = sum(p.size for p in model.parameters())
         assert 5e6 < count < 50e6
 
 

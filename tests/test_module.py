@@ -1,9 +1,12 @@
-"""Module forward hooks."""
+"""Module forward hooks and traversal."""
+
+import gc
 
 import numpy as np
 
 from spikevid import autodiff as ad
 from spikevid.layers import Linear
+from spikevid.model import ModelConfig, VideoSpikeNet
 
 from conftest import make_rng
 
@@ -37,3 +40,28 @@ def test_remove_detaches_and_is_idempotent():
     lin(x)
     assert seen == ["kept", "removed", "kept"]
     assert not lin._forward_hooks
+
+
+def test_mode_switch_leaves_no_cyclic_garbage():
+    # every module visited by train()/eval() must be freed by reference
+    # counting alone, without waiting for the cyclic collector
+    model = VideoSpikeNet(ModelConfig(), seed=0)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        model.eval()
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_module_order_and_names_are_the_attribute_order():
+    root = Linear(2, 2, make_rng(2))
+    root.blocks = [Linear(2, 2, make_rng(3)), (Linear(2, 2, make_rng(4)),)]
+    root.head = Linear(2, 2, make_rng(5))
+    root._alias = root.head  # private: not a child
+    assert [name for name, _ in root.modules()] == ["", "blocks.0", "blocks.1.0", "head"]
+    assert [name for name, _ in root.named_parameters()] == [
+        "weight", "blocks.0.weight", "blocks.1.0.weight", "head.weight"]

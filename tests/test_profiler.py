@@ -239,18 +239,25 @@ class TestSpikingAttention:
 
 
 class TestFlopCounting:
+    """A layer's row bills its recorded outputs times its MACs per output."""
+
     def test_conv_layer_flops(self):
-        rng = make_rng(7)
-        conv = Conv(4, 8, 3, rng, padding=1)
+        conv = Conv(4, 8, 3, make_rng(7), padding=1)
         with prof.Recording(conv) as rec:
             conv(ad.tensor(spikes((2, 4, 6, 6), 8)))
-        assert prof.count_flops(conv, rec.inputs[conv].out_count) == (2 * 8 * 6 * 6) * (9 * 4)
+        assert conv.macs_per_output() == 9 * 4
+        (row,) = prof.cost_table(rec, num_clips=2)
+        assert row.kind == "conv"
+        assert row.flops == (8 * 6 * 6) * (9 * 4)  # per clip
 
     def test_linear_layer_flops(self):
         lin = Linear(16, 4, make_rng(9))
         with prof.Recording(lin) as rec:
             lin(ad.tensor(spikes((5, 16), 10)))
-        assert prof.count_flops(lin, rec.inputs[lin].out_count) == 5 * 4 * 16
+        assert lin.macs_per_output() == 16
+        (row,) = prof.cost_table(rec, num_clips=1)
+        assert row.kind == "linear"
+        assert row.flops == 5 * 4 * 16
 
 
 class TestRecording:

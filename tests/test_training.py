@@ -1,5 +1,7 @@
 """Loss, optimizer, schedule, and loop behavior."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,7 @@ class TestLoops:
         rates = metrics.firing_rates
         assert set(rates) == {n for n, _ in model.spiking_layers()}
         assert all(0.0 <= r <= 1.0 for r in rates.values())
-        record = metrics.to_record()
+        record = asdict(metrics)
         assert record["firing_rates"] == rates
         assert list(record) == ["epoch", "train_loss", "top1", "lr", "firing_rates", "taus",
                                 "wall_time"]  # metrics.jsonl's key order

@@ -14,7 +14,10 @@ and saves every array it produces:
 - one ``profiler.record`` pass of a calibrated model (cost table, firing
   rates and traces). The fitted model does not spike yet, so this is the
   pass that covers nonzero rates and SOPs: a fresh model's BatchNorm running
-  statistics are set to those of one train-mode batch (momentum 1, no tape).
+  statistics are set to those of one train-mode batch (momentum 1, no tape);
+- one eval-mode forward of that calibrated model on a tape, and one backward
+  from its loss: the logits, the loss and the gradients of the input and of
+  every parameter, through frozen-statistics batch norms.
 
 ``compare`` prints each key whose dtype, shape or bytes differ between two
 dumps, or that only one of them holds, and exits 1 if there is any. Run both
@@ -29,6 +32,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -94,7 +98,7 @@ def fit_run():
     history = training.fit(model, train.clips, train.labels, cfg, test.clips, test.labels)
     epochs = {}
     for metrics in history:
-        record = metrics.to_record()
+        record = asdict(metrics)
         del record["wall_time"]
         epochs[f"epoch{metrics.epoch}"] = record
     top1 = training.evaluate(model, test.clips, test.labels, cfg.batch_size)
@@ -118,25 +122,33 @@ def fit_run():
 
 def calibrated_run():
     from spikevid import autodiff as ad
-    from spikevid import profiler
+    from spikevid import profiler, training
     from spikevid.data import gen_moving_patterns
     from spikevid.layers import BatchNorm
     from spikevid.model import ModelConfig, VideoSpikeNet
 
-    clips = gen_moving_patterns(seed=SEED + 2, num=BATCH).clips
+    ds = gen_moving_patterns(seed=SEED + 2, num=BATCH)
+    clips = ds.clips
+    x = ad.tensor(np.ascontiguousarray(clips.transpose(1, 0, 2, 3, 4)), requires_grad=True)
     model = VideoSpikeNet(ModelConfig(), seed=SEED)
     for _, m in model.modules():
         if isinstance(m, BatchNorm):
             m.momentum = 1.0
     model.train()
     with ad.no_grad():
-        model(ad.tensor(np.ascontiguousarray(clips.transpose(1, 0, 2, 3, 4))))
+        model(x)
     rec = profiler.record(model, clips, batch_size=BATCH)
     table = profiler.cost_table(rec, len(clips), exact=True)
+    model.eval()
+    logits = model(x)
+    loss = training.cross_entropy(logits, ds.labels)
+    ad.backward(loss)
     return {
         "cost_table": {c.name: vars(c) for c in table},
         "firing_rates": rec.firing_rates(),
         "traces": rec.traces(),
+        "eval_tape": {"logits": logits.data, "loss": loss.data, "input_grad": x.grad,
+                      "grad": {name: p.grad for name, p in model.named_parameters()}},
     }
 
 
