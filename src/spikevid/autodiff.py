@@ -199,8 +199,8 @@ def add(a, b):
     out_data = a.data + b.data
 
     def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, g)  # a copy, so that b can take g itself
+        _accumulate(b, g, owned=True)
 
     return _make(out_data, (a, b), bwd)
 
@@ -436,7 +436,8 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     C_in, *kernel]`` view. A depthwise conv (``C_g == 1`` and ``C_out ==
     groups``) skips that matmul: its inner extent is 1, so each column entry
     is one rounded product ``g * w``, and it scatters ``g * w[:, 0, offset]``
-    with ``g`` relaid once to ``[*out, B, C]``. Either way each input element
+    with ``g`` relaid once to ``[*out, B, C]`` and the weights once to
+    ``[*kernel, B, C]``, so both run along B * C. Either way each input element
     receives the same rounded terms in the same order as a ``[B, C_in,
     *padded]`` scatter. One copy then crops the padding and relays to ``[B,
     C_in, *spatial]``. A conv whose one kernel offset reaches every input
@@ -504,7 +505,8 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         dtype = np.result_type(g, w.data)
         if depthwise:
             g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
-            w_cl = np.moveaxis(w.data[:, 0], 0, -1)  # [*kernel, C]
+            w_cl = np.empty(kernel + (B, C_in), dtype=w.data.dtype)  # [*kernel, B, C]
+            w_cl[...] = np.moveaxis(w.data[:, 0], 0, -1)[..., None, :]
             term = np.empty(g_cl.shape, dtype=dtype)
 
             def term_at(offset):
@@ -718,11 +720,14 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     dL/dV; it recomputes the surrogate slopes from the saved H through
     ``surrogate_slope`` and drops the S -> V reset path if ``detach_reset``.
     Nothing is saved when no input requires a gradient or under ``no_grad``.
+
+    Raises ``FloatingPointError``, before any tape node is made, if the final
+    membrane is not finite. A NaN or +-inf input at any step leaves it so
+    (inf * 0 and inf - inf give NaN, and NaN stays), and so do a NaN leak
+    parameter and a membrane that overflows from finite input.
     """
     if x.ndim < 1 or x.shape[0] == 0:
         raise ShapeError(f"lif_sequence: expected a non-empty [T, ...] input, got {x.shape}")
-    if not np.all(np.isfinite(x.data)):
-        raise FloatingPointError("spiking layer received non-finite input")
     dt = x.data.dtype
     T, shape = x.shape[0], x.shape[1:]
     parents = (x,) if a is None else (x, a)
@@ -740,6 +745,10 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     scratch = np.empty(shape, dtype=spikes.dtype)
     v_next = np.empty(shape, dtype=spikes.dtype)
     v_t = np.full(shape, v_reset, dtype=dt)
+    # with Heaviside spikes and vr = +-0, spikes[t] first holds 1 - S_t, straight
+    # from H < v_threshold (the bits of 1 - S_t for every H but NaN, which
+    # raises below), and one pass after the loop turns it into S_t
+    complement = not (smooth or vr)
     for t in range(T):
         drive = scratch if drives is None else drives[t]
         if v_reset:
@@ -749,12 +758,24 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         h = scratch if hs is None else hs[t]
         np.multiply(kappa, drive, out=h)
         np.add(v_t, h, out=h)
-        s = _spike_forward(h, v_threshold, alpha, smooth, out=spikes[t])
-        np.subtract(one, s, out=v_next)
-        np.multiply(h, v_next, out=v_next)
-        # s * vr is vr itself when vr is +-0 (s >= 0), the common case
-        np.add(v_next, np.multiply(s, vr, out=scratch) if vr else vr, out=v_next)
+        if complement:
+            keep = np.less(h, v_threshold, out=spikes[t], casting="unsafe")
+        else:
+            s = _spike_forward(h, v_threshold, alpha, smooth, out=spikes[t])
+            keep = np.subtract(one, s, out=v_next)
+        np.multiply(h, keep, out=v_next)
+        # with vr = +-0 the reset term s * vr is vr, and adding it is skipped:
+        # -0.0 changes no bit, and +0.0 only turns V = -0.0 into +0.0, which
+        # Heaviside spikes never leave (V is H, not -0.0 as V is not, or H * 0
+        # with H >= v_threshold > 0) and no later H or S tells apart
+        if vr:
+            np.add(v_next, np.multiply(s, vr, out=scratch), out=v_next)
         v_t = v_next
+    if complement:
+        np.subtract(one, spikes, out=spikes)
+    if not np.isfinite(v_t).all():
+        raise FloatingPointError("spiking layer: non-finite membrane (non-finite input or "
+                                 "leak parameter, or an overflow)")
 
     def bwd(g):
         slope = surrogate_slope(hs, v_threshold, alpha)

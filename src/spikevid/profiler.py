@@ -167,7 +167,9 @@ class Recording:
     def _on_linear(self, layer, args, out):
         stats = self.inputs[layer]
         data = args[0].data
-        nnz = int(np.count_nonzero(data))
+        # count the zeros of a bool array: count_nonzero takes a slow
+        # per-element path on floats (NaN counts as nonzero, -0.0 as zero)
+        nnz = data.size - int(np.count_nonzero(data == 0))
         stats.nnz += nnz
         stats.size += data.size
         if stats.binary:  # binary iff every nonzero is a 1

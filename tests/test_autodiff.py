@@ -609,6 +609,18 @@ class TestBackwardMechanics:
         ad.backward(ad.reduce_sum(y))
         np.testing.assert_allclose(x.grad, [6.0])
 
+    def test_add_copies_for_one_parent_and_hands_over_to_the_other(self):
+        w = ad.tensor([2.0, 5.0])
+        x = t([3.0, 4.0])
+        ad.backward(ad.reduce_sum(ad.mul(ad.add(x, x), w)))  # one parent twice
+        np.testing.assert_array_equal(x.grad, [4.0, 10.0])
+        a, b = t([1.0, 2.0]), t([3.0, 4.0])
+        # b takes add's gradient and then gains more; a's copy must not move
+        loss = ad.add(ad.reduce_sum(ad.mul(ad.add(a, b), w)), ad.reduce_sum(ad.mul(b, w)))
+        ad.backward(loss)
+        np.testing.assert_array_equal(a.grad, [2.0, 5.0])
+        np.testing.assert_array_equal(b.grad, [4.0, 10.0])
+
     def test_deep_chain_iterative(self):
         # recursion-free traversal must handle graphs deeper than the
         # interpreter's recursion limit
@@ -695,6 +707,7 @@ def _bn_case(x, g, b, stats=None):
 # name -> (f, input shapes); every primitive, each through the loss it feeds
 PRIMITIVE_CASES = {
     "add": (lambda a, b: ad.reduce_sum(ad.add(a, b)), [(3, 4), (3, 4)]),
+    "add_self": (lambda a: ad.reduce_sum(ad.mul(ad.add(a, a), a)), [(3, 4)]),
     "sub": (lambda a, b: ad.reduce_sum(ad.sub(a, b)), [(3, 4), (3, 4)]),
     "mul": (lambda a, b: ad.reduce_sum(ad.mul(a, b)), [(3, 4), (1, 4)]),
     "mul_self": (lambda a: ad.reduce_sum(ad.mul(a, a)), [(3, 4)]),

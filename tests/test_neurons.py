@@ -208,13 +208,13 @@ class TestFusedSequenceMatchesStepwise:
 
     @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
     @pytest.mark.parametrize("detach_reset", [False, True])
-    @pytest.mark.parametrize("v_reset", [0.0, 0.3])
+    @pytest.mark.parametrize("v_reset", [0.0, -0.0, 0.3])
     @pytest.mark.parametrize("smooth", [False, True])
     def test_forward_exact_and_gradients_agree(self, kind, detach_reset, v_reset, smooth):
         cfg = NeuronConfig(kind=kind, tau=2.5, v_reset=v_reset, detach_reset=detach_reset)
         fused, g_fused = _from_rest(_fused, cfg, smooth, seed=11)
         ref, g_ref = _from_rest(_stepwise_reference, cfg, smooth, seed=11)
-        np.testing.assert_array_equal(fused, ref)
+        assert fused.tobytes() == ref.tobytes()
         if not smooth:
             assert 0.0 < fused.mean() < 1.0  # spikes and silence both occur
         for name in ("x",) + (("a",) if kind == "PLIF" else ()):
@@ -222,6 +222,30 @@ class TestFusedSequenceMatchesStepwise:
                                        err_msg=name)
         if kind == "LIF":
             assert g_fused["a"] is None
+
+    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
+    @pytest.mark.parametrize("v_reset", [0.0, -0.0])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_signed_zero_inputs_and_zero_membrane_byte_equal(self, kind, v_reset, smooth):
+        """Inputs of exactly +-0.0 and steps whose H is exactly 0 (kappa = 0.5
+        for both kinds): the fused forward, which skips adding a zero reset
+        potential and takes 1 - S from H < v_threshold, gives the bytes of
+        the chain that adds it and subtracts S from 1."""
+        cfg = NeuronConfig(kind=kind, tau=2.0, v_reset=v_reset)
+        columns = [
+            [1.0, -0.5, -0.0, -0.0, 0.0, 2.0, -0.0, 1.0, -0.5],  # H = 0.5 - 0.5, spike at 2
+            [-1.0, 0.5, -0.0, 2.0, 0.0, -1.0, 0.5, 0.0, -0.0],  # H = -0.5 + 0.5
+            [-0.0] * 9,
+            [0.0] * 9,
+            [3.0, -0.0, 0.0, -0.0, 3.0, 0.0, -0.0, 0.0, 3.0],  # H * 0 after each spike
+        ]
+        with ad.precision(np.float64):
+            x = ad.tensor(np.array(columns).T)
+            a = ad.tensor(np.array(0.0))  # sigmoid(0) = 0.5
+            fused, ref = (run(x, a, cfg, smooth).data for run in (_fused, _stepwise_reference))
+        assert np.signbit(x.data).any() and fused.tobytes() == ref.tobytes()
+        if not smooth:
+            assert fused[:, 4].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_no_tape_node_without_grad(self):
         x = ad.Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
@@ -256,6 +280,44 @@ class TestFusedSequenceMatchesStepwise:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ad.ShapeError):
             ad.lif_sequence(ad.tensor(np.zeros((0, 2))))
+
+
+class TestNonFiniteMembrane:
+    """``lif_sequence`` checks the final membrane: a non-finite input at any
+    step leaves it non-finite, so the layer refuses it and makes no node."""
+
+    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("v_reset", [0.0, 0.3])
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("step", [0, 3, 6])
+    def test_non_finite_input_at_any_step_raises(self, monkeypatch, kind, smooth, v_reset,
+                                                 grad, bad, step):
+        cfg = NeuronConfig(kind=kind, tau=2.5, v_reset=v_reset)
+        x = make_rng(15).normal(0.8, 1.0, (7, 3, 4)).astype(np.float32)
+        x[step, 1, 2] = bad
+        x = ad.Tensor(x, requires_grad=grad)
+        a = ad.Tensor(np.array(0.3, dtype=np.float32), requires_grad=grad)
+        made = []
+        monkeypatch.setattr(ad, "_make", lambda *args: made.append(args))
+        with contextlib.nullcontext() if grad else ad.no_grad(), \
+                np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="membrane"):
+            _fused(x, a, cfg, smooth)
+        assert made == []
+
+    def test_nan_leak_parameter_raises(self):
+        x = ad.tensor(make_rng(16).normal(0.8, 1.0, (4, 3)))
+        with pytest.raises(FloatingPointError, match="leak parameter"):
+            ad.lif_sequence(x, ad.tensor(np.array(np.nan)))
+
+    def test_membrane_overflow_from_finite_input_raises(self):
+        # V = -1.5e38, then the drive 3e38 + 1.5e38 overflows float32
+        x = ad.tensor(np.array([[-3e38], [3e38]], dtype=np.float32))
+        assert np.isfinite(x.data).all()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflow"):
+            ad.lif_sequence(x)
 
 
 class TestInstrumentation:

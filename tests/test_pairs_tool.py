@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # A perfbench stand-in: it logs which tree ran which seed, writes to TOUCH_MB
@@ -107,6 +109,30 @@ def test_pairs_alternate_and_summarise_like_the_committed_bench_files(tmp_path):
     assert all(f > 0 for side in faults.values() for f in side)
     assert w["minflt_per_op"] == {side: statistics.median(f) for side, f in faults.items()}
     assert w["minflt_per_op"]["change"] - w["minflt_per_op"]["parent"] > 1000
+    verdicts = {name: m["verdict"] for name, m in w["metrics"].items()}
+    assert verdicts == {"clips_per_s": "gain", "op_ms_p50": "gain", "op_ms_tail": "gain",
+                        "peak_rss_mb": "no worse", "setup_s": "no worse"}
+    assert not any("verdict" in m for m in w["raw_metrics"].values())
+    assert "train-b16 clips_per_s: gain (median 44.5 -> 54.5, 4/4 pairs" in proc.stdout
+
+
+@pytest.mark.parametrize("parent_base, change_base, seeds, expected", [
+    (50.0, 20.0, "1-4", "worse"),  # 53 -> 23 clips/s: 57% below, bound 25%
+    (10.0, 10.5, "1,2,3,40", "unresolved"),  # wins 4/4, but spread 2.4 and gap 0.5
+    # 2 pairs: quartiles extrapolate, so the gap (30) is under the parent's
+    # IQR (43.5) and its spread is 2.8, but every change run beats every parent run
+    (0.0, 30.0, "1,30", "no worse"),
+    (40.0, 40.2, "1-10", "no worse"),  # wins 10/10, gap 0.2 under the IQR 5.5
+], ids=["worse", "unresolved", "all-runs-better", "small-gap"])
+def test_verdicts(tmp_path, parent_base, change_base, seeds, expected):
+    parent = make_tree(tmp_path / "parent", "p", parent_base)
+    change = make_tree(tmp_path / "change", "c", change_base)
+    proc, _, out = run_pairs(tmp_path, parent, change, "--workload", "infer-b1",
+                             "--seeds", seeds, "--seconds", "1")
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(out.read_text())["workloads"]["infer-b1"]["metrics"]
+    assert metrics["clips_per_s"]["verdict"] == expected
+    assert f"infer-b1 clips_per_s: {expected} (" in proc.stdout
 
 
 def test_failed_operations_or_runs_exit_1(tmp_path):

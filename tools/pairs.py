@@ -22,8 +22,23 @@ figures of each run's report, and ``runs`` keeps every run with its median
 host-speed factor and its minor page faults per operation (the run's
 ``ru_minflt``, from ``getrusage(RUSAGE_CHILDREN)`` around it, over its
 attempted operations); each workload holds each side's median of those as
-``minflt_per_op``. The tool exits 1
-if a run printed no result, or reported a failed or incorrect operation.
+``minflt_per_op``.
+
+Each end-to-end metric also gets a ``verdict``, printed at the end, from
+the metric's ``bound`` (a share of the parent's median) in
+``BENCHMARK.json``. The rules are taken in this order:
+
+- ``gain``: the change wins at least nine tenths of the pairs and the median
+  gap, in the better direction, exceeds the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than the
+  bound;
+- ``unresolved``: either side's spread (interquartile range over median) is
+  wider than the bound, and not every run of the change beats every run of
+  the parent;
+- ``no worse``: otherwise.
+
+The tool exits 1 if a run printed no result, or reported a failed or
+incorrect operation.
 """
 
 from __future__ import annotations
@@ -82,10 +97,32 @@ def quartiles(values):
             "q3": round(q3, 4)}
 
 
-def summarise(values, better):
+def iqr(values):
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(parent, change, sign, bound):
+    """One metric's verdict (module docstring) from each side's values, pair
+    by pair; ``sign`` is +1 if higher is better, else -1."""
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_med = statistics.median(parent)
+    gain = sign * (statistics.median(change) - p_med)
+    if wins >= 0.9 * len(parent) and gain > iqr(parent):
+        return "gain"
+    if -gain > bound * abs(p_med):
+        return "worse"
+    spread = max(iqr(side) / abs(statistics.median(side)) for side in (parent, change))
+    if spread > bound and not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    return "no worse"
+
+
+def summarise(values, better, bounds=None):
     """Per-metric statistics over the pairs of one workload. ``values`` maps
     each metric name to each side's list of values, pair by pair; ``better``
-    maps each metric name to "lower" or "higher"."""
+    maps each metric name to "lower" or "higher". A metric named in
+    ``bounds`` also gets its ``verdict``."""
     metrics = {}
     for name, sides in values.items():
         sign = 1 if better[name] == "higher" else -1
@@ -101,6 +138,9 @@ def summarise(values, better):
             "parent_iqr": round(stats["parent"]["q3"] - stats["parent"]["q1"], 4),
             "relative": round(gap / statistics.median(sides["parent"]), 4),
         }
+        if bounds and name in bounds:
+            metrics[name]["verdict"] = verdict(sides["parent"], sides["change"], sign,
+                                               bounds[name])
     return metrics
 
 
@@ -121,6 +161,7 @@ def main(argv=None):
     with open(Path(args.parent) / "BENCHMARK.json") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     unknown = set(args.workload) - {w["name"] for w in bench["workloads"]}
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
@@ -136,7 +177,8 @@ def main(argv=None):
                   "one at a time, the side that runs first alternates (parent first on "
                   "the first seed); medians and quartiles (statistics.quantiles, n=4) over "
                   "the pairs; change_wins counts pairs where the change is better (ties "
-                  "count for neither)",
+                  "count for neither); verdict: gain, worse, unresolved or no worse "
+                  "(rules in tools/pairs.py)",
         "host": {},
         "workloads": {},
         "runs": [],
@@ -180,12 +222,17 @@ def main(argv=None):
             "attempted": {side: sum(res["attempted"] for _, res in runs[side])
                           for side in SIDES},
             "minflt_per_op": {side: statistics.median(faults[side]) for side in SIDES},
-            "metrics": summarise(scaled, better),
+            "metrics": summarise(scaled, better, bounds),
             "raw_metrics": summarise(raw, better),
         }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    for workload, w in doc["workloads"].items():
+        for name, m in w["metrics"].items():
+            print(f"{workload} {name}: {m['verdict']} (median {m['parent']['median']:g} -> "
+                  f"{m['change']['median']:g}, {m['change_wins']}/{m['pairs']} pairs, "
+                  f"parent IQR {m['parent_iqr']:g})")
     return 1 if bad else 0
 
 
