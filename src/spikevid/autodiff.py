@@ -52,10 +52,11 @@ __all__ = [
 
 _DTYPE = np.float32
 _GRAD_ENABLED = True
-# A no-tape depthwise conv builds its columns in batch slices of about
+# A depthwise conv builds its forward columns in batch slices of about
 # _DW_SLICE_BYTES (the fastest of a 1-16 MB sweep, README), each a multiple
-# of _DW_SLICE_ROWS column rows, in one buffer kept between calls (see
-# ``conv``). Not thread-safe.
+# of _DW_SLICE_ROWS column rows, and its weight gradient rebuilds them for
+# about _DW_SLICE_BYTES of channels at a time, all in one buffer kept between
+# calls (see ``conv``). Not thread-safe.
 _DW_SLICE_BYTES = 4 << 20
 _DW_SLICE_ROWS = 32
 _dw_columns = np.empty(0, dtype=np.uint8)
@@ -166,16 +167,32 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _dense(a):
+    """Whether ``a`` fills one gap-free block in some axis order (a C-contiguous
+    array or a transpose of one), so that a copy in its own order would have
+    its strides."""
+    step = a.itemsize
+    for n, stride in sorted(((n, s) for n, s in zip(a.shape, a.strides) if n > 1),
+                            key=lambda e: e[1]):
+        if stride != step:
+            return False
+        step *= n
+    return True
+
+
 def _accumulate(t: Tensor, g: np.ndarray, owned=False):
     """Add ``g`` into ``t.grad``. A first arrival is copied unless ``owned``:
     nothing reads or writes ``g`` after this call (the caller made it, or it
-    views a node grad that ``backward`` drops), so a C-contiguous ``g``
-    already in ``t``'s dtype becomes ``t.grad`` itself."""
+    views a node grad that ``backward`` drops), so a dense ``g`` already in
+    ``t``'s dtype becomes ``t.grad`` itself, also the transposed view of a
+    permute or reshape hop. A copy keeps the layout of ``g`` (order 'K'), so
+    ``t.grad`` is laid out as ``g`` either way: later sums over it run in an
+    order that follows its layout, and so do their bits."""
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        if owned and g.dtype == t.data.dtype and g.flags.c_contiguous:
+        if owned and g.dtype == t.data.dtype and (g.flags.c_contiguous or _dense(g)):
             t.grad = g
         else:
             t.grad = g.astype(t.data.dtype, copy=True)
@@ -199,7 +216,10 @@ def add(a, b):
     out_data = a.data + b.data
 
     def bwd(g):
-        _accumulate(a, g)  # a copy, so that b can take g itself
+        # a copies g only if b takes it itself: b needs a gradient, is not
+        # broadcast and holds none yet
+        b_takes = b.requires_grad and b.grad is None and b.data.shape == g.shape
+        _accumulate(a, g, owned=not b_takes)
         _accumulate(b, g, owned=True)
 
     return _make(out_data, (a, b), bwd)
@@ -243,7 +263,7 @@ def scale(a, c):
     c = a.data.dtype.type(c)
 
     def bwd(g):
-        _accumulate(a, g * c)
+        _accumulate(a, g * c, owned=True)
 
     return _make(a.data * c, (a,), bwd)
 
@@ -417,17 +437,20 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     C_g * K]`` columns (``_im2col``, one gather along a window index cached
     per shape) go through one grouped matmul, and its output is written into
     its rows of one preallocated output. A slice is the whole batch, and the
-    weight gradient is one grouped matmul against its columns, unless a
-    depthwise conv runs with no tape node (below): then each slice is near
-    ``_DW_SLICE_BYTES`` so that its columns stay in cache, in one buffer kept
-    between calls so that no call returns its pages to the OS for the next
-    call to fault in again. Its matmul is a gemv per channel, one dot per
+    tape node keeps its columns for the weight gradient (one grouped matmul
+    against them), unless the conv is depthwise (below): then each slice is
+    near ``_DW_SLICE_BYTES`` so that its columns stay in cache, in one buffer
+    kept between calls so that no call returns its pages to the OS for the
+    next call to fault in again. Its matmul is a gemv per channel, one dot per
     column row, and BLAS rounds a row by its place in the kernel's block of
     rows (and in a thread's share of them), so a slice gives the same bits
     only if every slice, the whole buffer and their halves split at the same
     block edges: a slice holds a multiple of ``_DW_SLICE_ROWS`` rows, and a
     conv whose P is not one is not sliced. A dense or grouped conv is never
-    sliced: its gemm's blocking depends on P.
+    sliced: its gemm's blocking depends on P. A depthwise node keeps no
+    columns: its weight gradient rebuilds them in the kept buffer for about
+    ``_DW_SLICE_BYTES`` of channels at a time, each channel over the whole
+    batch, so each channel's gemv is the one that whole-batch columns give.
 
     The input gradient is one scatter per kernel offset onto a zeroed
     channels-last ``[*padded, B, C_in]`` buffer, offsets in row-major order,
@@ -466,37 +489,48 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
 
     parents = (x, w) if bias is None else (x, w, bias)
-    track = _tracks(parents)
     depthwise = C_g == 1 and C_out == groups
 
     O_g = C_out // groups
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
     rows = math.prod(out_spatial)  # column rows per clip
-    step, columns = B, None  # one slice of the whole batch, columns in a new array
+    K = math.prod(kernel)
+    step = B  # one slice of the whole batch, columns in a new array
     unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
-    if depthwise and not track and B % unit == 0:
-        global _dw_columns
-        clip_bytes = C_in * rows * math.prod(kernel) * x.data.itemsize
+    sliced = depthwise and B % unit == 0
+    if sliced:
+        clip_bytes = C_in * rows * K * x.data.itemsize
         step = min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
-        if _dw_columns.nbytes < step * clip_bytes:
-            _dw_columns = np.empty(step * clip_bytes, dtype=np.uint8)
-        columns = _dw_columns
     out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x.data, w.data))
     out_view = out_data.reshape((B, groups, O_g) + out_spatial)
     for lo in range(0, B, step):
         n = min(step, B - lo)
-        out = None if columns is None else columns[:n * clip_bytes].view(x.data.dtype)
+        out = _dw_buffer(n * clip_bytes, x.data.dtype) if sliced else None
         cols_g = _im2col(x.data[lo:lo + n], kernel, stride, padding, out_spatial, groups, out=out)
         out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, n * rows, Og]
         out_view[lo:lo + n] = np.moveaxis(out_g.reshape((groups, n) + out_spatial + (O_g,)),
                                           (0, -1), (1, 2))
     if bias is not None:
         out_data = out_data + bias.data.reshape((1, C_out) + (1,) * rank)
+    columns = None if depthwise else cols_g  # a depthwise backward rebuilds its own
 
     def bwd(g):
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
         g_flat = np.ascontiguousarray(g_flat).reshape(groups, B * rows, O_g)
-        gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols_g)  # [g, Og, CgK]
+        if depthwise:
+            # each group's gemv over the whole batch, as against kept columns, on
+            # columns rebuilt for about _DW_SLICE_BYTES of groups at a time
+            g_rows = np.swapaxes(g_flat, 1, 2)  # [g, 1, B * rows]
+            gw = np.empty((groups, 1, K), dtype=np.result_type(g_flat, x.data))
+            group_bytes = B * rows * K * x.data.itemsize
+            chunk = max(1, _DW_SLICE_BYTES // group_bytes)
+            for c in range(0, groups, chunk):
+                m = min(chunk, groups - c)
+                cols = _im2col(x.data[:, c:c + m], kernel, stride, padding, out_spatial, m,
+                               out=_dw_buffer(m * group_bytes, x.data.dtype))
+                np.matmul(g_rows[c:c + m], cols, out=gw[c:c + m])
+        else:
+            gw = np.matmul(np.swapaxes(g_flat, 1, 2), columns)  # [g, Og, CgK]
         _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
@@ -534,6 +568,15 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
         _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
 
     return _make(out_data, parents, bwd)
+
+
+def _dw_buffer(nbytes, dtype):
+    """A flat ``dtype`` view of the first ``nbytes`` of the kept depthwise
+    column buffer, grown first if it is smaller."""
+    global _dw_columns
+    if _dw_columns.nbytes < nbytes:
+        _dw_columns = np.empty(nbytes, dtype=np.uint8)
+    return _dw_columns[:nbytes].view(dtype)
 
 
 def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None):
@@ -604,41 +647,49 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     arithmetic in its order: ``diff`` receives ``g_xhat * inv`` first, then the
     variance term twice; the mean's gradient is the negated sum of diff's.
     Outputs and gradients are bit for bit the chain's when this node is the
-    only consumer of ``x``. Without a tape every step runs in place.
+    only consumer of ``x``. Every step runs in place, tape or not: ``xhat``
+    takes ``diff``'s buffer and ``y`` takes ``xhat``'s. The node keeps only
+    the per-channel ``mean``, ``var`` and ``inv`` (a frozen mean as a copy);
+    its backward rebuilds ``diff = x - mean`` from its parent's data, and
+    ``xhat = diff * inv`` for the gamma gradient, by the forward's own ops,
+    so with the forward's bits.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    track = _tracks((x, gamma, beta))
     one = np.asarray(1.0, dtype=_DTYPE)
     xd = x.data
     if stats is None:
         c = xd.dtype.type(1.0 / math.prod(xd.shape[i] for i in axes))
         mean = np.sum(xd, axis=axes, keepdims=True, dtype=np.float64).astype(xd.dtype) * c
         diff = xd - mean
-        sq = np.multiply(diff, diff)
-        var = np.sum(sq, axis=axes, keepdims=True, dtype=np.float64).astype(sq.dtype) * c
+        var = np.sum(np.multiply(diff, diff), axis=axes, keepdims=True,
+                     dtype=np.float64).astype(diff.dtype) * c
     else:
         mean, var = (np.asarray(s, dtype=_DTYPE) for s in stats)
-        diff = sq = xd - mean  # no backward reads diff, so xhat takes its buffer
+        diff = xd - mean
+        if _tracks((x, gamma, beta)):  # so that no later update of it reaches the backward
+            mean = mean.copy()
     sd = np.sqrt(var + np.asarray(eps, dtype=_DTYPE))
     inv = one / sd
-    xhat = np.multiply(diff, inv, out=_into(sq, diff, inv))
-    y = np.multiply(xhat, gamma.data, out=None if track else _into(xhat, xhat, gamma.data))
+    xhat = np.multiply(diff, inv, out=_into(diff, diff, inv))
+    xhat_dtype = xhat.dtype
+    y = np.multiply(xhat, gamma.data, out=_into(xhat, xhat, gamma.data))
     y = np.add(y, beta.data, out=_into(y, y, beta.data))
 
     def bwd(g):
         _accumulate(beta, g)
+        diff = xd - mean
         if gamma.requires_grad:
-            _accumulate(gamma, g * xhat)
+            _accumulate(gamma, g * (diff * inv))
         if not x.requires_grad:
             return
-        g_xhat = (g * gamma.data).astype(xhat.dtype, copy=False)
+        g_xhat = (g * gamma.data).astype(xhat_dtype, copy=False)
         g_x = (g_xhat * inv).astype(xd.dtype, copy=False)  # dL/d(diff) so far
         if stats is None:  # the batch statistics depend on x
             g_inv = _unbroadcast(g_xhat * diff, inv.shape).astype(inv.dtype, copy=False)
             g_sd = (-g_inv * one / (sd * sd)).astype(sd.dtype, copy=False)
             g_var = (g_sd * (0.5 / sd)).astype(var.dtype)
-            g_sq = (g_var * c).astype(sq.dtype, copy=False)
+            g_sq = (g_var * c).astype(diff.dtype, copy=False)
             term = g_sq * diff  # the square's two operands each pass on g_sq * diff
             g_x += term
             g_x += term
@@ -719,6 +770,9 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     Returns the spikes [T, *S]. Backward is one reverse loop over t carrying
     dL/dV; it recomputes the surrogate slopes from the saved H through
     ``surrogate_slope`` and drops the S -> V reset path if ``detach_reset``.
+    The node keeps only H (besides the spikes it returns); for the leak
+    gradient the backward rebuilds each drive D from X, H and S by the
+    forward's ops, so with the forward's bits, before it overwrites H.
     Nothing is saved when no input requires a gradient or under ``no_grad``.
 
     Raises ``FloatingPointError``, before any tape node is made, if the final
@@ -738,10 +792,9 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     kappa = dt.type(1.0 / tau) if a is None else _sigmoid(a.data)
     spikes = np.empty(x.shape, dtype=np.result_type(x.data, kappa))
     hs = np.empty_like(spikes) if track else None
-    drives = np.empty_like(spikes) if track and a is not None and a.requires_grad else None
-    # every op writes into spikes, hs, drives or one of these two step buffers;
-    # the widest operand dtype is the buffers', so each result is the one a
-    # fresh array would hold
+    # every op writes into spikes, hs or one of these two step buffers; the
+    # widest operand dtype is the buffers', so each result is the one a fresh
+    # array would hold
     scratch = np.empty(shape, dtype=spikes.dtype)
     v_next = np.empty(shape, dtype=spikes.dtype)
     v_t = np.full(shape, v_reset, dtype=dt)
@@ -750,13 +803,10 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     # raises below), and one pass after the loop turns it into S_t
     complement = not (smooth or vr)
     for t in range(T):
-        drive = scratch if drives is None else drives[t]
-        if v_reset:
-            np.subtract(x.data[t], v_t - vr, out=drive)
-        else:  # V - 0 is V bit for bit, so a zero reset potential skips that op
-            np.subtract(x.data[t], v_t, out=drive)
+        # D = X_t - (V - vr); V - 0 is V bit for bit, so a zero reset skips that op
+        np.subtract(x.data[t], v_t - vr if v_reset else v_t, out=scratch)
         h = scratch if hs is None else hs[t]
-        np.multiply(kappa, drive, out=h)
+        np.multiply(kappa, scratch, out=h)
         np.add(v_t, h, out=h)
         if complement:
             keep = np.less(h, v_threshold, out=spikes[t], casting="unsafe")
@@ -779,9 +829,20 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
 
     def bwd(g):
         slope = surrogate_slope(hs, v_threshold, alpha)
-        # dV_t/dH_t along the membrane and (unless detached) the reset path;
-        # hs is not read again, so the reset term is formed in place
-        dv_dh = one - spikes
+        dv_dh = one - spikes  # dV_t/dH_t along the membrane: the forward's 1 - S_t
+        drives = None
+        if a is not None and a.requires_grad:
+            # D_t from the saved H and S, by the forward's ops: V_t = H_t (1 - S_t)
+            # (+ S_t vr), into buffers of this backward's own
+            drives = np.empty_like(hs)
+            v, v_step = np.full(shape, v_reset, dtype=dt), np.empty_like(dv_dh[0])
+            for t in range(T):
+                np.subtract(x.data[t], v - vr if v_reset else v, out=drives[t])
+                v = np.multiply(hs[t], dv_dh[t], out=v_step)
+                if vr:
+                    np.add(v, np.multiply(spikes[t], vr), out=v)
+        # unless detached, the reset path adds (vr - H_t) * slope to dV_t/dH_t;
+        # hs is not read again, so that term is formed in place
         if not detach_reset:
             np.subtract(vr, hs, out=hs)
             np.multiply(hs, slope, out=hs)

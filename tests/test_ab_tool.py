@@ -19,7 +19,7 @@ def test_one_tree_on_both_sides_runs_and_checks_every_operation():
     assert lines[0] == "infer-b1, seed 3, 2 operations per tree, alternating"
     for label, line in zip("AB", lines[1:3]):
         assert re.fullmatch(rf"{label} {re.escape(str(ROOT))}: median op \d+\.\d\d ms, "
-                            r"\d+ minor page faults", line)
+                            r"\d+ minor page faults, traced peak \d+\.\d MB", line)
     assert re.fullmatch(r"B/A op time: median ratio \d+\.\d{3}, B faster in [012]/2 pairs",
                         lines[3])
     assert len(lines) == 4  # no check failed
@@ -37,6 +37,7 @@ def make(name, out_dir):
     def op(state, i):
         with open(os.environ["AB_LOG"], "a") as fh:
             fh.write(f"{spikevid.LABEL}{i} ")
+        buffer = bytearray(spikevid.ALLOC)  # traced, and freed on return
         time.sleep(spikevid.DELAY)
         return i
 
@@ -48,9 +49,10 @@ def make(name, out_dir):
 '''
 
 
-def fake_tree(root, label, delay):
+def fake_tree(root, label, delay, alloc):
     (root / "src" / "spikevid").mkdir(parents=True)
-    (root / "src" / "spikevid" / "__init__.py").write_text(f"LABEL = {label!r}\nDELAY = {delay}\n")
+    (root / "src" / "spikevid" / "__init__.py").write_text(
+        f"LABEL = {label!r}\nDELAY = {delay}\nALLOC = {alloc}\n")
     (root / "perfbench").mkdir()
     (root / "perfbench" / "workloads.py").write_text(FAKE_WORKLOADS)
     return str(root)
@@ -58,14 +60,17 @@ def fake_tree(root, label, delay):
 
 def test_alternates_binds_each_tree_and_reports_failed_checks(tmp_path):
     log = tmp_path / "ops.log"
-    a = fake_tree(tmp_path / "a", "a", 0.02)
-    b = fake_tree(tmp_path / "b", "b", 0.0)
+    a = fake_tree(tmp_path / "a", "a", 0.02, 3_000_000)
+    b = fake_tree(tmp_path / "b", "b", 0.0, 1_000_000)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), a, b,
          "--workload", "infer-b1", "--ops", "3", "--seed", "0"],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, AB_LOG=str(log)))
     assert proc.returncode == 1, proc.stderr
-    assert log.read_text().split() == ["a0", "b0", "b1", "a1", "a2", "b2"]
+    # the alternation, then one traced operation per tree
+    assert log.read_text().split() == ["a0", "b0", "b1", "a1", "a2", "b2", "a3", "b3"]
     lines = proc.stdout.splitlines()
+    peaks = [float(re.search(r"traced peak (\d+\.\d) MB$", line)[1]) for line in lines[1:3]]
+    assert 3.0 <= peaks[0] < 3.5 and 1.0 <= peaks[1] < 1.5
     assert lines[3].endswith("B faster in 3/3 pairs")
     assert lines[4:] == ["check failed: B op 1: AssertionError: wrong output"]

@@ -393,16 +393,53 @@ class TestSlicedDepthwise:
         _, calls = self.conv_calls(monkeypatch, 1, x, w, 1, padding, groups)
         assert calls == [9]
 
-    def test_taped_depthwise_never_sliced(self, monkeypatch):
-        rng = make_rng(42)
-        x = ad.Tensor(rng.standard_normal((5, 4, 8, 8)), requires_grad=True)
-        w = ad.Tensor(rng.standard_normal((4, 1, 5, 5)))
+    def taped(self, monkeypatch, budget, x, w, b, stride, padding, seed=43):
+        """Forward and backward of a taped depthwise conv at a slice budget of
+        ``budget`` bytes: the output, the input, weight and bias gradients,
+        and the (batch, channel) extents of each column buffer built by the
+        forward and by the backward."""
         calls = []
-        monkeypatch.setattr(ad, "_im2col", lambda xp, *a, **k: calls.append(len(xp)) or IM2COL(xp, *a, **k))
-        monkeypatch.setattr(ad, "_DW_SLICE_BYTES", 1)
-        ad.conv(x, w, padding=2, groups=4)
-        assert calls == [5]
 
+        def counted(xp, *args, **kwargs):
+            calls.append(xp.shape[:2])
+            return IM2COL(xp, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_im2col", counted)
+        monkeypatch.setattr(ad, "_DW_SLICE_BYTES", budget)
+        x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
+        b_t = None if b is None else ad.Tensor(b, requires_grad=True)
+        out = ad.conv(x_t, w_t, stride=stride, padding=padding, groups=w.shape[0], bias=b_t)
+        forward_calls = list(calls)
+        g = make_rng(seed).standard_normal(out.shape).astype(x.dtype)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
+        grads = [x_t.grad, w_t.grad] + ([] if b_t is None else [b_t.grad])
+        return [out.data] + grads, forward_calls, calls[len(forward_calls):]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", SLICED_CASES)
+    def test_taped_slices_like_no_tape_and_rebuilds_columns_per_channel_chunk(
+            self, monkeypatch, case, dtype):
+        """The taped forward slices the batch as the no-tape one does, and the
+        weight gradient rebuilds the columns for a few channels at a time;
+        every output and gradient keeps the bytes of one whole buffer."""
+        x_shape, w_shape, stride, padding, bias, _, _ = case
+        x, w, b = self.inputs(x_shape, w_shape, bias, dtype)
+        B, C = x_shape[0], w_shape[0]
+        rows = np.prod([ad._conv_out_extent(n, k, stride, padding)
+                        for n, k in zip(x_shape[2:], w_shape[2:])])
+        channel_bytes = int(B * rows * np.prod(w_shape[2:]) * x.itemsize)
+        whole, whole_fwd, whole_bwd = self.taped(monkeypatch, 1 << 50, x, w, b, stride, padding)
+        assert whole_fwd == whole_bwd == [(B, C)]
+        # 5 channels per chunk divides none of C = 16, 8, 12
+        for budget, chunks in ((1, [1] * C), (5 * channel_bytes, [5] * (C // 5) + [C % 5])):
+            _, no_tape = self.conv_calls(monkeypatch, budget, x, w, stride, padding, C, b)
+            arrays, fwd, bwd = self.taped(monkeypatch, budget, x, w, b, stride, padding)
+            assert [n for n, _ in fwd] == no_tape and len(no_tape) > 1
+            assert all(c == C for _, c in fwd)
+            assert bwd == [(B, m) for m in chunks]
+            for got, ref in zip(arrays, whole):
+                assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
 
 
 def sliding_window_columns(x, kernel, stride, padding, out_spatial, groups):
@@ -621,6 +658,44 @@ class TestBackwardMechanics:
         np.testing.assert_array_equal(a.grad, [2.0, 5.0])
         np.testing.assert_array_equal(b.grad, [4.0, 10.0])
 
+    @pytest.mark.parametrize("b_case", ["needs_none", "broadcast", "holds_one", "takes_g"])
+    def test_add_copies_only_when_the_second_parent_takes_the_gradient(self, b_case):
+        a = t(np.zeros((2, 3)))
+        b = t(np.zeros((1, 3) if b_case == "broadcast" else (2, 3)), grad=b_case != "needs_none")
+        if b_case == "holds_one":
+            b.grad = np.ones((2, 3))
+        out = ad.add(a, b)
+        g = np.arange(6.0).reshape(2, 3)
+        out._backward(g)
+        assert (a.grad is g) == (b_case != "takes_g")
+        assert (b.grad is g) == (b_case == "takes_g")
+        np.testing.assert_array_equal(a.grad, g)
+        expected = {"needs_none": None, "broadcast": [[3.0, 5.0, 7.0]],
+                    "holds_one": g + 1.0, "takes_g": g}[b_case]
+        if expected is None:
+            assert b.grad is None
+        else:
+            np.testing.assert_array_equal(b.grad, expected)
+
+    def test_first_arrival_transposed_view_taken_or_copied_in_its_layout(self):
+        """An owned dense view (a transpose) becomes the gradient itself; any
+        copy keeps the layout of what arrived, so later sums over the
+        gradient run in the same order either way."""
+        g = np.arange(24.0).reshape(4, 6)
+        x = t(np.zeros((6, 4)))
+        ad._accumulate(x, g.T, owned=True)
+        assert np.shares_memory(x.grad, g) and x.grad.strides == g.T.strides
+        for view, owned in ((g.T, False), (g[:, ::2].T, True)):  # not owned; not dense
+            x = t(np.zeros(view.shape))
+            ad._accumulate(x, view, owned=owned)
+            assert not np.shares_memory(x.grad, g) and x.grad.flags.f_contiguous
+            np.testing.assert_array_equal(x.grad, view)
+        x = t(np.ones((6, 4)))
+        w = ad.tensor(g)
+        ad.backward(ad.reduce_sum(ad.mul(ad.permute(x, (1, 0)), w)))
+        assert x.grad.strides == g.T.strides
+        np.testing.assert_array_equal(x.grad, g.T)
+
     def test_deep_chain_iterative(self):
         # recursion-free traversal must handle graphs deeper than the
         # interpreter's recursion limit
@@ -708,6 +783,13 @@ def _bn_case(x, g, b, stats=None):
 PRIMITIVE_CASES = {
     "add": (lambda a, b: ad.reduce_sum(ad.add(a, b)), [(3, 4), (3, 4)]),
     "add_self": (lambda a: ad.reduce_sum(ad.mul(ad.add(a, a), a)), [(3, 4)]),
+    # the second parent needs no gradient, is broadcast, or already holds one
+    # (the outer add hands it g first): the first takes g itself
+    "add_const": (lambda a: ad.reduce_sum(ad.mul(ad.add(a, ad.tensor(np.ones((3, 4)))), a)),
+                  [(3, 4)]),
+    "add_broadcast": (lambda a, b: ad.reduce_sum(ad.mul(ad.add(a, b), a)), [(3, 4), (1, 4)]),
+    "add_held": (lambda a, b: ad.reduce_sum(ad.mul(ad.add(ad.add(a, b), b), a)),
+                 [(3, 4), (3, 4)]),
     "sub": (lambda a, b: ad.reduce_sum(ad.sub(a, b)), [(3, 4), (3, 4)]),
     "mul": (lambda a, b: ad.reduce_sum(ad.mul(a, b)), [(3, 4), (1, 4)]),
     "mul_self": (lambda a: ad.reduce_sum(ad.mul(a, a)), [(3, 4)]),
@@ -798,3 +880,77 @@ class TestGradientOwnership:
         buffers = [b for _, b in model.named_buffers()]
         for p in model.parameters():
             assert not any(np.shares_memory(p.grad, b) for b in buffers)
+
+
+def _held_arrays(node):
+    """The arrays of at least the first parent's size that ``node``'s backward
+    closure holds, other than its parents' and its output's data."""
+    own = [p.data for p in node._parents] + [node.data]
+    size = node._parents[0].data.size
+    held = []
+    for cell in node._backward.__closure__ or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:  # a name the forward never bound
+            continue
+        if (isinstance(value, np.ndarray) and value.size >= size
+                and not any(np.shares_memory(value, d) for d in own)):
+            held.append(value)
+    return held
+
+
+class TestLeanTape:
+    """A tape node keeps only what its backward cannot rebuild from its
+    parents' data and its output (bit for bit: TestLayers' chain reference,
+    TestSlicedDepthwise and TestFusedSequenceMatchesStepwise)."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_batch_norm_keeps_no_input_sized_array(self, frozen):
+        rng = make_rng(50)
+        x = t(rng.standard_normal((4, 3, 5)))
+        gamma, beta = t(rng.standard_normal((1, 3, 1))), t(rng.standard_normal((1, 3, 1)))
+        stats = (np.zeros((1, 3, 1)), np.ones((1, 3, 1))) if frozen else None
+        y = ad.batch_norm(x, gamma, beta, (0, 2), 1e-5, stats)[0]
+        assert y._backward is not None and _held_arrays(y) == []
+
+    def test_running_mean_update_after_forward_does_not_reach_backward(self):
+        """The backward rebuilds diff from the frozen mean, so the node keeps
+        its own copy; a train-mode forward updates the running one in place."""
+        rng = make_rng(53)
+        x0 = rng.standard_normal((4, 3, 5))
+        params = rng.standard_normal((2, 1, 3, 1))
+        grads = []
+        for update in (False, True):
+            x, gamma, beta = t(x0), t(params[0]), t(params[1])
+            running = (np.full((1, 3, 1), 0.5), np.ones((1, 3, 1)))
+            with ad.precision(np.float64):  # the statistics' own dtype: no conversion copy
+                y = ad.batch_norm(x, gamma, beta, (0, 2), 1e-5, running)[0]
+                if update:
+                    running[0][...] += 1.0
+                ad.backward(ad.reduce_sum(ad.mul(y, y)))
+            grads.append((x.grad, gamma.grad))
+        for got, ref in zip(*grads):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", DEPTHWISE_CASES)
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_depthwise_conv_keeps_no_columns(self, case, bias):
+        x_shape, kernel, stride, padding = case
+        C = x_shape[1]
+        rng = make_rng(51)
+        x, w = t(rng.standard_normal(x_shape)), t(rng.standard_normal((C, 1) + kernel))
+        out = ad.conv(x, w, stride=stride, padding=padding, groups=C,
+                      bias=t(np.ones(C)) if bias else None)
+        assert out._backward is not None and _held_arrays(out) == []
+
+    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
+    @pytest.mark.parametrize("v_reset", [0.0, 0.3])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("detach_reset", [False, True])
+    def test_lif_sequence_keeps_only_the_membrane(self, kind, v_reset, smooth, detach_reset):
+        rng = make_rng(52)
+        x = t(rng.normal(0.8, 1.0, (6, 3, 4)))
+        a = t(np.array(0.3)) if kind == "PLIF" else None
+        s = ad.lif_sequence(x, a, v_reset=v_reset, smooth=smooth, detach_reset=detach_reset)
+        held = _held_arrays(s)
+        assert len(held) == 1 and held[0].shape == x.shape  # H, the saved membrane

@@ -8,9 +8,14 @@ workload module bound to its own tree's ``spikevid``, and both workloads are
 set up from the seed. Then ``--ops`` operations run per tree, alternating
 AB, BA, AB, ... so both trees see the same heap, the same host phase and the
 same operation index; every output goes through the workload's own check.
-The tool prints each tree's median operation time and minor page faults per
-operation, the median of the paired B/A op-time ratios and the number of
-pairs B won, and exits 1 if any check failed. BLAS and OpenMP are pinned to one thread, as in perfbench.
+After the timed alternation each tree runs one more operation, checked
+too, with ``tracemalloc`` on: numpy traces its buffers, so the peak it reads
+is what that tree's operation allocates at once, where the RSS of the one
+shared process cannot tell the two trees apart. The tool prints each tree's
+median operation time, minor page faults per operation and traced peak, the
+median of the paired B/A op-time ratios and the number of pairs B won, and
+exits 1 if any check failed. BLAS and OpenMP are pinned to one thread, as in
+perfbench.
 
 Perfbench runs each tree in its own process and scales its times by a host
 speed kernel timed in the heap the operation leaves behind, so a change that
@@ -31,6 +36,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("train-b16", "infer-b1", "profile-b16")
@@ -57,16 +63,26 @@ def load_workloads(tree, label):
 
 
 def run(tree_a, tree_b, workload, ops, seed):
-    """Run ``ops`` alternating operations per tree. Returns each tree's median
-    op time (s) and page faults per op, the median B/A ratio, B's win count
-    and the check failures."""
+    """Run ``ops`` alternating operations per tree, then one traced operation
+    per tree. Returns each tree's median op time (s), page faults per op and
+    traced peak (bytes), the median B/A ratio, B's win count and the check
+    failures."""
     import numpy as np
 
     trees = {"A": tree_a, "B": tree_b}
     modules = {label: load_workloads(tree, label) for label, tree in trees.items()}
     times = {label: [] for label in trees}
     faults = {label: [] for label in trees}
+    peaks = {}
     failures = []
+
+    def check(label, i, out):
+        wl, state = runs[label]
+        try:
+            wl.check(state, i, out)
+        except Exception as exc:  # reported, and the loop goes on
+            failures.append(f"{label} op {i}: {type(exc).__name__}: {exc}")
+
     with tempfile.TemporaryDirectory(prefix="ab-") as out_dir:
         runs = {}
         for label, module in modules.items():
@@ -80,14 +96,21 @@ def run(tree_a, tree_b, workload, ops, seed):
                 out = wl.op(state, i)
                 times[label].append(time.perf_counter() - t0)
                 faults[label].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-                try:
-                    wl.check(state, i, out)
-                except Exception as exc:  # reported, and the loop goes on
-                    failures.append(f"{label} op {i}: {type(exc).__name__}: {exc}")
+                check(label, i, out)
+        for label in trees:  # tracing slows an operation, so none of the timed ones
+            wl, state = runs[label]
+            tracemalloc.start()
+            try:
+                out = wl.op(state, ops)
+                peaks[label] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            check(label, ops, out)
     ratios = np.asarray(times["B"]) / np.asarray(times["A"])
     return {
         "median_s": {label: float(np.median(t)) for label, t in times.items()},
         "faults_p50": {label: float(np.median(f)) for label, f in faults.items()},
+        "peak_bytes": peaks,
         "ratio_p50": float(np.median(ratios)),
         "b_wins": int(np.sum(ratios < 1.0)),
         "pairs": ops,
@@ -111,7 +134,8 @@ def main(argv=None):
     print(f"{args.workload}, seed {args.seed}, {args.ops} operations per tree, alternating")
     for label, tree in (("A", args.tree_a), ("B", args.tree_b)):
         print(f"{label} {tree}: median op {1e3 * res['median_s'][label]:.2f} ms, "
-              f"{res['faults_p50'][label]:.0f} minor page faults")
+              f"{res['faults_p50'][label]:.0f} minor page faults, "
+              f"traced peak {res['peak_bytes'][label] / 1e6:.1f} MB")
     print(f"B/A op time: median ratio {res['ratio_p50']:.3f}, "
           f"B faster in {res['b_wins']}/{res['pairs']} pairs")
     for message in res["failures"]:
