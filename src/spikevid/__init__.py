@@ -6,7 +6,7 @@ and synaptic-operation energy accounting.
 from .autodiff import Tensor, grad_check, no_grad, precision
 from .model import ModelConfig, VideoSpikeNet, load_checkpoint, save_checkpoint, variant_config
 from .neurons import NeuronConfig, SpikingLayer
-from .profiler import EnergyModel, LayerCost, energy_from_totals, total_energy
+from .profiler import EnergyModel, total_energy
 from .training import TrainConfig, cross_entropy, evaluate, fit
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "NeuronConfig",
     "SpikingLayer",
     "EnergyModel",
-    "LayerCost",
-    "energy_from_totals",
     "total_energy",
     "TrainConfig",
     "cross_entropy",

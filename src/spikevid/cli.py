@@ -161,9 +161,13 @@ def parse_config(config_path=None, overrides=()):
             nested = {key: nested}
         resolved = _merge_checked(resolved, nested)
     seed = resolved["run"]["seed"]
-    if not isinstance(seed, int) or not 0 <= seed < 2**32:
+    if not 0 <= seed < 2**32:
         # checkpoints store the seed as an unsigned 32-bit integer
         raise ConfigError(f"run.seed must be an integer in [0, 2**32), got {seed!r}")
+    for key in ("data", "noise"):
+        if resolved[key]["seed"] < 0:  # PCG64 takes no negative seed
+            raise ConfigError(f"{key}.seed must be a non-negative integer, "
+                              f"got {resolved[key]['seed']!r}")
     return resolved
 
 
@@ -284,21 +288,17 @@ def cmd_train(cfg, out_dir):
     train_ds, test_ds = _load_datasets(cfg, mcfg, with_train=True)
     model = VideoSpikeNet(mcfg, seed=cfg["run"]["seed"])
     _echo_config(cfg, out_dir)
-    tcfg = _train_config(cfg)
-    records = []
-
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
 
     def on_epoch(metrics):
-        records.append(asdict(metrics))
         print(f"epoch {metrics.epoch:3d}  loss {metrics.train_loss:.4f}  "
               f"top1 {metrics.top1:.4f}  lr {metrics.lr:.2e}", flush=True)
 
-    fit(model, train_ds.clips, train_ds.labels, tcfg,
-        test_clips=test_ds.clips, test_labels=test_ds.labels, callback=on_epoch)
+    history = fit(model, train_ds.clips, train_ds.labels, _train_config(cfg),
+                  test_clips=test_ds.clips, test_labels=test_ds.labels, callback=on_epoch)
     save_checkpoint(model, os.path.join(ckpt_dir, "final.ckpt"))
-    emit_metrics(records, out_dir)
+    emit_metrics([asdict(m) for m in history], out_dir)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .module import Module
-from .neurons import NeuronConfig, SpikingLayer
+from .neurons import SpikingLayer
 
 PLAIN_BN = "plain"
 TDBN = "tdbn"
@@ -80,8 +80,6 @@ class _ProfiledLayer(Module):
 
     def __init__(self, fr_source=None):
         super().__init__()
-        # a layer driven by another layer's spikes consumes real-valued maps
-        self.expects_binary = fr_source is None
         self.is_encoder = False  # first layer: consumes raw frames, billed at MAC cost
         self._fr_source = fr_source  # spiking layer whose rate drives this layer's SOPs
 
@@ -89,6 +87,11 @@ class _ProfiledLayer(Module):
     def fr_source(self):
         # held privately so module traversal does not treat the alias as a child
         return self._fr_source
+
+    @property
+    def expects_binary(self):
+        # a layer driven by another layer's spikes, and the encoder, consume real-valued maps
+        return self._fr_source is None and not self.is_encoder
 
 
 class Conv(_ProfiledLayer):
@@ -179,21 +182,18 @@ class LinearBN(Module):
 
 
 class PatchEmbed(Module):
-    """Stage entry: optional spiking layer, then strided ConvBN.
+    """Stage entry: optional spiking layer, then strided ConvBN, both set by the
+    model's ``ModelConfig``. The first one, the ``encoder``, has no input
+    neuron: its conv consumes raw real-valued frames and is billed at MAC
+    cost. All later ones spike first."""
 
-    The first patch-embedding module omits the input neuron so it consumes
-    raw real-valued frames; all later ones spike first.
-    """
-
-    def __init__(self, in_channels, out_channels, rng, neuron_cfg: NeuronConfig, kernel=3,
-                 stride=2, padding=1, has_input_neuron=True, norm_mode=PLAIN_BN, time_steps=1):
+    def __init__(self, cfg, in_channels, out_channels, rng, encoder=False):
         super().__init__()
-        self.sn = SpikingLayer(neuron_cfg) if has_input_neuron else None
-        self.convbn = ConvBN(in_channels, out_channels, kernel, rng, stride=stride,
-                             padding=padding, norm_mode=norm_mode, time_steps=time_steps)
-        if self.sn is None:  # the encoder: raw frames, billed at MAC cost
-            self.convbn.conv.expects_binary = False
-            self.convbn.conv.is_encoder = True
+        self.sn = None if encoder else SpikingLayer(cfg.neuron)
+        self.convbn = ConvBN(in_channels, out_channels, cfg.pe_kernel, rng, stride=cfg.pe_stride,
+                             padding=cfg.pe_padding, norm_mode=cfg.norm_mode,
+                             time_steps=cfg.time_steps)
+        self.convbn.conv.is_encoder = encoder
 
     def forward(self, x):
         if self.sn is not None:

@@ -127,6 +127,11 @@ def variant_config(name, **overrides):
     return ModelConfig(**base)
 
 
+def time_major(clips):
+    """Clips [N, T, C, H, W] -> the contiguous [T, N, C, H, W] batch a forward takes."""
+    return np.ascontiguousarray(clips.transpose(1, 0, 2, 3, 4))
+
+
 class VideoSpikeNet(Module):
     """The assembled network. One instance runs one forward/backward at a time."""
 
@@ -139,10 +144,7 @@ class VideoSpikeNet(Module):
         self.stages = []
         in_c = cfg.in_channels
         for i, (depth, out_c) in enumerate(zip(cfg.stage_depths, cfg.channels)):
-            self.patch_embeds.append(PatchEmbed(
-                in_c, out_c, rng, cfg.neuron, kernel=cfg.pe_kernel, stride=cfg.pe_stride,
-                padding=cfg.pe_padding, has_input_neuron=(i > 0), norm_mode=cfg.norm_mode,
-                time_steps=cfg.time_steps))
+            self.patch_embeds.append(PatchEmbed(cfg, in_c, out_c, rng, encoder=(i == 0)))
             block = LocalFeatureExtractor if i < cfg.local_stages else GlobalSelfAttention
             self.stages.append([block(cfg, out_c, rng) for _ in range(depth)])
             in_c = out_c
@@ -192,8 +194,8 @@ class VideoSpikeNet(Module):
         pred = np.empty(len(clips), dtype=np.intp)
         with ad.no_grad():
             for lo in range(0, len(clips), batch_size):
-                clip = np.ascontiguousarray(clips[lo:lo + batch_size].transpose(1, 0, 2, 3, 4))
-                pred[lo:lo + batch_size] = self(ad.tensor(clip)).data.argmax(axis=1)
+                clip = ad.tensor(time_major(clips[lo:lo + batch_size]))
+                pred[lo:lo + batch_size] = self(clip).data.argmax(axis=1)
         return pred
 
 

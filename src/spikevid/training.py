@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import VideoSpikeNet
+from .model import VideoSpikeNet, time_major
 from .profiler import Recording
 
 
@@ -133,40 +133,6 @@ def lr_at(step, steps_per_epoch, cfg: TrainConfig):
     return cfg.base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def train_epoch(model: VideoSpikeNet, clips, labels, cfg: TrainConfig,
-                optimizer: AdamW, epoch, steps_per_epoch, rng) -> EpochMetrics:
-    """One pass over the training set; returns loss/metrics for the epoch."""
-    model.train()
-    start = time.time()
-    losses = []
-    lr = cfg.base_lr
-    order = np.arange(len(labels))
-    rng.shuffle(order)
-    for step_idx, lo in enumerate(range(0, len(labels), cfg.batch_size)):
-        batch = order[lo:lo + cfg.batch_size]
-        global_step = epoch * steps_per_epoch + step_idx
-        lr = lr_at(global_step, steps_per_epoch, cfg)
-        clip = np.ascontiguousarray(clips[batch].transpose(1, 0, 2, 3, 4))  # [T,B,3,H,W]
-        logits = model(ad.tensor(clip))
-        loss = cross_entropy(logits, labels[batch])
-        loss_val = loss.item()
-        if not np.isfinite(loss_val):
-            raise FloatingPointError(f"non-finite loss ({loss_val})")
-        optimizer.zero_grad()
-        ad.backward(loss)
-        clip_gradients(optimizer.params, cfg.grad_clip)
-        optimizer.step(lr)
-        losses.append(loss_val)
-    return EpochMetrics(
-        epoch=epoch,
-        train_loss=float(np.mean(losses)),
-        top1=float("nan"),
-        lr=float(lr),
-        taus=tau_table(model),
-        wall_time=time.time() - start,
-    )
-
-
 def check_num_clips(num_clips, label):
     """The one bound on a clip count: each split needs at least one clip.
     ``label`` names the count in the error."""
@@ -186,19 +152,41 @@ def tau_table(model: VideoSpikeNet):
 
 def fit(model: VideoSpikeNet, train_clips, train_labels, cfg: TrainConfig,
         test_clips=None, test_labels=None, callback=None):
-    """Full training run; returns the list of per-epoch metrics."""
+    """Full training run: each epoch takes one shuffled pass of BPTT steps
+    over the training set, then, given a test set, one recorded eval.
+    Returns the list of per-epoch metrics."""
     check_num_clips(len(train_labels), "training set")
     optimizer = AdamW(model.parameters(), cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     steps_per_epoch = int(np.ceil(len(train_labels) / cfg.batch_size))
     history = []
     for epoch in range(cfg.epochs):
-        metrics = train_epoch(model, train_clips, train_labels, cfg, optimizer,
-                              epoch, steps_per_epoch, rng)
+        model.train()
+        start = time.time()
+        losses = []
+        order = rng.permutation(len(train_labels))
+        for step_idx, lo in enumerate(range(0, len(train_labels), cfg.batch_size)):
+            batch = order[lo:lo + cfg.batch_size]
+            lr = lr_at(epoch * steps_per_epoch + step_idx, steps_per_epoch, cfg)
+            loss = cross_entropy(model(ad.tensor(time_major(train_clips[batch]))),
+                                 train_labels[batch])
+            loss_val = loss.item()
+            if not np.isfinite(loss_val):
+                raise FloatingPointError(f"non-finite loss ({loss_val})")
+            optimizer.zero_grad()
+            ad.backward(loss)
+            clip_gradients(optimizer.params, cfg.grad_clip)
+            optimizer.step(lr)
+            losses.append(loss_val)
+        taus, wall_time = tau_table(model), time.time() - start
+        top1, firing_rates = float("nan"), {}
         if test_clips is not None:
             with Recording(model) as rec:
-                metrics.top1 = evaluate(model, test_clips, test_labels, cfg.batch_size)
-            metrics.firing_rates = rec.firing_rates()
+                top1 = evaluate(model, test_clips, test_labels, cfg.batch_size)
+            firing_rates = rec.firing_rates()
+        metrics = EpochMetrics(epoch=epoch, train_loss=float(np.mean(losses)), top1=top1,
+                               lr=float(lr), firing_rates=firing_rates, taus=taus,
+                               wall_time=wall_time)
         history.append(metrics)
         if callback is not None:
             callback(metrics)

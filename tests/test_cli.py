@@ -451,6 +451,18 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert not (tmp_path / "train").exists()
 
+    @pytest.mark.parametrize("command, override", [
+        ("train", "data.seed=-1"),
+        ("noise-eval", "noise.seed=-1"),
+    ])
+    def test_negative_data_or_noise_seed_is_config_error(
+            self, tmp_path, monkeypatch, no_forward, capsys, command, override):
+        monkeypatch.setattr(data_mod, "gen_moving_patterns",
+                            lambda *a, **k: pytest.fail("data generated"))
+        assert run_cli(tmp_path, command, *FAST, "--set", override) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []  # rejected before any work
+        assert override.split("=")[0] in capsys.readouterr().err
+
     def test_largest_checkpoint_seed_accepted(self):
         assert cli.parse_config(overrides=[f"run.seed={2**32 - 1}"])["run"]["seed"] == 2**32 - 1
 

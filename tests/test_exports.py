@@ -61,8 +61,6 @@ TEST_ONLY = {
     "stack": "tests/test_neurons.py::_stepwise_reference",  # the lif_sequence oracle
     "index": "tests/test_neurons.py::_stepwise_reference",
     "surrogate_slope": "tests/test_acceptance.py::test_criterion_02_gradient_integrity",
-    "LayerCost": "tests/test_profiler.py::TestEnergyArithmetic::test_layer_cost_rate_bounds",
-    "energy_from_totals": "tests/test_acceptance.py::test_criterion_01_energy_reproduction",
 }
 
 

@@ -16,11 +16,11 @@ from spikevid.layers import (
     PatchEmbed,
     fuse_linear_layers,
 )
-from spikevid.neurons import NeuronConfig
+from spikevid.neurons import NeuronConfig, SpikingLayer
 from spikevid import profiler as prof
 from spikevid.profiler import Recording
 
-from conftest import make_rng
+from conftest import make_rng, tiny_config
 
 
 class TestBatchNormStatistics:
@@ -267,10 +267,20 @@ class TestLinearLayers:
             assert fresh.inputs[lin].nnz == 0 and fresh.inputs[lin].binary
 
     def test_patch_embed_first_stage_has_no_neuron(self):
-        pe = PatchEmbed(3, 8, make_rng(12), NeuronConfig(), has_input_neuron=False)
+        pe = PatchEmbed(tiny_config(), 3, 8, make_rng(12), encoder=True)
         assert pe.sn is None
-        pe2 = PatchEmbed(8, 8, make_rng(13), NeuronConfig())
+        pe2 = PatchEmbed(tiny_config(), 8, 8, make_rng(13))
         assert pe2.sn is not None
+
+    def test_expects_binary_follows_the_billing_role(self):
+        sn = SpikingLayer(NeuronConfig())
+        plain, driven = Conv(2, 2, 1, make_rng(20)), Linear(2, 2, make_rng(21), fr_source=sn)
+        assert plain.expects_binary and not driven.expects_binary
+        plain.is_encoder = True
+        assert not plain.expects_binary
+        with pytest.raises(AttributeError):
+            plain.expects_binary = True
+        assert not plain.expects_binary
 
 
 class TestFusion:
@@ -373,7 +383,6 @@ class TestFusion:
 
     def test_fusion_preserves_profiling_flags(self):
         layer = ConvBN(2, 2, 3, make_rng(18))
-        layer.conv.expects_binary = False
         layer.conv.is_encoder = True
         layer.eval()
         fused = fuse_linear_layers(layer)

@@ -193,6 +193,16 @@ class TestForward:
         for n, m in layers.items():
             assert m.expects_binary == (n not in driven and not m.is_encoder), n
 
+    def test_patch_embeds_read_model_config(self):
+        cfg = tiny_config(pe_kernel=5, pe_stride=1, pe_padding=2)
+        model = VideoSpikeNet(cfg, seed=0)
+        for pe in model.patch_embeds:
+            conv, bn = pe.convbn.conv, pe.convbn.bn
+            assert (conv.kernel, conv.stride, conv.padding) == ((5, 5), 1, 2)
+            assert (bn.norm_mode, bn.time_steps) == (cfg.norm_mode, cfg.time_steps)
+        assert model.patch_embeds[0].sn is None
+        assert all(pe.sn.cfg is cfg.neuron for pe in model.patch_embeds[1:])
+
     def test_parameter_names_unique(self):
         model = VideoSpikeNet(tiny_config(), seed=0)
         names = [n for n, _ in model.named_parameters()]

@@ -156,3 +156,21 @@ def test_bad_arguments_are_refused(tmp_path):
                   ["--workload", "nope", "--seeds", "1-2"]):
         proc, log, _ = run_pairs(tmp_path, parent, parent, *extra)
         assert proc.returncode == 2 and not log.exists()
+
+
+@pytest.mark.parametrize("checkout", [True, False], ids=["git-checkout", "plain-copy"])
+def test_parent_commit_from_git_when_the_report_has_none(tmp_path, checkout):
+    parent = make_tree(tmp_path / "parent", "p", 40.0, commit=None)
+    change = make_tree(tmp_path / "change", "c", 50.0, commit="def456")
+    commit = None
+    if checkout:
+        git = ["git", "-C", str(parent), "-c", "user.name=t", "-c", "user.email=t@t"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+            subprocess.run(git + args, check=True, capture_output=True)
+        commit = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                                text=True).stdout.strip()
+    proc, _, out = run_pairs(tmp_path, parent, change, "--workload", "infer-b1",
+                             "--seeds", "1,2", "--seconds", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["parent_commit"] == commit
+    assert ("parent_commit stays null" in proc.stderr) == (not checkout)

@@ -127,13 +127,13 @@ class TestModelProfiling:
 
     def test_binarity_audit_detects_violation(self, profiled):
         model, ds, _ = profiled
-        # force a spike-fed layer to claim binarity over a real-valued path
+        # clearing the encoder role makes the frame-fed conv claim binary input
         layer = model.patch_embeds[0].convbn.conv
-        layer.expects_binary = True
+        layer.is_encoder = False
         try:
             assert "patch_embeds.0.convbn.conv" in prof.audit_binarity(model, ds.clips)
         finally:
-            layer.expects_binary = False
+            layer.is_encoder = True
 
     def test_only_first_conv_mac_billed(self, profiled):
         _, _, table = profiled

@@ -86,6 +86,22 @@ def run_once(tree, workload, seed, seconds):
     return json.loads(lines[-2]), json.loads(lines[-1]), faults
 
 
+def tree_commit(tree):
+    """The commit a tree's own git checkout is at, or None with a warning.
+    ``git rev-parse`` finds it where perfbench, which reads ``.git/HEAD``
+    itself, reports none: in a worktree, whose ``.git`` is a file, say."""
+    try:
+        lines = subprocess.run(["git", "-C", str(tree), "rev-parse", "--show-toplevel", "HEAD"],
+                               capture_output=True, text=True, check=True).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        lines = []
+    # a tree inside another checkout is not at that checkout's commit
+    if len(lines) == 2 and Path(lines[0]).resolve() == Path(tree).resolve():
+        return lines[1]
+    print(f"warning: {tree} is not a git checkout; parent_commit stays null", file=sys.stderr)
+    return None
+
+
 def order(i):
     """Which side runs first in pair ``i``: the parent on even pairs."""
     return SIDES if i % 2 == 0 else SIDES[::-1]
@@ -225,6 +241,8 @@ def main(argv=None):
             "metrics": summarise(scaled, better, bounds),
             "raw_metrics": summarise(raw, better),
         }
+    if doc["parent_commit"] is None:
+        doc["parent_commit"] = tree_commit(args.parent)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
