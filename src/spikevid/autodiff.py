@@ -52,11 +52,9 @@ __all__ = [
 
 _DTYPE = np.float32
 _GRAD_ENABLED = True
-# A depthwise conv builds its forward columns in batch slices of about
-# _DW_SLICE_BYTES (the fastest of a 1-16 MB sweep, README), each a multiple
-# of _DW_SLICE_ROWS column rows, and its weight gradient rebuilds them for
-# about _DW_SLICE_BYTES of channels at a time, all in one buffer kept between
-# calls (see ``conv``). Not thread-safe.
+# ``_depthwise_conv``'s column slice budget (the fastest of a 1-16 MB sweep,
+# README) and row alignment, and its column buffer kept between calls. Not
+# thread-safe.
 _DW_SLICE_BYTES = 4 << 20
 _DW_SLICE_ROWS = 32
 _dw_columns = np.empty(0, dtype=np.uint8)
@@ -419,7 +417,7 @@ def matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# convolution (cross-correlation, zero padding, grouped, rank 2 or 3)
+# convolution (2-D cross-correlation, zero padding, grouped)
 
 
 def _conv_out_extent(n, k, s, p):
@@ -427,147 +425,146 @@ def _conv_out_extent(n, k, s, p):
 
 
 def conv(x, w, stride=1, padding=0, groups=1, bias=None):
-    """Grouped N-D cross-correlation.
+    """Grouped 2-D cross-correlation.
 
-    x: [B, C_in, *spatial], w: [C_out, C_in // groups, *kernel]; spatial rank
-    2 or 3. The int ``stride`` and ``padding`` apply on every spatial axis;
-    output spatial extent is floor((n + 2p - k) / s) + 1.
-
-    The forward is one loop over batch slices: each slice's ``[groups, P,
-    C_g * K]`` columns (``_im2col``, one gather along a window index cached
-    per shape) go through one grouped matmul, and its output is written into
-    its rows of one preallocated output. A slice is the whole batch, and the
-    tape node keeps its columns for the weight gradient (one grouped matmul
-    against them), unless the conv is depthwise (below): then each slice is
-    near ``_DW_SLICE_BYTES`` so that its columns stay in cache, in one buffer
-    kept between calls so that no call returns its pages to the OS for the
-    next call to fault in again. Its matmul is a gemv per channel, one dot per
-    column row, and BLAS rounds a row by its place in the kernel's block of
-    rows (and in a thread's share of them), so a slice gives the same bits
-    only if every slice, the whole buffer and their halves split at the same
-    block edges: a slice holds a multiple of ``_DW_SLICE_ROWS`` rows, and a
-    conv whose P is not one is not sliced. A dense or grouped conv is never
-    sliced: its gemm's blocking depends on P. A depthwise node keeps no
-    columns: its weight gradient rebuilds them in the kept buffer for about
-    ``_DW_SLICE_BYTES`` of channels at a time, each channel over the whole
-    batch, so each channel's gemv is the one that whole-batch columns give.
-
-    The input gradient is one scatter per kernel offset onto a zeroed
-    channels-last ``[*padded, B, C_in]`` buffer, offsets in row-major order,
-    so the inner loops run along B * C_in contiguous elements. A dense conv
+    x: [B, C_in, H, W], w: [C_out, C_in // groups, kH, kW]. The int ``stride``
+    and ``padding`` apply on both spatial axes; output extent is floor((n +
+    2p - k) / s) + 1. A depthwise conv (``C_g == 1`` and ``C_out == groups``)
+    runs ``_depthwise_conv``. Any other builds the whole batch's ``[groups,
+    P, C_g * K]`` columns (``_im2col``, one gather along a window index cached
+    per shape) for one grouped matmul, and its tape node keeps them for the
+    weight gradient, one grouped matmul against them. Its input gradient
     scatters the windows of a matmul back to columns, read as a ``[*out, B,
-    C_in, *kernel]`` view. A depthwise conv (``C_g == 1`` and ``C_out ==
-    groups``) skips that matmul: its inner extent is 1, so each column entry
-    is one rounded product ``g * w``, and it scatters ``g * w[:, 0, offset]``
-    with ``g`` relaid once to ``[*out, B, C]`` and the weights once to
-    ``[*kernel, B, C]``, so both run along B * C. Either way each input element
-    receives the same rounded terms in the same order as a ``[B, C_in,
-    *padded]`` scatter. One copy then crops the padding and relays to ``[B,
-    C_in, *spatial]``. A conv whose one kernel offset reaches every input
-    element once (a 1x1 kernel, stride 1, no padding) skips the buffer and
-    the scatter: one pass adds +0.0 to its terms while relaying them.
+    C_in, *kernel]`` view (``_conv_input_grad``).
     """
-    rank = w.ndim - 2
-    if rank not in (2, 3):
-        raise ShapeError(f"conv: spatial rank must be 2 or 3, got weight shape {w.shape}")
-    if x.ndim != rank + 2:
-        raise ShapeError(f"conv: input {x.shape} incompatible with weight {w.shape}")
-    stride = (int(stride),) * rank
-    padding = (int(padding),) * rank
-    B, C_in = x.shape[0], x.shape[1]
-    C_out, C_g = w.shape[0], w.shape[1]
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"conv: input {x.shape} and weight {w.shape} must both be rank 4")
+    stride = (int(stride),) * 2
+    padding = (int(padding),) * 2
+    (B, C_in), (C_out, C_g) = x.shape[:2], w.shape[:2]
     if C_in % groups or C_out % groups:
         raise ShapeError(f"conv: groups={groups} does not divide C_in={C_in} / C_out={C_out}")
     if C_g != C_in // groups:
         raise ShapeError(f"conv: weight expects {C_g} channels per group, input provides {C_in // groups}")
     kernel = w.shape[2:]
     spatial = x.shape[2:]
-    out_spatial = tuple(
-        _conv_out_extent(n, k, s, p) for n, k, s, p in zip(spatial, kernel, stride, padding)
-    )
+    out_spatial = tuple(map(_conv_out_extent, spatial, kernel, stride, padding))
     if any(n < 1 for n in out_spatial):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
-
-    parents = (x, w) if bias is None else (x, w, bias)
-    depthwise = C_g == 1 and C_out == groups
+    if C_g == 1 and C_out == groups:
+        return _depthwise_conv(x, w, stride, padding, out_spatial, bias)
 
     O_g = C_out // groups
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
-    rows = math.prod(out_spatial)  # column rows per clip
-    K = math.prod(kernel)
-    step = B  # one slice of the whole batch, columns in a new array
-    unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
-    sliced = depthwise and B % unit == 0
-    if sliced:
-        clip_bytes = C_in * rows * K * x.data.itemsize
-        step = min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
     out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x.data, w.data))
-    out_view = out_data.reshape((B, groups, O_g) + out_spatial)
-    for lo in range(0, B, step):
-        n = min(step, B - lo)
-        out = _dw_buffer(n * clip_bytes, x.data.dtype) if sliced else None
-        cols_g = _im2col(x.data[lo:lo + n], kernel, stride, padding, out_spatial, groups, out=out)
-        out_g = np.matmul(cols_g, np.swapaxes(w_g, 1, 2))  # [g, n * rows, Og]
-        out_view[lo:lo + n] = np.moveaxis(out_g.reshape((groups, n) + out_spatial + (O_g,)),
-                                          (0, -1), (1, 2))
+    cols = _im2col(x.data, kernel, stride, padding, out_spatial, groups)
+    out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2)).reshape((groups, B) + out_spatial + (O_g,))
+    out_data.reshape((B, groups, O_g) + out_spatial)[...] = np.moveaxis(out_g, (0, -1), (1, 2))
     if bias is not None:
-        out_data = out_data + bias.data.reshape((1, C_out) + (1,) * rank)
-    columns = None if depthwise else cols_g  # a depthwise backward rebuilds its own
+        out_data = out_data + bias.data.reshape(1, C_out, 1, 1)
 
     def bwd(g):
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
-        g_flat = np.ascontiguousarray(g_flat).reshape(groups, B * rows, O_g)
-        if depthwise:
-            # each group's gemv over the whole batch, as against kept columns, on
-            # columns rebuilt for about _DW_SLICE_BYTES of groups at a time
-            g_rows = np.swapaxes(g_flat, 1, 2)  # [g, 1, B * rows]
-            gw = np.empty((groups, 1, K), dtype=np.result_type(g_flat, x.data))
-            group_bytes = B * rows * K * x.data.itemsize
-            chunk = max(1, _DW_SLICE_BYTES // group_bytes)
-            for c in range(0, groups, chunk):
-                m = min(chunk, groups - c)
-                cols = _im2col(x.data[:, c:c + m], kernel, stride, padding, out_spatial, m,
-                               out=_dw_buffer(m * group_bytes, x.data.dtype))
-                np.matmul(g_rows[c:c + m], cols, out=gw[c:c + m])
-        else:
-            gw = np.matmul(np.swapaxes(g_flat, 1, 2), columns)  # [g, Og, CgK]
+        g_flat = np.ascontiguousarray(g_flat).reshape(groups, -1, O_g)
+        gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
         _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
-            _accumulate(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if not x.requires_grad:
             return
-        dtype = np.result_type(g, w.data)
-        if depthwise:
-            g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
-            w_cl = np.empty(kernel + (B, C_in), dtype=w.data.dtype)  # [*kernel, B, C]
-            w_cl[...] = np.moveaxis(w.data[:, 0], 0, -1)[..., None, :]
-            term = np.empty(g_cl.shape, dtype=dtype)
+        gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
+        # [*out, B, C_in, *kernel], a view unless groups > 1
+        gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + (B, C_in) + kernel)
+        _conv_input_grad(x, lambda offset: gcols[(Ellipsis,) + offset], kernel, stride,
+                         padding, out_spatial, gcols.dtype)
 
-            def term_at(offset):
-                return np.multiply(g_cl, w_cl[offset], out=term)
-        else:
-            gcols = np.matmul(g_flat, w_g)  # [g, P, CgK]
-            gcols = gcols.reshape((groups, B) + out_spatial + (C_g,) + kernel)
-            gcols = np.moveaxis(gcols, (0, 1), (rank + 1, rank)).reshape(
-                out_spatial + (B, C_in) + kernel)  # a view unless groups > 1
+    return _make(out_data, (x, w) if bias is None else (x, w, bias), bwd)
 
-            def term_at(offset):
-                return gcols[(Ellipsis,) + offset]
-        if math.prod(kernel) == 1 and out_spatial == spatial and not any(padding):
-            # one term per input element: relay it in one pass; + 0.0 turns -0.0
-            # into +0.0, as adding it onto a zeroed buffer does
-            gx = np.add(np.moveaxis(term_at((0,) * rank), (-2, -1), (0, 1)), 0.0,
-                        out=np.empty(x.shape, dtype=dtype))
-            _accumulate(x, gx, owned=True)
+
+def _depthwise_conv(x, w, stride, padding, out_spatial, bias):
+    """``conv`` with one input and one output channel per group.
+
+    The forward builds its columns in batch slices near ``_DW_SLICE_BYTES``,
+    so that they stay in cache, in one buffer kept between calls, so that no
+    call returns its pages to the OS for the next to fault in again. Its
+    matmul is a gemv per channel, one dot per column row, and BLAS rounds a
+    row by its place in the kernel's block of rows (and in a thread's share
+    of them). So a slice gives the same bits only if every slice, the whole
+    buffer and their halves split at the same block edges: a slice holds a
+    multiple of ``_DW_SLICE_ROWS`` rows, else the batch is one slice in a new
+    array. The tape node keeps no columns: the weight gradient rebuilds them
+    in the kept buffer for about ``_DW_SLICE_BYTES`` of channels at a time,
+    each over the whole batch, so each channel's gemv is the one that
+    whole-batch columns give. The input gradient needs no matmul: with inner
+    extent 1, each column entry is one rounded product, and the terms are
+    ``g * w[:, 0, offset]``, ``g`` relaid once to ``[*out, B, C]`` and the
+    weights once to ``[*kernel, B, C]``, so both run along B * C.
+    """
+    B, C = x.shape[0], x.shape[1]
+    kernel = w.shape[2:]
+    rows = math.prod(out_spatial)  # column rows per clip
+    K = math.prod(kernel)
+    w_t = np.swapaxes(w.data.reshape(C, 1, K), 1, 2)  # [C, K, 1]
+    clip_bytes = C * rows * K * x.data.itemsize
+    unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
+    step = B if B % unit else min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
+    out_data = np.empty((B, C) + out_spatial, dtype=np.result_type(x.data, w.data))
+    for lo in range(0, B, step):
+        n = min(step, B - lo)
+        buffer = None if B % unit else _dw_buffer(n * clip_bytes, x.data.dtype)
+        cols = _im2col(x.data[lo:lo + n], kernel, stride, padding, out_spatial, C, out=buffer)
+        out_data[lo:lo + n] = np.matmul(cols, w_t).reshape((C, n) + out_spatial).swapaxes(0, 1)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, C, 1, 1)
+
+    def bwd(g):
+        g_rows = np.ascontiguousarray(np.moveaxis(g, 1, 0)).reshape(C, -1, 1).swapaxes(1, 2)
+        gw = np.empty((C, 1, K), dtype=np.result_type(g, x.data))
+        channel_bytes = B * rows * K * x.data.itemsize
+        chunk = max(1, _DW_SLICE_BYTES // channel_bytes)
+        for c in range(0, C, chunk):
+            m = min(chunk, C - c)
+            cols = _im2col(x.data[:, c:c + m], kernel, stride, padding, out_spatial, m,
+                           out=_dw_buffer(m * channel_bytes, x.data.dtype))
+            np.matmul(g_rows[c:c + m], cols, out=gw[c:c + m])
+        _accumulate(w, gw.reshape(w.data.shape), owned=True)
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if not x.requires_grad:
             return
-        gx = np.zeros(tuple(n + 2 * p for n, p in zip(spatial, padding)) + (B, C_in), dtype=dtype)
-        for offset in np.ndindex(*kernel):
-            window = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial))
-            gx[window] += term_at(offset)
-        gx = gx[tuple(slice(p, p + n) for p, n in zip(padding, spatial))]
-        _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
+        g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
+        w_cl = np.empty(kernel + (B, C), dtype=w.data.dtype)  # [*kernel, B, C]
+        w_cl[...] = np.moveaxis(w.data[:, 0], 0, -1)[..., None, :]
+        term = np.empty(g_cl.shape, dtype=np.result_type(g, w.data))
+        _conv_input_grad(x, lambda offset: np.multiply(g_cl, w_cl[offset], out=term), kernel,
+                         stride, padding, out_spatial, term.dtype)
 
-    return _make(out_data, parents, bwd)
+    return _make(out_data, (x, w) if bias is None else (x, w, bias), bwd)
+
+
+def _conv_input_grad(x, term_at, kernel, stride, padding, out_spatial, dtype):
+    """Accumulate into ``x`` the input gradient whose ``[*out, B, C_in]`` terms
+    at each kernel offset ``term_at(offset)`` gives: one scatter per offset,
+    in row-major order, onto a zeroed channels-last ``[*padded, B, C_in]``
+    buffer, so the inner loops run along B * C_in contiguous elements and
+    each input element receives the same rounded terms in the same order as
+    from a ``[B, C_in, *padded]`` scatter; one copy then crops the padding
+    and relays to ``[B, C_in, H, W]``. When one offset reaches every input
+    element once (a 1x1 kernel, stride 1, no padding) one pass adds +0.0 to
+    the terms while relaying them, as adding onto a zeroed buffer does.
+    """
+    spatial = x.shape[2:]
+    if math.prod(kernel) == 1 and out_spatial == spatial and not any(padding):
+        gx = np.add(np.moveaxis(term_at((0, 0)), (-2, -1), (0, 1)), 0.0,
+                    out=np.empty(x.shape, dtype=dtype))
+        _accumulate(x, gx, owned=True)
+        return
+    gx = np.zeros(tuple(n + 2 * p for n, p in zip(spatial, padding)) + x.shape[:2], dtype=dtype)
+    for offset in np.ndindex(*kernel):
+        window = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial))
+        gx[window] += term_at(offset)
+    gx = gx[tuple(slice(p, p + n) for p, n in zip(padding, spatial))]
+    _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
 
 
 def _dw_buffer(nbytes, dtype):

@@ -146,17 +146,29 @@ class LocalPathway(Module):
         return self.bn(out)
 
 
+class FullExtentConv(Conv):
+    """The depthwise conv whose kernel spans a [T, B, C, H, W] map's whole
+    T x H x W extent: a learnable weighted sum of each channel over time and
+    space, run as the per-channel batched matmul [C, B, T*H*W] @ [C, T*H*W,
+    1]. It returns [B, C]."""
+
+    def forward(self, x):
+        T, B, C, H, W = x.shape
+        y = ad.reshape(ad.permute(x, (2, 1, 0, 3, 4)), (C, B, T * H * W))
+        y = ad.matmul(y, ad.reshape(self.weight, (C, T * H * W, 1)))  # [C, B, 1]
+        return ad.permute(ad.reshape(y, (C, B)), (1, 0))
+
+
 class ClassificationHead(Module):
     """Learnable weighted sum over time and space via a full-extent depthwise
-    3-D convolution, then BN and a linear classifier.
-    """
+    conv, then BN and a linear classifier."""
 
     def __init__(self, cfg, channels, height, width, rng):
         super().__init__()
         self.channels = channels
         self.extent = (cfg.time_steps, height, width)
         self.sn = SpikingLayer(cfg.neuron)
-        self.conv3d = Conv(channels, channels, self.extent, rng, groups=channels)
+        self.conv3d = FullExtentConv(channels, channels, self.extent, rng, groups=channels)
         self.bn = BatchNorm(channels, layout="vec")
         self.fc = Linear(channels, cfg.num_classes, rng, bias=True, fr_source=self.sn)
 
@@ -165,8 +177,4 @@ class ClassificationHead(Module):
             raise ad.ShapeError(
                 f"head expects [T, B, C, H, W] extents {self.extent}, got {x.shape}"
             )
-        s = self.sn(x)  # [T, B, C, H, W]
-        y = ad.permute(s, (1, 2, 0, 3, 4))  # [B, C, T, H, W]
-        y = self.conv3d(y)  # [B, C, 1, 1, 1]
-        y = ad.reshape(y, (y.shape[0], self.channels))
-        return self.fc(self.bn(y))
+        return self.fc(self.bn(self.conv3d(self.sn(x))))

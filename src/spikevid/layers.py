@@ -95,8 +95,8 @@ class _ProfiledLayer(Module):
 
 
 class Conv(_ProfiledLayer):
-    """Grouped 2-D/3-D cross-correlation with learnable kernel: an int
-    ``kernel`` is a square 2-D one, a tuple gives every extent."""
+    """Grouped 2-D cross-correlation with learnable kernel: an int ``kernel``
+    is a square one, a tuple gives every extent of the weight."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1, padding=0,
                  groups=1, fr_source=None):

@@ -72,14 +72,11 @@ def exact_ac_count_linear(x, out_features):
 
 
 def exact_ac_count_conv(x, kernel, stride, padding, groups, out_channels):
-    """AC events of a conv on a binary input [B, C, *spatial]: for each output
-    position, the number of ones in its receptive field.
+    """AC events of a conv with a square ``kernel`` on a binary input [B, C, H,
+    W]: for each output position, the number of ones in its receptive field.
     """
     x = _require_binary(x, "exact_ac_count_conv")
-    rank = x.ndim - 2
-    kernel = (kernel,) * rank if isinstance(kernel, int) else tuple(kernel)
-    c_in = x.shape[1]
-    ones = np.ones((groups, c_in // groups) + kernel, dtype=x.dtype)
+    ones = np.ones((groups, x.shape[1] // groups, kernel, kernel), dtype=x.dtype)
     with ad.no_grad():
         # one output channel per group counts the ones in that group's field
         field_nnz = ad.conv(ad.tensor(x), ad.tensor(ones), stride=stride,

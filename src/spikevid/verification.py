@@ -53,9 +53,6 @@ def run_gradient_checks(seed=0, tol=1e-4, step=1e-4):
     reports["conv2d_grouped"] = ad.grad_check(
         lambda x, w: ad.reduce_sum(ad.conv(x, w, stride=1, padding=2, groups=4)),
         [arr(1, 4, 4, 4), arr(4, 1, 5, 5)], tol=tol, step=step)
-    reports["conv3d_depthwise"] = ad.grad_check(
-        lambda x, w: ad.reduce_sum(ad.mul(c := ad.conv(x, w, groups=3), c)),
-        [arr(2, 3, 2, 3, 3), arr(3, 1, 2, 3, 3)], tol=tol, step=step)
     reports["batch_norm_composite"] = ad.grad_check(
         _bn_composite, [arr(2, 3, 4, 2, 2)], tol=tol, step=step)
     reports["smooth_spike"] = ad.grad_check(

@@ -129,11 +129,12 @@ class TestConv:
         hi = ad.conv(t(x[:, 2:]), t(w[2:]), padding=1).data
         np.testing.assert_allclose(out, np.concatenate([lo, hi], axis=1), rtol=1e-10)
 
-    def test_conv3d_shape(self):
+    def test_rank3_input_raises(self):
         x = t(np.ones((2, 6, 4, 5, 5)))
-        w = t(np.ones((6, 1, 4, 5, 5)))
-        out = ad.conv(x, w, groups=6)
-        assert out.shape == (2, 6, 1, 1, 1)
+        with pytest.raises(ad.ShapeError):
+            ad.conv(x, t(np.ones((6, 1, 4, 5, 5))), groups=6)
+        with pytest.raises(ad.ShapeError):
+            ad.conv(x, t(np.ones((6, 1, 5, 5))), groups=6)
 
     def test_grad_check_strided_padded(self):
         rep = ad.grad_check(
@@ -168,12 +169,12 @@ def block_diagonal(w):
     return dense
 
 
-# (x shape, kernel, stride, padding): 2-D k5 p2 s1, 2-D k5 p2 s2 on odd
-# extents, and the head's full-extent 3-D kernel
+# (x shape, kernel, stride, padding): k5 p2 s1, k5 p2 s2 on odd extents, and
+# a full-extent kernel, as on the head's [B, C, T*H, W] view
 DEPTHWISE_CASES = [
     ((2, 3, 7, 6), (5, 5), 1, 2),
     ((2, 3, 9, 7), (5, 5), 2, 2),
-    ((2, 3, 2, 4, 4), (2, 4, 4), 1, 0),
+    ((2, 3, 8, 4), (8, 4), 1, 0),
 ]
 
 
@@ -266,12 +267,12 @@ def scatter_input_grad(g, w, stride, padding, groups, x_shape):
 
 
 # (x shape, w shape, stride, padding, groups): depthwise 5x5 p2 at s1 and s2
-# on odd extents, the head's full-extent 3-D depthwise kernel, dense 3x3 p1
-# s2, dense 1x1 p0 at s1 and s2, and a grouped conv with two channels per group
+# on odd extents, a full-extent depthwise kernel, dense 3x3 p1 s2, dense 1x1
+# p0 at s1 and s2, and a grouped conv with two channels per group
 SCATTER_CASES = [
     ((2, 3, 7, 9), (3, 1, 5, 5), 1, 2, 3),
     ((2, 3, 9, 7), (3, 1, 5, 5), 2, 2, 3),
-    ((2, 3, 2, 4, 4), (3, 1, 2, 4, 4), 1, 0, 3),
+    ((2, 3, 8, 4), (3, 1, 8, 4), 1, 0, 3),
     ((2, 4, 7, 9), (5, 4, 3, 3), 2, 1, 1),
     ((2, 4, 5, 6), (3, 4, 1, 1), 1, 0, 1),
     ((2, 4, 5, 6), (3, 4, 1, 1), 2, 0, 1),
@@ -301,13 +302,13 @@ class TestChannelsLastScatter:
 
 # (x shape, w shape, stride, padding, bias, slice budget in clips, the batch
 # slices expected): depthwise 5x5 p2 at s1, at s2 on odd extents (72 rows per
-# clip, so slices of 4 clips), with a bias, and the head's full-extent 3-D
-# kernel (1 row per clip, so slices of 32 clips); each leaves a short last slice
+# clip, so slices of 4 clips), with a bias, and a full-extent kernel (1 row
+# per clip, so slices of 32 clips); each leaves a short last slice
 SLICED_CASES = [
     ((7, 16, 16, 16), (16, 1, 5, 5), 1, 2, False, 2, [2, 2, 2, 1]),
     ((12, 16, 15, 17), (16, 1, 5, 5), 2, 2, False, 2, [4, 4, 4]),
     ((7, 8, 8, 12), (8, 1, 5, 5), 1, 2, True, 3, [3, 3, 1]),
-    ((96, 12, 4, 2, 2), (12, 1, 4, 2, 2), 1, 0, False, 64, [64, 32]),
+    ((96, 12, 8, 2), (12, 1, 8, 2), 1, 0, False, 64, [64, 32]),
 ]
 IM2COL = ad._im2col
 
@@ -522,11 +523,11 @@ class TestGatherColumns:
 
     def test_window_index_cache_holds_every_default_model_shape(self):
         # the default model's train step and eval passes, at any batch size,
-        # ask for 11 window indexes: all are built by the first step and the
+        # ask for 10 window indexes: all are built by the first step and the
         # first eval pass, and the cache keeps them with room to spare
         from spikevid import training
         from spikevid.data import gen_moving_patterns
-        from spikevid.model import ModelConfig, VideoSpikeNet
+        from spikevid.model import ModelConfig, VideoSpikeNet, time_major
 
         cached = ad._window_index
         cached.cache_clear()
@@ -537,8 +538,7 @@ class TestGatherColumns:
 
         def train_step():
             model.train()
-            clip = np.ascontiguousarray(ds.clips.transpose(1, 0, 2, 3, 4))
-            loss = training.cross_entropy(model(ad.tensor(clip)), ds.labels)
+            loss = training.cross_entropy(model(ad.tensor(time_major(ds.clips))), ds.labels)
             optimizer.zero_grad()
             ad.backward(loss)
             optimizer.step(cfg.base_lr)
@@ -554,12 +554,13 @@ class TestGatherColumns:
 
 
 # (x shape, w shape, groups): 1x1 convs at stride 1 and padding 0, whose input
-# gradient is one relaying pass: dense, grouped, depthwise and a 3-D kernel
+# gradient is one relaying pass: dense, grouped, depthwise, and dense on a
+# [B, C, T*H, W] view
 ONE_BY_ONE_CASES = [
     ((2, 4, 5, 6), (3, 4, 1, 1), 1),
     ((2, 4, 5, 3), (6, 2, 1, 1), 2),
     ((2, 4, 3, 5), (4, 1, 1, 1), 4),
-    ((2, 4, 2, 3, 3), (5, 4, 1, 1, 1), 1),
+    ((2, 4, 6, 3), (5, 4, 1, 1), 1),
 ]
 
 

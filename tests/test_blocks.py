@@ -9,6 +9,7 @@ import pytest
 from spikevid import autodiff as ad
 from spikevid.blocks import (
     ClassificationHead,
+    FullExtentConv,
     GlobalSelfAttention,
     LocalFeatureExtractor,
     LocalPathway,
@@ -166,6 +167,46 @@ class TestClassificationHead:
         # step-1 membrane states differ, but the zeroed kernel slice blocks them
         # only if the spike outputs at step 0 agree (they do: same input there)
         np.testing.assert_array_equal(out0, out1)
+
+
+class TestFullExtentConv:
+    """The head's conv, a per-channel batched matmul, gives the bytes of the
+    depthwise ``ad.conv`` whose (T*H, W) kernel spans a [B, C, T*H, W] view."""
+
+    @staticmethod
+    def run(conv, x, w, g):
+        x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
+        out = conv(x_t, w_t)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
+        return out.data, x_t.grad, w_t.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 16, 128, 2, 2), (8, 16, 64, 1, 1), (16, 3, 40, 7, 7),
+                                       (8, 32, 16, 2, 2)])
+    def test_bytes_match_depthwise_conv_on_the_map_view(self, shape, dtype):
+        T, B, C, H, W = shape
+        rng = make_rng(21)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((C, 1, T, H, W)).astype(dtype)
+        g = rng.standard_normal((B, C)).astype(dtype)
+        g[::3] = -0.0  # terms of -0.0, which the conv's zeroed scatter buffer makes +0.0
+        with ad.precision(dtype):
+            head = FullExtentConv(C, C, (T, H, W), make_rng(22), groups=C)
+
+            def matmul_conv(x_t, w_t):
+                head.weight = w_t
+                return head(x_t)
+
+            def view_conv(x_t, w_t):
+                view = ad.reshape(ad.permute(x_t, (1, 2, 0, 3, 4)), (B, C, T * H, W))
+                out = ad.conv(view, ad.reshape(w_t, (C, 1, T * H, W)), groups=C)
+                return ad.reshape(out, (B, C))
+
+            got = self.run(matmul_conv, x, w, g)
+            ref = self.run(view_conv, x, w, g)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 BILLING_ROLES = {"expects_binary", "is_encoder", "fr_source"}

@@ -14,7 +14,7 @@ from spikevid import data as data_mod
 from spikevid.data import gen_moving_patterns, save_dataset
 from spikevid.layers import BatchNorm
 from spikevid.model import (ModelConfig, VideoSpikeNet, load_checkpoint, save_checkpoint,
-                            variant_config)
+                            time_major, variant_config)
 from spikevid.training import TrainConfig
 
 from conftest import make_rng, tiny_config
@@ -196,7 +196,7 @@ class TestCommands:
                 m.momentum = 1.0
         model.train()
         with ad.no_grad():
-            model(ad.tensor(np.ascontiguousarray(clips.transpose(1, 0, 2, 3, 4))))
+            model(ad.tensor(time_major(clips)))
         ckpt = tmp_path / "calibrated.ckpt"
         save_checkpoint(model, ckpt)
         code = run_cli(tmp_path, "profile", "--set", f"model.checkpoint={ckpt}",

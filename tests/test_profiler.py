@@ -7,7 +7,7 @@ from spikevid import autodiff as ad
 from spikevid import profiler as prof
 from spikevid.data import gen_moving_patterns
 from spikevid.layers import BatchNorm, Conv, Linear
-from spikevid.model import ModelConfig, VideoSpikeNet
+from spikevid.model import ModelConfig, VideoSpikeNet, time_major
 
 from conftest import make_rng, tiny_config
 
@@ -207,7 +207,7 @@ def spiking(request):
                 m.momentum = 1.0
         model.train()
         with ad.no_grad():
-            model(ad.tensor(np.ascontiguousarray(ds.clips.transpose(1, 0, 2, 3, 4))))
+            model(ad.tensor(time_major(ds.clips)))
         rec = prof.record(model, ds.clips, batch_size=16)
     return rec, {c.name: c for c in prof.cost_table(rec, len(ds.clips), exact=True)}
 

@@ -17,7 +17,11 @@ and saves every array it produces:
   statistics are set to those of one train-mode batch (momentum 1, no tape);
 - one eval-mode forward of that calibrated model on a tape, and one backward
   from its loss: the logits, the loss and the gradients of the input and of
-  every parameter, through frozen-statistics batch norms.
+  every parameter, through frozen-statistics batch norms;
+- the batch-norm fold of criterion 11's three layers (plain-BN ConvBN, TDBN
+  ConvBN, TDBN LinearBN), each after 10 train-mode passes: the folded weight
+  and bias, and the fused layer's output on binary input and that input's
+  gradient (a conv with a bias, and a grouped dense conv under TDBN).
 
 ``compare`` prints each key whose dtype, shape or bytes differ between two
 dumps, or that only one of them holds, and exits 1 if there is any. Run both
@@ -41,6 +45,7 @@ BATCH = 16
 TRAIN_STEPS = 3
 FIT_CLIPS = 32
 FIT_EPOCHS = 2
+FUSED_TRAIN_PASSES = 10
 
 
 def _flatten(prefix, value, out):
@@ -152,6 +157,32 @@ def calibrated_run():
     }
 
 
+def fused_run():
+    from spikevid import autodiff as ad
+    from spikevid.layers import PLAIN_BN, TDBN, ConvBN, LinearBN, fuse_linear_layers
+
+    rng = np.random.default_rng(SEED)
+    cases = {
+        "convbn_plain": (ConvBN(4, 6, 3, rng, padding=1, norm_mode=PLAIN_BN), (2, 3, 4, 6, 6)),
+        "convbn_tdbn": (ConvBN(4, 4, 3, rng, padding=1, norm_mode=TDBN, time_steps=3),
+                        (3, 2, 4, 5, 5)),
+        "linearbn_tdbn": (LinearBN(6, 4, rng, norm_mode=TDBN, time_steps=2), (2, 3, 7, 6)),
+    }
+    out = {}
+    for name, (layer, shape) in cases.items():
+        for _ in range(FUSED_TRAIN_PASSES):
+            layer(ad.tensor(rng.standard_normal(shape)))
+        layer.eval()
+        fused = fuse_linear_layers(layer)
+        x = ad.tensor(rng.random(shape) < 0.3, requires_grad=True)
+        y = fused(x)
+        upstream = ad.tensor(rng.standard_normal(y.shape))
+        ad.backward(ad.reduce_sum(ad.mul(y, upstream)))
+        out[name] = {"weight": fused.layer.weight.data, "bias": fused.layer.bias.data,
+                     "output": y.data, "input_grad": x.grad}
+    return out
+
+
 def dump(path, dtype):
     from spikevid import autodiff as ad
 
@@ -160,6 +191,7 @@ def dump(path, dtype):
         _flatten("train", train_steps(), arrays)
         _flatten("fit", fit_run(), arrays)
         _flatten("calibrated", calibrated_run(), arrays)
+        _flatten("fused", fused_run(), arrays)
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays -> {path}")
 
