@@ -105,7 +105,8 @@ class Tensor:
     primitives.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if not isinstance(data, np.ndarray):
@@ -432,10 +433,12 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     2p - k) / s) + 1. A depthwise conv (``C_g == 1`` and ``C_out == groups``)
     runs ``_depthwise_conv``. Any other builds the whole batch's ``[groups,
     P, C_g * K]`` columns (``_im2col``, one gather along a window index cached
-    per shape) for one grouped matmul, and its tape node keeps them for the
-    weight gradient, one grouped matmul against them. Its input gradient
-    scatters the windows of a matmul back to columns, read as a ``[*out, B,
-    C_in, *kernel]`` view (``_conv_input_grad``).
+    per shape) for one grouped matmul. Its tape node keeps no columns: the
+    weight gradient, one grouped matmul against them, rebuilds them from the
+    input's data by the same gather, so with the same bits, and only when
+    the weight needs a gradient. Its input gradient scatters the windows of
+    a matmul back to columns, read as a ``[*out, B, C_in, *kernel]`` view
+    (``_conv_input_grad``).
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv: input {x.shape} and weight {w.shape} must both be rank 4")
@@ -466,8 +469,10 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     def bwd(g):
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
         g_flat = np.ascontiguousarray(g_flat).reshape(groups, -1, O_g)
-        gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
-        _accumulate(w, gw.reshape(w.data.shape), owned=True)
+        if w.requires_grad:  # the forward's columns, rebuilt by the forward's gather
+            cols = _im2col(x.data, kernel, stride, padding, out_spatial, groups)
+            gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
+            _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if not x.requires_grad:
@@ -764,13 +769,14 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         S_t = Heaviside(H - v_threshold)   (its sigmoid surrogate if ``smooth``)
         V = H * (1 - S_t) + S_t * v_reset
 
-    Returns the spikes [T, *S]. Backward is one reverse loop over t carrying
-    dL/dV; it recomputes the surrogate slopes from the saved H through
-    ``surrogate_slope`` and drops the S -> V reset path if ``detach_reset``.
-    The node keeps only H (besides the spikes it returns); for the leak
-    gradient the backward rebuilds each drive D from X, H and S by the
-    forward's ops, so with the forward's bits, before it overwrites H.
-    Nothing is saved when no input requires a gradient or under ``no_grad``.
+    Returns the spikes [T, *S]. The node keeps no array besides its input
+    and the spikes it returns: with a tape or without, each step's H goes
+    into one step buffer. The backward first replays the membrane loop from
+    X and S by the forward's ops, so with the forward's bits, rebuilding
+    every H_t (and, for the leak gradient, every D_t) into arrays of its
+    own. Then one reverse loop over t carries dL/dV; it takes the surrogate
+    slopes of the rebuilt H through ``surrogate_slope`` and drops the S -> V
+    reset path if ``detach_reset``.
 
     Raises ``FloatingPointError``, before any tape node is made, if the final
     membrane is not finite. A NaN or +-inf input at any step leaves it so
@@ -782,16 +788,14 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     dt = x.data.dtype
     T, shape = x.shape[0], x.shape[1:]
     parents = (x,) if a is None else (x, a)
-    track = _tracks(parents)
 
     vr = dt.type(v_reset)
     one = dt.type(1.0)
     kappa = dt.type(1.0 / tau) if a is None else _sigmoid(a.data)
     spikes = np.empty(x.shape, dtype=np.result_type(x.data, kappa))
-    hs = np.empty_like(spikes) if track else None
-    # every op writes into spikes, hs or one of these two step buffers; the
-    # widest operand dtype is the buffers', so each result is the one a fresh
-    # array would hold
+    # every op writes into spikes or one of these two step buffers; the widest
+    # operand dtype is the buffers', so each result is the one a fresh array
+    # would hold
     scratch = np.empty(shape, dtype=spikes.dtype)
     v_next = np.empty(shape, dtype=spikes.dtype)
     v_t = np.full(shape, v_reset, dtype=dt)
@@ -801,9 +805,8 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     complement = not (smooth or vr)
     for t in range(T):
         # D = X_t - (V - vr); V - 0 is V bit for bit, so a zero reset skips that op
-        np.subtract(x.data[t], v_t - vr if v_reset else v_t, out=scratch)
-        h = scratch if hs is None else hs[t]
-        np.multiply(kappa, scratch, out=h)
+        h = np.subtract(x.data[t], v_t - vr if v_reset else v_t, out=scratch)
+        np.multiply(kappa, h, out=h)
         np.add(v_t, h, out=h)
         if complement:
             keep = np.less(h, v_threshold, out=spikes[t], casting="unsafe")
@@ -825,19 +828,24 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
                                  "leak parameter, or an overflow)")
 
     def bwd(g):
-        slope = surrogate_slope(hs, v_threshold, alpha)
         dv_dh = one - spikes  # dV_t/dH_t along the membrane: the forward's 1 - S_t
-        drives = None
-        if a is not None and a.requires_grad:
-            # D_t from the saved H and S, by the forward's ops: V_t = H_t (1 - S_t)
-            # (+ S_t vr), into buffers of this backward's own
-            drives = np.empty_like(hs)
-            v, v_step = np.full(shape, v_reset, dtype=dt), np.empty_like(dv_dh[0])
-            for t in range(T):
-                np.subtract(x.data[t], v - vr if v_reset else v, out=drives[t])
-                v = np.multiply(hs[t], dv_dh[t], out=v_step)
-                if vr:
-                    np.add(v, np.multiply(spikes[t], vr), out=v)
+        # the forward's membrane loop replayed from X and S, by its own ops
+        # into buffers of this backward's own: D_t, H_t = V + kappa * D_t and
+        # V_t = H_t (1 - S_t) (+ S_t vr); the drives are kept for the leak
+        # gradient only
+        hs = np.empty_like(spikes)
+        drives = np.empty_like(spikes) if a is not None and a.requires_grad else None
+        v, v_step, d_step = (np.full(shape, v_reset, dtype=dt), np.empty_like(hs[0]),
+                             np.empty_like(hs[0]))
+        for t in range(T):
+            d = np.subtract(x.data[t], v - vr if v_reset else v,
+                            out=d_step if drives is None else drives[t])
+            np.multiply(kappa, d, out=hs[t])
+            np.add(v, hs[t], out=hs[t])
+            v = np.multiply(hs[t], dv_dh[t], out=v_step)
+            if vr:
+                np.add(v, np.multiply(spikes[t], vr), out=v)
+        slope = surrogate_slope(hs, v_threshold, alpha)
         # unless detached, the reset path adds (vr - H_t) * slope to dV_t/dH_t;
         # hs is not read again, so that term is formed in place
         if not detach_reset:
@@ -864,13 +872,33 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
 
 
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar loss; each node visited exactly once."""
+    """Reverse-mode sweep from a scalar loss; each node visited exactly once.
+
+    A visited node drops its backward, its parents and (the loss aside) its
+    gradient, and the sweep lets go of it, so a node that the caller does not
+    hold is freed, its data with it, before the nodes upstream of it run.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._consumed:
         raise TapeConsumedError("backward already called on this graph")
     loss._consumed = True
+    topo = _topological_order(loss)
+    loss.grad = np.ones_like(loss.data)
+    while topo:  # popped in reverse topological order: every child of node has run
+        node = topo.pop()
+        if node._backward is not None and node.grad is not None:
+            # a node's grad is dropped after its backward, so a parent may take
+            # it over (reshape, permute); the loss keeps its own
+            node._backward(node.grad.copy() if node is loss else node.grad)
+            node._backward = None
+            node._parents = ()
+            if node is not loss:
+                node.grad = None
 
+
+def _topological_order(loss):
+    """The tape nodes behind ``loss``, each after all of its parents."""
     topo = []
     visited = set()
     stack_ = [(loss, False)]
@@ -886,17 +914,7 @@ def backward(loss: Tensor):
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack_.append((p, False))
-
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            # a node's grad is dropped after its backward, so a parent may take
-            # it over (reshape, permute); the loss keeps its own
-            node._backward(node.grad.copy() if node is loss else node.grad)
-            node._backward = None
-            node._parents = ()
-            if node is not loss:
-                node.grad = None
+    return topo
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 # the keys that size the arrays a command allocates, named when it runs out of memory
 SIZE_KEYS = ("data.height", "data.width", "data.num_train", "data.num_test", "model.time_steps")
+# the variables that set OpenBLAS's thread count, in the order it reads them
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # a key that a config object also holds takes its default from that object
 _MODEL, _TRAIN = ModelConfig(), TrainConfig()
 
@@ -243,9 +245,26 @@ def _out_dir(cfg, command):
     return os.path.join(root, cfg["run"]["run_id"] or command)
 
 
+def _environment():
+    """The numpy version, its BLAS library and the BLAS thread setting (the
+    first of ``THREAD_VARS`` that is set, else the core count): a run's bits
+    depend on them as on its config."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # a numpy that records no BLAS
+        blas = {}
+    var = next((v for v in THREAD_VARS if v in os.environ), None)
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": {"source": var or "cpu_count",
+                             "value": os.environ[var] if var else os.cpu_count()}}
+
+
 def _echo_config(cfg, out_dir):
     with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=True)
+    with open(os.path.join(out_dir, "environment.json"), "w") as fh:
+        json.dump(_environment(), fh, indent=2, sort_keys=True)
 
 
 def emit_metrics(records, out_dir, csv_fields=("epoch", "train_loss", "top1")):

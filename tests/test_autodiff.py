@@ -1,5 +1,7 @@
 """Unit tests for the reverse-mode tensor engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -707,6 +709,31 @@ class TestBackwardMechanics:
         ad.backward(ad.reduce_sum(y))
         np.testing.assert_array_equal(x.grad, [1.0])
 
+    def test_backward_releases_visited_nodes(self):
+        """An interior node that the caller dropped is freed, its data with it,
+        before the backward of a node upstream of it runs; leaves and the
+        loss keep their gradients."""
+        x, w = t([1.0, 2.0]), t([3.0, -1.0])
+        upstream = ad.mul(x, w)
+        interior = ad.exp(upstream)
+        dropped = weakref.ref(interior)
+        loss = ad.reduce_sum(interior)
+        del interior
+        alive_at_upstream = []
+        upstream_bwd = upstream._backward
+
+        def spy(g):
+            alive_at_upstream.append(dropped() is not None)
+            upstream_bwd(g)
+
+        upstream._backward = spy
+        ad.backward(loss)
+        assert alive_at_upstream == [False]
+        e = np.exp(x.data * w.data)
+        np.testing.assert_array_equal(x.grad, e * w.data)
+        np.testing.assert_array_equal(w.grad, e * x.data)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+
     def test_tape_consumed_guard(self):
         x = t([1.0])
         loss = ad.reduce_sum(ad.mul(x, x))
@@ -883,6 +910,42 @@ class TestGradientOwnership:
             assert not any(np.shares_memory(p.grad, b) for b in buffers)
 
 
+# name -> (x shape, w shape, stride, padding, groups): the dense convs of the
+# model (strided 3x3, 1x1) and a grouped 3x3
+DENSE_CONV_CASES = {
+    "3x3_stride2": ((2, 3, 9, 7), (4, 3, 3, 3), 2, 1, 1),
+    "1x1": ((2, 5, 4, 6), (3, 5, 1, 1), 1, 0, 1),
+    "grouped_3x3": ((2, 4, 6, 5), (6, 2, 3, 3), 1, 1, 2),
+}
+
+
+def conv_keeping_columns(x, w, stride, padding, groups, bias, upstream):
+    """Reference dense/grouped conv whose backward reads the forward's own
+    ``_im2col`` columns: the output and the input, weight and bias gradients
+    for the upstream gradient ``upstream``."""
+    B, C_out, C_g, kernel = x.shape[0], w.shape[0], w.shape[1], w.shape[2:]
+    stride, padding = (stride,) * 2, (padding,) * 2
+    out_spatial = tuple((n + 2 * p - k) // s + 1
+                        for n, k, s, p in zip(x.shape[2:], kernel, stride, padding))
+    O_g = C_out // groups
+    w_g = w.reshape(groups, O_g, -1)
+    cols = ad._im2col(x, kernel, stride, padding, out_spatial, groups)
+    out = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x, w))
+    out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2)).reshape((groups, B) + out_spatial + (O_g,))
+    out.reshape((B, groups, O_g) + out_spatial)[...] = np.moveaxis(out_g, (0, -1), (1, 2))
+    g_flat = np.moveaxis(upstream.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
+    g_flat = np.ascontiguousarray(g_flat).reshape(groups, -1, O_g)
+    gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols).reshape(w.shape)
+    gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
+    gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + x.shape[:2] + kernel)
+    x_t = ad.Tensor(x, requires_grad=True)
+    ad._conv_input_grad(x_t, lambda offset: gcols[(Ellipsis,) + offset], kernel, stride,
+                        padding, out_spatial, gcols.dtype)
+    if bias is None:
+        return out, x_t.grad, gw
+    return out + bias.reshape(1, C_out, 1, 1), x_t.grad, gw, upstream.sum(axis=(0, 2, 3))
+
+
 def _held_arrays(node):
     """The arrays of at least the first parent's size that ``node``'s backward
     closure holds, other than its parents' and its output's data."""
@@ -948,10 +1011,87 @@ class TestLeanTape:
     @pytest.mark.parametrize("v_reset", [0.0, 0.3])
     @pytest.mark.parametrize("smooth", [False, True])
     @pytest.mark.parametrize("detach_reset", [False, True])
-    def test_lif_sequence_keeps_only_the_membrane(self, kind, v_reset, smooth, detach_reset):
+    def test_lif_sequence_keeps_no_input_sized_array(self, kind, v_reset, smooth, detach_reset):
         rng = make_rng(52)
         x = t(rng.normal(0.8, 1.0, (6, 3, 4)))
         a = t(np.array(0.3)) if kind == "PLIF" else None
         s = ad.lif_sequence(x, a, v_reset=v_reset, smooth=smooth, detach_reset=detach_reset)
-        held = _held_arrays(s)
-        assert len(held) == 1 and held[0].shape == x.shape  # H, the saved membrane
+        assert s._backward is not None and _held_arrays(s) == []
+
+    @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
+    @pytest.mark.parametrize("v_reset", [0.0, -0.0, 0.3])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("detach_reset", [False, True])
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 2, (np.float64,) * 2,
+                                        (np.float32, np.float64)], ids=["f32", "f64", "mixed"])
+    def test_lif_sequence_backward_rebuilds_the_forward_membrane(
+            self, monkeypatch, kind, v_reset, smooth, detach_reset, dtypes):
+        """The H whose surrogate slopes the backward takes has the bytes of the
+        forward's H, here from fresh temporaries step by step (the mixed case
+        is a float32 input under a float64 leak)."""
+        x_dtype, a_dtype = dtypes
+        rng = make_rng(54)
+        x = ad.Tensor(rng.normal(0.8, 1.0, (7, 3, 4)).astype(x_dtype), requires_grad=True)
+        a = ad.Tensor(np.array(0.3, dtype=a_dtype), requires_grad=True) if kind == "PLIF" else None
+        kappa = x_dtype(1.0 / 2.5) if a is None else ad._sigmoid(a.data)
+        v, hs = np.full(x.shape[1:], v_reset, dtype=x_dtype), []
+        for x_t in x.data:
+            hs.append(v + kappa * (x_t - (v - x_dtype(v_reset) if v_reset else v)))
+            s_t = ad._spike_forward(hs[-1], 1.0, 4.0, smooth)
+            v = hs[-1] * (1.0 - s_t) + s_t * x_dtype(v_reset)
+        read = []
+        slope = ad.surrogate_slope
+
+        def spy(h, *args):
+            read.append(h.copy())
+            return slope(h, *args)
+
+        monkeypatch.setattr(ad, "surrogate_slope", spy)
+        s = ad.lif_sequence(x, a, tau=2.5, v_reset=v_reset, smooth=smooth,
+                            detach_reset=detach_reset)
+        ad.backward(ad.reduce_sum(ad.mul(s, ad.tensor(rng.standard_normal(x.shape)))))
+        assert len(read) == 1 and read[0].tobytes() == np.stack(hs).tobytes()
+        if not smooth:
+            assert 0.0 < s.data.mean() < 1.0  # spikes and resets both occur
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("case", list(DENSE_CONV_CASES))
+    def test_dense_conv_keeps_no_columns(self, case, bias, dtype):
+        """The node holds no columns, and its output and gradients have the
+        bytes of ``conv_keeping_columns``, which keeps them."""
+        x_shape, w_shape, stride, padding, groups = DENSE_CONV_CASES[case]
+        rng = make_rng(55)
+        x, w, b = (rng.standard_normal(s).astype(dtype) for s in (x_shape, w_shape, w_shape[:1]))
+        x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
+        b_t = ad.Tensor(b, requires_grad=True) if bias else None
+        out = ad.conv(x_t, w_t, stride=stride, padding=padding, groups=groups, bias=b_t)
+        assert out._backward is not None and _held_arrays(out) == []
+        upstream = rng.standard_normal(out.shape).astype(dtype)
+        ref = conv_keeping_columns(x, w, stride, padding, groups, b if bias else None,
+                                   upstream)
+        out._backward(upstream.copy())
+        got = (out.data, x_t.grad, w_t.grad) + ((b_t.grad,) if bias else ())
+        assert len(got) == len(ref)
+        for name, mine, theirs in zip(("out", "x", "w", "bias"), got, ref):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+    @pytest.mark.parametrize("w_grad", [False, True])
+    def test_dense_conv_rebuilds_columns_only_for_the_weight_gradient(self, monkeypatch,
+                                                                      w_grad):
+        calls = []
+        im2col = ad._im2col
+
+        def spy(*args, **kw):
+            calls.append(args[0].shape)
+            return im2col(*args, **kw)
+
+        monkeypatch.setattr(ad, "_im2col", spy)
+        rng = make_rng(56)
+        x = t(rng.standard_normal((2, 4, 5, 5)))
+        w = t(rng.standard_normal((6, 2, 3, 3)), grad=w_grad)
+        out = ad.conv(x, w, padding=1, groups=2)
+        assert len(calls) == 1
+        ad.backward(ad.reduce_sum(out))
+        assert len(calls) == 1 + w_grad and x.grad is not None
+        assert (w.grad is not None) == w_grad

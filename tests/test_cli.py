@@ -123,6 +123,32 @@ class TestCommands:
         csv_lines = (run_dir / "summary.csv").read_text().splitlines()
         assert len(csv_lines) == 3  # header + one row per epoch
 
+    def test_train_records_its_environment(self, trained):
+        run_dir = trained / "train"
+        env = json.loads((run_dir / "environment.json").read_text())
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        threads = env["blas_threads"]
+        source = next((v for v in cli.THREAD_VARS if v in os.environ), "cpu_count")
+        assert threads["source"] == source
+        assert str(threads["value"]) == os.environ.get(source, str(os.cpu_count()))
+        # the resolved config, beside it, still loads as a config file
+        resolved = yaml.safe_load((run_dir / "config.resolved").read_text())
+        assert cli.parse_config(str(run_dir / "config.resolved")) == resolved
+
+    @pytest.mark.parametrize("set_vars, source, value", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS", "1"),
+        ({"OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS", "2"),
+        ({}, "cpu_count", os.cpu_count()),
+    ], ids=["openblas", "omp", "cores"])
+    def test_environment_thread_setting(self, monkeypatch, set_vars, source, value):
+        for var in cli.THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, v in set_vars.items():
+            monkeypatch.setenv(var, v)
+        assert cli._environment()["blas_threads"] == {"source": source, "value": value}
+
     def test_eval_uses_checkpoint(self, trained, tmp_path):
         ckpt = trained / "train" / "checkpoints" / "final.ckpt"
         code = run_cli(tmp_path, "eval", "--set", f"model.checkpoint={ckpt}",

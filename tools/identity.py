@@ -21,7 +21,12 @@ and saves every array it produces:
 - the batch-norm fold of criterion 11's three layers (plain-BN ConvBN, TDBN
   ConvBN, TDBN LinearBN), each after 10 train-mode passes: the folded weight
   and bias, and the fused layer's output on binary input and that input's
-  gradient (a conv with a bias, and a grouped dense conv under TDBN).
+  gradient (a conv with a bias, and a grouped dense conv under TDBN);
+- taped primitives, each with a backward from a weighted sum: ``lif_sequence``
+  over the branches its backward replays (LIF and PLIF, ``v_reset`` 0.3 and
+  -0.0, ``smooth``, ``detach_reset``, and a float32 input under a float64
+  leak), and grouped dense convs whose weight and bias take a gradient; the
+  outputs and every gradient.
 
 ``compare`` prints each key whose dtype, shape or bytes differ between two
 dumps, or that only one of them holds, and exits 1 if there is any. Run both
@@ -183,6 +188,54 @@ def fused_run():
     return out
 
 
+# name -> lif_sequence keywords; "leak" is the PLIF parameter's dtype (None:
+# LIF), "input" the input's (None: the current precision)
+NEURON_CASES = {
+    "lif": {"leak": None},
+    "lif_reset0p3_detach": {"leak": None, "v_reset": 0.3, "detach_reset": True},
+    "plif": {"leak": "current"},
+    "plif_reset0p3": {"leak": "current", "v_reset": 0.3},
+    "plif_reset_neg0": {"leak": "current", "v_reset": -0.0},
+    "plif_smooth": {"leak": "current", "smooth": True},
+    "plif_smooth_reset0p3": {"leak": "current", "smooth": True, "v_reset": 0.3},
+    "plif_detach": {"leak": "current", "detach_reset": True},
+    "plif_input32_leak64": {"leak": "float64", "input": "float32"},
+}
+# name -> (x shape, w shape, stride, padding, groups)
+GROUPED_CONV_CASES = {
+    "stride2": ((4, 6, 9, 9), (8, 3, 3, 3), 2, 1, 2),
+    "stride1": ((4, 8, 6, 6), (8, 2, 3, 3), 1, 1, 4),
+}
+
+
+def taped_run():
+    from spikevid import autodiff as ad
+
+    rng = np.random.default_rng(SEED)
+    dtype = ad.current_dtype()
+    out = {}
+    for name, case in NEURON_CASES.items():
+        kw = dict(case)
+        leak, x_dtype = kw.pop("leak"), kw.pop("input", None) or dtype
+        x = ad.Tensor(rng.normal(0.8, 1.0, (8, 4, 6, 5)).astype(x_dtype), requires_grad=True)
+        a = None
+        if leak is not None:
+            a = ad.Tensor(np.array(0.3, dtype=dtype if leak == "current" else leak),
+                          requires_grad=True)
+        s = ad.lif_sequence(x, a, tau=2.5, **kw)
+        ad.backward(ad.reduce_sum(ad.mul(s, ad.tensor(rng.standard_normal(x.shape)))))
+        out[f"neuron/{name}"] = {"spikes": s.data, "input_grad": x.grad,
+                                 "leak_grad": None if a is None else a.grad}
+    for name, (x_shape, w_shape, stride, padding, groups) in GROUPED_CONV_CASES.items():
+        x, w, b = (ad.tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in (x_shape, w_shape, w_shape[:1]))
+        y = ad.conv(x, w, stride=stride, padding=padding, groups=groups, bias=b)
+        ad.backward(ad.reduce_sum(ad.mul(y, ad.tensor(rng.standard_normal(y.shape)))))
+        out[f"grouped_conv/{name}"] = {"output": y.data, "input_grad": x.grad,
+                                       "weight_grad": w.grad, "bias_grad": b.grad}
+    return out
+
+
 def dump(path, dtype):
     from spikevid import autodiff as ad
 
@@ -192,6 +245,7 @@ def dump(path, dtype):
         _flatten("fit", fit_run(), arrays)
         _flatten("calibrated", calibrated_run(), arrays)
         _flatten("fused", fused_run(), arrays)
+        _flatten("taped", taped_run(), arrays)
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays -> {path}")
 
