@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "conv",
+    "conv_threads",
     "batch_norm",
     "spike",
     "surrogate_slope",
@@ -53,11 +55,18 @@ __all__ = [
 _DTYPE = np.float32
 _GRAD_ENABLED = True
 # ``_depthwise_conv``'s column slice budget (the fastest of a 1-16 MB sweep,
-# README) and row alignment, and its column buffer kept between calls. Not
-# thread-safe.
+# README) and row alignment, and its column buffer kept between calls. The
+# buffer is grown only on the calling thread; while a conv runs on two
+# threads, each thread owns its own region of it.
 _DW_SLICE_BYTES = 4 << 20
 _DW_SLICE_ROWS = 32
 _dw_columns = np.empty(0, dtype=np.uint8)
+# a conv whose columns exceed this many bytes runs its independent halves on
+# two threads, the second one ``_worker``, made on first use (README: this
+# takes the default model's 5x5 depthwise convs at B=16, T=8, not its dense
+# ones, which gained nothing measurable, nor any conv of a one-clip pass)
+_CONV_THREAD_BYTES = 8 << 20
+_worker = None
 
 
 @contextlib.contextmanager
@@ -425,6 +434,54 @@ def _conv_out_extent(n, k, s, p):
     return (n + 2 * p - k) // s + 1
 
 
+def conv_threads():
+    """The threads a large conv runs on: 2 where this process may run on more
+    than one CPU (``os.sched_getaffinity``), else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only; serial elsewhere
+    return 2 if affinity is not None and len(affinity(0)) > 1 else 1
+
+
+def _conv_worker(nbytes):
+    """The worker thread for a conv whose columns take ``nbytes``, or None
+    (the conv runs serially): a conv goes to it only above
+    ``_CONV_THREAD_BYTES`` and on more than one CPU. The one worker thread
+    is made on first use, so a process whose convs stay small starts none."""
+    global _worker
+    if nbytes <= _CONV_THREAD_BYTES or conv_threads() == 1:
+        return None
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor  # 5 ms and 0.6 MB, so only here
+
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spikevid-conv")
+    return _worker
+
+
+def _forget_worker():
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _both(worker, side, main):
+    """``(side(), main())``, where a ``None`` task is skipped and gives None.
+    With a ``worker`` and both tasks, ``side`` runs on the worker while this
+    thread runs ``main``; the worker is waited for also when ``main`` raises,
+    and an exception of ``side`` is raised here once ``main`` has finished.
+    Else both run here, ``side`` first."""
+    if worker is None or side is None or main is None:
+        return side() if side else None, main() if main else None
+    future = worker.submit(side)
+    try:
+        result = main()
+    except BaseException:
+        future.exception()  # waits: the worker writes into the caller's arrays
+        raise
+    return future.result(), result
+
+
 def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     """Grouped 2-D cross-correlation.
 
@@ -439,6 +496,16 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     the weight needs a gradient. Its input gradient scatters the windows of
     a matmul back to columns, read as a ``[*out, B, C_in, *kernel]`` view
     (``_conv_input_grad``).
+
+    A conv whose columns exceed ``_CONV_THREAD_BYTES`` hands independent
+    work to one worker thread (``_conv_worker``), and every array keeps the
+    bytes of the serial run. Here the gather runs in two halves of the
+    batch, each thread writing its half of the one columns array, and the
+    matmul then runs once over the whole batch on this thread (a GEMM split
+    by rows can round differently). In the backward the worker rebuilds the
+    columns and runs the weight gradient's matmul while this thread computes
+    the input gradient. Only this thread allocates a large array, and only
+    it makes tape nodes and accumulates gradients, in the serial order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv: input {x.shape} and weight {w.shape} must both be rank 4")
@@ -454,13 +521,14 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     out_spatial = tuple(map(_conv_out_extent, spatial, kernel, stride, padding))
     if any(n < 1 for n in out_spatial):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
+    worker = _conv_worker(B * C_in * math.prod(out_spatial + kernel) * x.data.itemsize)
     if C_g == 1 and C_out == groups:
-        return _depthwise_conv(x, w, stride, padding, out_spatial, bias)
+        return _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker)
 
     O_g = C_out // groups
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
     out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x.data, w.data))
-    cols = _im2col(x.data, kernel, stride, padding, out_spatial, groups)
+    cols = _im2col(x.data, kernel, stride, padding, out_spatial, groups, worker=worker)
     out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2)).reshape((groups, B) + out_spatial + (O_g,))
     out_data.reshape((B, groups, O_g) + out_spatial)[...] = np.moveaxis(out_g, (0, -1), (1, 2))
     if bias is not None:
@@ -469,24 +537,32 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     def bwd(g):
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
         g_flat = np.ascontiguousarray(g_flat).reshape(groups, -1, O_g)
+        weight_grad = input_grad = None
         if w.requires_grad:  # the forward's columns, rebuilt by the forward's gather
-            cols = _im2col(x.data, kernel, stride, padding, out_spatial, groups)
-            gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
+            gather, cols = _column_gather(x.data, kernel, stride, padding, out_spatial, groups)
+
+            def weight_grad():
+                gather(slice(None))
+                return np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
+        if x.requires_grad:
+            def input_grad():
+                gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
+                # [*out, B, C_in, *kernel], a view unless groups > 1
+                gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + (B, C_in) + kernel)
+                return _conv_input_grad(x.shape, lambda offset: gcols[(Ellipsis,) + offset],
+                                        kernel, stride, padding, out_spatial, gcols.dtype)
+        gw, gx = _both(worker, weight_grad, input_grad)
+        if gw is not None:
             _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
-        # [*out, B, C_in, *kernel], a view unless groups > 1
-        gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + (B, C_in) + kernel)
-        _conv_input_grad(x, lambda offset: gcols[(Ellipsis,) + offset], kernel, stride,
-                         padding, out_spatial, gcols.dtype)
+        if gx is not None:
+            _accumulate(x, gx, owned=True)
 
     return _make(out_data, (x, w) if bias is None else (x, w, bias), bwd)
 
 
-def _depthwise_conv(x, w, stride, padding, out_spatial, bias):
+def _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker):
     """``conv`` with one input and one output channel per group.
 
     The forward builds its columns in batch slices near ``_DW_SLICE_BYTES``,
@@ -497,79 +573,115 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias):
     of them). So a slice gives the same bits only if every slice, the whole
     buffer and their halves split at the same block edges: a slice holds a
     multiple of ``_DW_SLICE_ROWS`` rows, else the batch is one slice in a new
-    array. The tape node keeps no columns: the weight gradient rebuilds them
-    in the kept buffer for about ``_DW_SLICE_BYTES`` of channels at a time,
-    each over the whole batch, so each channel's gemv is the one that
-    whole-batch columns give. The input gradient needs no matmul: with inner
-    extent 1, each column entry is one rounded product, and the terms are
-    ``g * w[:, 0, offset]``, ``g`` relaid once to ``[*out, B, C]`` and the
-    weights once to ``[*kernel, B, C]``, so both run along B * C.
+    array. With a ``worker`` the slices stay those of the serial run: this
+    thread pads each slice's input (``_column_gather``), then the worker
+    gathers the columns of the second half of its channels and runs their
+    gemvs while this thread does the first half, into the one columns
+    region and the one gemv output the serial run uses. A gemv is per
+    channel, so no bit moves, the kept buffer does not grow, and the worker
+    allocates no array. The tape node keeps no columns: the weight
+    gradient rebuilds them in the kept buffer for about ``_DW_SLICE_BYTES``
+    of channels at a time, each over the whole batch, so each channel's gemv
+    is the one that whole-batch columns give; with a ``worker`` it runs
+    there, while this thread computes the input gradient. That needs no
+    matmul: with inner extent 1, each column entry is one rounded product,
+    and the terms are ``g * w[:, 0, offset]``, ``g`` relaid once to ``[*out,
+    B, C]`` and the weights once to ``[*kernel, B, C]``, so both run along
+    B * C.
     """
     B, C = x.shape[0], x.shape[1]
     kernel = w.shape[2:]
     rows = math.prod(out_spatial)  # column rows per clip
     K = math.prod(kernel)
     w_t = np.swapaxes(w.data.reshape(C, 1, K), 1, 2)  # [C, K, 1]
-    clip_bytes = C * rows * K * x.data.itemsize
+    clip = C * rows * K  # column entries per clip
+    clip_bytes = clip * x.data.itemsize
     unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
     step = B if B % unit else min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
     out_data = np.empty((B, C) + out_spatial, dtype=np.result_type(x.data, w.data))
+
+    # a slice's [C, clips * rows, K] columns go into the kept buffer, or a new array
+    buffer = (np.empty(B * clip, x.data.dtype) if B % unit
+              else _dw_buffer(step * clip_bytes, x.data.dtype))
+    dots = np.empty(C * step * rows, dtype=out_data.dtype)  # a slice's [C, clips * rows, 1] gemvs
     for lo in range(0, B, step):
         n = min(step, B - lo)
-        buffer = None if B % unit else _dw_buffer(n * clip_bytes, x.data.dtype)
-        cols = _im2col(x.data[lo:lo + n], kernel, stride, padding, out_spatial, C, out=buffer)
-        out_data[lo:lo + n] = np.matmul(cols, w_t).reshape((C, n) + out_spatial).swapaxes(0, 1)
+        gather, cols = _column_gather(x.data[lo:lo + n], kernel, stride, padding, out_spatial, C,
+                                      out=buffer[:n * clip])
+        slice_dots = dots[:C * n * rows].reshape(C, n * rows, 1)
+
+        def channels(lo_c, hi_c):  # the columns and gemvs of channels lo_c..hi_c
+            gather(slice(lo_c * n, hi_c * n))
+            np.matmul(cols[lo_c:hi_c], w_t[lo_c:hi_c], out=slice_dots[lo_c:hi_c])
+
+        if worker is not None and C > 1:
+            _both(worker, lambda: channels(C // 2, C), lambda: channels(0, C // 2))
+        else:
+            channels(0, C)
+        out_data[lo:lo + n] = slice_dots.reshape((C, n) + out_spatial).swapaxes(0, 1)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, C, 1, 1)
 
     def bwd(g):
-        g_rows = np.ascontiguousarray(np.moveaxis(g, 1, 0)).reshape(C, -1, 1).swapaxes(1, 2)
-        gw = np.empty((C, 1, K), dtype=np.result_type(g, x.data))
-        channel_bytes = B * rows * K * x.data.itemsize
-        chunk = max(1, _DW_SLICE_BYTES // channel_bytes)
-        for c in range(0, C, chunk):
-            m = min(chunk, C - c)
-            cols = _im2col(x.data[:, c:c + m], kernel, stride, padding, out_spatial, m,
-                           out=_dw_buffer(m * channel_bytes, x.data.dtype))
-            np.matmul(g_rows[c:c + m], cols, out=gw[c:c + m])
-        _accumulate(w, gw.reshape(w.data.shape), owned=True)
+        weight_grad = input_grad = None
+        if w.requires_grad:
+            g_rows = np.empty((C, B) + out_spatial, dtype=g.dtype)
+            gw = np.empty((C, 1, K), dtype=np.result_type(g, x.data))
+            channel = B * rows * K  # column entries per channel
+            chunk = max(1, _DW_SLICE_BYTES // (channel * x.data.itemsize))
+            buffer = _dw_buffer(min(chunk, C) * channel * x.data.itemsize, x.data.dtype)
+
+            def weight_grad():
+                g_rows[...] = np.moveaxis(g, 1, 0)
+                rows_t = g_rows.reshape(C, -1, 1).swapaxes(1, 2)  # [C, 1, B * rows]
+                for c in range(0, C, chunk):
+                    m = min(chunk, C - c)
+                    cols = _im2col(x.data[:, c:c + m], kernel, stride, padding, out_spatial, m,
+                                   out=buffer[:m * channel])
+                    np.matmul(rows_t[c:c + m], cols, out=gw[c:c + m])
+                return gw
+        if x.requires_grad:
+            def input_grad():
+                g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
+                w_cl = np.empty(kernel + (B, C), dtype=w.data.dtype)  # [*kernel, B, C]
+                w_cl[...] = np.moveaxis(w.data[:, 0], 0, -1)[..., None, :]
+                term = np.empty(g_cl.shape, dtype=np.result_type(g, w.data))
+                return _conv_input_grad(x.shape, lambda offset: np.multiply(g_cl, w_cl[offset],
+                                                                            out=term),
+                                        kernel, stride, padding, out_spatial, term.dtype)
+        gw, gx = _both(worker, weight_grad, input_grad)
+        if gw is not None:
+            _accumulate(w, gw.reshape(w.data.shape), owned=True)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
-        w_cl = np.empty(kernel + (B, C), dtype=w.data.dtype)  # [*kernel, B, C]
-        w_cl[...] = np.moveaxis(w.data[:, 0], 0, -1)[..., None, :]
-        term = np.empty(g_cl.shape, dtype=np.result_type(g, w.data))
-        _conv_input_grad(x, lambda offset: np.multiply(g_cl, w_cl[offset], out=term), kernel,
-                         stride, padding, out_spatial, term.dtype)
+        if gx is not None:
+            _accumulate(x, gx, owned=True)
 
     return _make(out_data, (x, w) if bias is None else (x, w, bias), bwd)
 
 
-def _conv_input_grad(x, term_at, kernel, stride, padding, out_spatial, dtype):
-    """Accumulate into ``x`` the input gradient whose ``[*out, B, C_in]`` terms
-    at each kernel offset ``term_at(offset)`` gives: one scatter per offset,
-    in row-major order, onto a zeroed channels-last ``[*padded, B, C_in]``
-    buffer, so the inner loops run along B * C_in contiguous elements and
-    each input element receives the same rounded terms in the same order as
-    from a ``[B, C_in, *padded]`` scatter; one copy then crops the padding
-    and relays to ``[B, C_in, H, W]``. When one offset reaches every input
-    element once (a 1x1 kernel, stride 1, no padding) one pass adds +0.0 to
-    the terms while relaying them, as adding onto a zeroed buffer does.
+def _conv_input_grad(shape, term_at, kernel, stride, padding, out_spatial, dtype):
+    """The gradient of a ``[B, C_in, *spatial]`` conv input of ``shape`` whose
+    ``[*out, B, C_in]`` terms at each kernel offset ``term_at(offset)`` gives:
+    one scatter per offset, in row-major order, onto a zeroed channels-last
+    ``[*padded, B, C_in]`` buffer, so the inner loops run along B * C_in
+    contiguous elements and each input element receives the same rounded
+    terms in the same order as from a ``[B, C_in, *padded]`` scatter; one
+    copy then crops the padding and relays to ``[B, C_in, H, W]``. When one
+    offset reaches every input element once (a 1x1 kernel, stride 1, no
+    padding) one pass adds +0.0 to the terms while relaying them, as adding
+    onto a zeroed buffer does.
     """
-    spatial = x.shape[2:]
+    spatial = shape[2:]
     if math.prod(kernel) == 1 and out_spatial == spatial and not any(padding):
-        gx = np.add(np.moveaxis(term_at((0, 0)), (-2, -1), (0, 1)), 0.0,
-                    out=np.empty(x.shape, dtype=dtype))
-        _accumulate(x, gx, owned=True)
-        return
-    gx = np.zeros(tuple(n + 2 * p for n, p in zip(spatial, padding)) + x.shape[:2], dtype=dtype)
+        return np.add(np.moveaxis(term_at((0, 0)), (-2, -1), (0, 1)), 0.0,
+                      out=np.empty(shape, dtype=dtype))
+    gx = np.zeros(tuple(n + 2 * p for n, p in zip(spatial, padding)) + shape[:2], dtype=dtype)
     for offset in np.ndindex(*kernel):
         window = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_spatial))
         gx[window] += term_at(offset)
     gx = gx[tuple(slice(p, p + n) for p, n in zip(padding, spatial))]
-    _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1))), owned=True)
+    return np.ascontiguousarray(np.moveaxis(gx, (-2, -1), (0, 1)))
 
 
 def _dw_buffer(nbytes, dtype):
@@ -581,17 +693,34 @@ def _dw_buffer(nbytes, dtype):
     return _dw_columns[:nbytes].view(dtype)
 
 
-def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None):
+def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None, worker=None):
     """[B, C, *spatial] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
 
     Row ``p`` of group ``g`` holds the window at output position ``p`` of that
     group's channels, channel-major then kernel order: the layout the grouped
-    matmul reads. The zero-padded input is written once as a ``[groups, B,
-    C_g * prod(padded)]`` source, and one ``np.take`` gathers every clip's
-    rows along the window index of ``_window_index``. The gather goes into
-    ``out`` (a flat C-contiguous array of the right size and dtype) when it
-    is given, else into a new array.
+    matmul reads. The columns go into ``out`` (a flat C-contiguous array of
+    the right size and dtype) when it is given, else into a new array, by
+    the gather of ``_column_gather``. With a ``worker`` it gathers the
+    columns of the second half of the (group, clip) pairs while this thread
+    gathers the first half.
     """
+    gather, cols = _column_gather(x, kernel, stride, padding, out_spatial, groups, out)
+    if worker is None:
+        gather(slice(None))
+    else:
+        half = groups * x.shape[0] // 2
+        _both(worker, lambda: gather(slice(half, None)), lambda: gather(slice(half)))
+    return cols
+
+
+def _column_gather(x, kernel, stride, padding, out_spatial, groups, out=None):
+    """``(gather, columns)``: ``_im2col``'s columns, not yet filled, and
+    ``gather(rows)``, which fills the columns of a slice ``rows`` of the
+    (group, clip) pairs. The zero-padded input is written here, once, as a
+    ``[groups * B, C_g * prod(padded)]`` source, and ``np.take`` gathers each
+    pair's rows from it along the window index of ``_window_index``. So the
+    source and the columns are made on this thread, whichever thread
+    gathers."""
     B, C = x.shape[:2]
     C_g = C // groups
     spatial = x.shape[2:]
@@ -602,13 +731,17 @@ def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None):
             x.reshape((B, groups, C_g) + spatial).swapaxes(0, 1))
     else:
         src = x
+    src = src.reshape(groups * B, -1)
     index = _window_index(padded, kernel, stride, out_spatial, C_g)  # [prod(out), C_g * K]
-    if out is not None:
-        out = out.reshape((groups, B) + index.shape)
-    # every index is in range, so "wrap" reads what "raise" would, without
-    # its bounds check per element or the temporary it makes of ``out``
-    out = np.take(src.reshape(groups, B, -1), index, axis=2, out=out, mode="wrap")
-    return out.reshape(groups, B * index.shape[0], -1)
+    shape = (groups * B,) + index.shape
+    pairs = np.empty(shape, dtype=x.dtype) if out is None else out.reshape(shape)
+
+    def gather(rows):
+        # every index is in range, so "wrap" reads what "raise" would, without
+        # its bounds check per element or the temporary it makes of ``out``
+        np.take(src[rows], index, axis=1, out=pairs[rows], mode="wrap")
+
+    return gather, pairs.reshape(groups, B * index.shape[0], -1)
 
 
 @functools.lru_cache(maxsize=32)

@@ -248,7 +248,8 @@ def _out_dir(cfg, command):
 def _environment():
     """The numpy version, its BLAS library and the BLAS thread setting (the
     first of ``THREAD_VARS`` that is set, else the core count): a run's bits
-    depend on them as on its config."""
+    depend on them as on its config. Also the threads a large conv runs on
+    (``conv_threads``), which its bits do not depend on but its speed does."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # a numpy that records no BLAS
@@ -257,7 +258,8 @@ def _environment():
     return {"numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "blas_threads": {"source": var or "cpu_count",
-                             "value": os.environ[var] if var else os.cpu_count()}}
+                             "value": os.environ[var] if var else os.cpu_count()},
+            "conv_threads": ad.conv_threads()}
 
 
 def _echo_config(cfg, out_dir):

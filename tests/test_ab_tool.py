@@ -7,22 +7,27 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TUNABLES = "glibc.malloc.trim_threshold=1048576"
 
 
 def test_one_tree_on_both_sides_runs_and_checks_every_operation():
+    env = {k: v for k, v in os.environ.items() if k != "GLIBC_TUNABLES"}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
          "--workload", "infer-b1", "--ops", "2", "--seed", "3"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "infer-b1, seed 3, 2 operations per tree, alternating"
-    for label, line in zip("AB", lines[1:3]):
+    # the tool ran itself again with glibc malloc's thresholds pinned
+    assert lines[1] == ("GLIBC_TUNABLES=glibc.malloc.mmap_threshold=33554432:"
+                        "glibc.malloc.trim_threshold=67108864")
+    for label, line in zip("AB", lines[2:4]):
         assert re.fullmatch(rf"{label} {re.escape(str(ROOT))}: median op \d+\.\d\d ms, "
                             r"\d+ minor page faults, traced peak \d+\.\d MB", line)
     assert re.fullmatch(r"B/A op time: median ratio \d+\.\d{3}, B faster in [012]/2 pairs",
-                        lines[3])
-    assert len(lines) == 4  # no check failed
+                        lines[4])
+    assert len(lines) == 5  # no check failed
 
 
 FAKE_WORKLOADS = '''
@@ -65,12 +70,14 @@ def test_alternates_binds_each_tree_and_reports_failed_checks(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), a, b,
          "--workload", "infer-b1", "--ops", "3", "--seed", "0"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, AB_LOG=str(log)))
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, AB_LOG=str(log), GLIBC_TUNABLES=TUNABLES))
     assert proc.returncode == 1, proc.stderr
     # the alternation, then one traced operation per tree
     assert log.read_text().split() == ["a0", "b0", "b1", "a1", "a2", "b2", "a3", "b3"]
     lines = proc.stdout.splitlines()
-    peaks = [float(re.search(r"traced peak (\d+\.\d) MB$", line)[1]) for line in lines[1:3]]
+    assert lines[1] == f"GLIBC_TUNABLES={TUNABLES}"  # a setting already made is kept
+    peaks = [float(re.search(r"traced peak (\d+\.\d) MB$", line)[1]) for line in lines[2:4]]
     assert 3.0 <= peaks[0] < 3.5 and 1.0 <= peaks[1] < 1.5
-    assert lines[3].endswith("B faster in 3/3 pairs")
-    assert lines[4:] == ["check failed: B op 1: AssertionError: wrong output"]
+    assert lines[4].endswith("B faster in 3/3 pairs")
+    assert lines[5:] == ["check failed: B op 1: AssertionError: wrong output"]

@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode tensor engine."""
 
+import os
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -312,7 +315,7 @@ SLICED_CASES = [
     ((7, 8, 8, 12), (8, 1, 5, 5), 1, 2, True, 3, [3, 3, 1]),
     ((96, 12, 8, 2), (12, 1, 8, 2), 1, 0, False, 64, [64, 32]),
 ]
-IM2COL = ad._im2col
+COLUMN_GATHER = ad._column_gather  # every conv's columns are made here
 
 
 class TestSlicedDepthwise:
@@ -327,9 +330,9 @@ class TestSlicedDepthwise:
 
         def counted(xp, *args, **kwargs):
             calls.append(xp.shape[0])
-            return IM2COL(xp, *args, **kwargs)
+            return COLUMN_GATHER(xp, *args, **kwargs)
 
-        monkeypatch.setattr(ad, "_im2col", counted)
+        monkeypatch.setattr(ad, "_column_gather", counted)
         monkeypatch.setattr(ad, "_DW_SLICE_BYTES", budget)
         with ad.no_grad():
             out = ad.conv(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding,
@@ -405,9 +408,9 @@ class TestSlicedDepthwise:
 
         def counted(xp, *args, **kwargs):
             calls.append(xp.shape[:2])
-            return IM2COL(xp, *args, **kwargs)
+            return COLUMN_GATHER(xp, *args, **kwargs)
 
-        monkeypatch.setattr(ad, "_im2col", counted)
+        monkeypatch.setattr(ad, "_column_gather", counted)
         monkeypatch.setattr(ad, "_DW_SLICE_BYTES", budget)
         x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
         b_t = None if b is None else ad.Tensor(b, requires_grad=True)
@@ -938,12 +941,11 @@ def conv_keeping_columns(x, w, stride, padding, groups, bias, upstream):
     gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols).reshape(w.shape)
     gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
     gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + x.shape[:2] + kernel)
-    x_t = ad.Tensor(x, requires_grad=True)
-    ad._conv_input_grad(x_t, lambda offset: gcols[(Ellipsis,) + offset], kernel, stride,
-                        padding, out_spatial, gcols.dtype)
+    gx = ad._conv_input_grad(x.shape, lambda offset: gcols[(Ellipsis,) + offset], kernel,
+                             stride, padding, out_spatial, gcols.dtype)
     if bias is None:
-        return out, x_t.grad, gw
-    return out + bias.reshape(1, C_out, 1, 1), x_t.grad, gw, upstream.sum(axis=(0, 2, 3))
+        return out, gx, gw
+    return out + bias.reshape(1, C_out, 1, 1), gx, gw, upstream.sum(axis=(0, 2, 3))
 
 
 def _held_arrays(node):
@@ -1080,13 +1082,13 @@ class TestLeanTape:
     def test_dense_conv_rebuilds_columns_only_for_the_weight_gradient(self, monkeypatch,
                                                                       w_grad):
         calls = []
-        im2col = ad._im2col
+        column_gather = ad._column_gather
 
         def spy(*args, **kw):
             calls.append(args[0].shape)
-            return im2col(*args, **kw)
+            return column_gather(*args, **kw)
 
-        monkeypatch.setattr(ad, "_im2col", spy)
+        monkeypatch.setattr(ad, "_column_gather", spy)
         rng = make_rng(56)
         x = t(rng.standard_normal((2, 4, 5, 5)))
         w = t(rng.standard_normal((6, 2, 3, 3)), grad=w_grad)
@@ -1095,3 +1097,132 @@ class TestLeanTape:
         ad.backward(ad.reduce_sum(out))
         assert len(calls) == 1 + w_grad and x.grad is not None
         assert (w.grad is not None) == w_grad
+
+
+WORKER_CASES = {  # x shape, w shape, stride, padding, groups
+    "depthwise_stride1_oddB": ((7, 8, 16, 16), (8, 1, 5, 5), 1, 2, 8),
+    "depthwise_stride2": ((5, 8, 16, 16), (8, 1, 5, 5), 2, 2, 8),
+    "depthwise_unaligned_rows": ((7, 4, 9, 11), (4, 1, 5, 5), 1, 2, 4),
+    "dense_3x3_stride2": ((9, 16, 16, 16), (32, 16, 3, 3), 2, 1, 1),
+    "dense_1x1": ((5, 8, 6, 6), (12, 8, 1, 1), 1, 0, 1),
+    "grouped_3x3": ((5, 8, 9, 7), (6, 4, 3, 3), 1, 1, 2),
+}
+
+
+def _conv_worker_on(monkeypatch, cpus=2):
+    """Every conv above 0 bytes of columns goes to a worker thread, made anew,
+    as on a host with ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(ad, "_CONV_THREAD_BYTES", 0)
+    monkeypatch.setattr(ad, "_worker", None)
+
+
+def _conv_arrays(case, bias, dtype, seed=60):
+    """Output, input, weight (and bias) gradients of a taped conv, then the
+    output of the same conv without a tape."""
+    x_shape, w_shape, stride, padding, groups = WORKER_CASES[case]
+    rng = make_rng(seed)
+    x, w, b = (rng.standard_normal(s).astype(dtype) for s in (x_shape, w_shape, w_shape[:1]))
+    x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
+    b_t = ad.Tensor(b, requires_grad=True) if bias else None
+    out = ad.conv(x_t, w_t, stride=stride, padding=padding, groups=groups, bias=b_t)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
+    with ad.no_grad():
+        plain = ad.conv(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding,
+                        groups=groups, bias=ad.Tensor(b) if bias else None)
+    return [out.data, x_t.grad, w_t.grad] + ([b_t.grad] if bias else []) + [plain.data]
+
+
+class TestConvWorker:
+    """A conv above ``_CONV_THREAD_BYTES`` of columns hands independent work to
+    one worker thread, and every array keeps the bytes of the serial run."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("case", list(WORKER_CASES))
+    def test_worker_keeps_every_byte(self, monkeypatch, case, bias, dtype):
+        x_shape, w_shape = WORKER_CASES[case][:2]
+        # depthwise forwards in slices of a few clips, alike in both runs
+        clip_bytes = x_shape[1] * x_shape[2] * x_shape[3] * np.prod(w_shape[2:]) * 8
+        monkeypatch.setattr(ad, "_DW_SLICE_BYTES", int(2 * clip_bytes))
+        serial = _conv_arrays(case, bias, dtype)
+        _conv_worker_on(monkeypatch)
+        threaded = _conv_arrays(case, bias, dtype)
+        assert ad._worker is not None
+        names = ["out", "x", "w"] + (["bias"] if bias else []) + ["no-tape out"]
+        for name, got, ref in zip(names, threaded, serial):
+            assert got.dtype == ref.dtype == dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    def test_worker_makes_and_updates_no_tape_node(self, monkeypatch):
+        _conv_worker_on(monkeypatch)
+        make, accumulate, take, threads = ad._make, ad._accumulate, np.take, set()
+
+        def on_main(fn):
+            def spy(*args, **kwargs):
+                assert threading.current_thread() is threading.main_thread()
+                return fn(*args, **kwargs)
+            return spy
+
+        def gather(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "_make", on_main(make))
+        monkeypatch.setattr(ad, "_accumulate", on_main(accumulate))
+        monkeypatch.setattr(ad.np, "take", gather)
+        for case in ("depthwise_stride1_oddB", "dense_3x3_stride2", "grouped_3x3"):
+            _conv_arrays(case, True, np.float32)
+        assert len(threads) == 2  # the worker gathered columns too
+
+    def test_worker_exception_reaches_caller_after_its_half(self, monkeypatch):
+        _conv_worker_on(monkeypatch)
+        worker, done = ad._conv_worker(1), []
+
+        def side():
+            raise ValueError("in the worker")
+
+        def main():
+            time.sleep(0.05)
+            done.append("main")
+
+        with pytest.raises(ValueError, match="in the worker"):
+            ad._both(worker, side, main)
+        assert done == ["main"]
+
+        def slow_side():
+            time.sleep(0.05)
+            done.append("side")
+
+        def failing_main():
+            raise KeyError("in the caller")
+
+        with pytest.raises(KeyError):  # the caller's own exception, once the worker is done
+            ad._both(worker, slow_side, failing_main)
+        assert done == ["main", "side"]
+
+    def test_infer_b1_forward_starts_no_thread(self, monkeypatch):
+        from spikevid.model import ModelConfig, VideoSpikeNet
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "_worker", None)
+        model = VideoSpikeNet(ModelConfig(), seed=0)
+        model.eval()
+        cfg = model.cfg
+        clip = make_rng(61).random((cfg.time_steps, 1, cfg.in_channels, cfg.in_height,
+                                    cfg.in_width)).astype(np.float32)
+        threads = set(threading.enumerate())
+        with ad.no_grad():
+            model(ad.tensor(clip))
+        assert ad._worker is None and set(threading.enumerate()) <= threads
+
+    @pytest.mark.parametrize("case", ["depthwise_stride1_oddB", "dense_3x3_stride2"])
+    def test_one_cpu_makes_no_worker(self, monkeypatch, case):
+        serial = _conv_arrays(case, True, np.float32)
+        _conv_worker_on(monkeypatch, cpus=1)
+        assert ad.conv_threads() == 1
+        got = _conv_arrays(case, True, np.float32)
+        assert ad._worker is None
+        for mine, ref in zip(got, serial):
+            assert mine.tobytes() == ref.tobytes()

@@ -133,6 +133,7 @@ class TestCommands:
         source = next((v for v in cli.THREAD_VARS if v in os.environ), "cpu_count")
         assert threads["source"] == source
         assert str(threads["value"]) == os.environ.get(source, str(os.cpu_count()))
+        assert env["conv_threads"] == (2 if len(os.sched_getaffinity(0)) > 1 else 1)
         # the resolved config, beside it, still loads as a config file
         resolved = yaml.safe_load((run_dir / "config.resolved").read_text())
         assert cli.parse_config(str(run_dir / "config.resolved")) == resolved

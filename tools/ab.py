@@ -21,10 +21,14 @@ Perfbench runs each tree in its own process and scales its times by a host
 speed kernel timed in the heap the operation leaves behind, so a change that
 moves the heap moves its scaled figures too; raw op times measured side by
 side are the comparison this tool makes. The two trees also share one heap,
-though: the largest block either frees sets glibc malloc's thresholds for
-both, so a change whose cost is page faults (memory returned to the OS and
-faulted in again) can read faster here than in a process of its own. The
-page-fault counts show that cost; confirm with perfbench pairs.
+though. Left dynamic, glibc malloc's mmap and trim thresholds follow the
+largest block either tree frees, for both trees: a change that frees more
+memory then reads faster for the parent's page faults (memory returned to
+the OS and faulted in again), which a process of its own would not show. So
+unless ``GLIBC_TUNABLES`` is already set, the tool runs itself again with
+``GLIBC_TUNABLES=glibc.malloc.mmap_threshold=33554432:glibc.malloc.trim_threshold=67108864``,
+and it prints the setting it ran under. The page-fault counts show what
+cost remains; confirm with perfbench pairs.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import time
 import tracemalloc
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+MALLOC_TUNABLES = "glibc.malloc.mmap_threshold=33554432:glibc.malloc.trim_threshold=67108864"
 WORKLOADS = ("train-b16", "infer-b1", "profile-b16")
 
 
@@ -125,13 +130,18 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--ops", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.ops < 1 or args.seed < 0:
         parser.error("--ops must be >= 1 and --seed >= 0")
+    if "GLIBC_TUNABLES" not in os.environ:  # glibc reads it only at start-up
+        os.environ["GLIBC_TUNABLES"] = MALLOC_TUNABLES
+        os.execv(sys.executable, [sys.executable, os.path.abspath(__file__)] + argv)
     for var in THREAD_VARS:  # before numpy is first imported
         os.environ[var] = "1"
     res = run(args.tree_a, args.tree_b, args.workload, args.ops, args.seed)
     print(f"{args.workload}, seed {args.seed}, {args.ops} operations per tree, alternating")
+    print(f"GLIBC_TUNABLES={os.environ['GLIBC_TUNABLES']}")
     for label, tree in (("A", args.tree_a), ("B", args.tree_b)):
         print(f"{label} {tree}: median op {1e3 * res['median_s'][label]:.2f} ms, "
               f"{res['faults_p50'][label]:.0f} minor page faults, "
