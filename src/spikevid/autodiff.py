@@ -10,6 +10,7 @@ padding. Every primitive takes Tensors; ``tensor`` wraps an array.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import math
 import os
@@ -66,6 +67,12 @@ _dw_columns = np.empty(0, dtype=np.uint8)
 # takes the default model's 5x5 depthwise convs at B=16, T=8, not its dense
 # ones, which gained nothing measurable, nor any conv of a one-clip pass)
 _CONV_THREAD_BYTES = 8 << 20
+# batch norm's elementwise passes and the LIF backward over a [T, B, ...]
+# array larger than this many bytes run on the same two threads, half of the
+# batch each (README: this takes the default model's 1-4 MB arrays at B=16,
+# not its 0.75 MB ones, whose LIF backward ran no faster so, nor any array
+# of a one-clip pass)
+_ELEMENTWISE_THREAD_BYTES = 768 << 10
 _worker = None
 
 
@@ -435,24 +442,27 @@ def _conv_out_extent(n, k, s, p):
 
 
 def conv_threads():
-    """The threads a large conv runs on: 2 where this process may run on more
-    than one CPU (``os.sched_getaffinity``), else 1."""
+    """The threads that a large conv, batch-norm pass or LIF backward runs on:
+    2 where this process may run on more than one CPU
+    (``os.sched_getaffinity``), else 1. The name predates the elementwise
+    work, and ``environment.json`` records it under this name."""
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only; serial elsewhere
     return 2 if affinity is not None and len(affinity(0)) > 1 else 1
 
 
-def _conv_worker(nbytes):
-    """The worker thread for a conv whose columns take ``nbytes``, or None
-    (the conv runs serially): a conv goes to it only above
-    ``_CONV_THREAD_BYTES`` and on more than one CPU. The one worker thread
-    is made on first use, so a process whose convs stay small starts none."""
+def _worker_for(nbytes, floor):
+    """The worker thread for work over ``nbytes``, or None (it runs serially):
+    work goes to it only above ``floor`` bytes (``_CONV_THREAD_BYTES`` or
+    ``_ELEMENTWISE_THREAD_BYTES``) and on more than one CPU. The one worker
+    thread, which convs, batch norm and the LIF backward share, is made on
+    first use, so a process whose work stays small starts none."""
     global _worker
-    if nbytes <= _CONV_THREAD_BYTES or conv_threads() == 1:
+    if nbytes <= floor or conv_threads() == 1:
         return None
     if _worker is None:
         from concurrent.futures import ThreadPoolExecutor  # 5 ms and 0.6 MB, so only here
 
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spikevid-conv")
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spikevid-worker")
     return _worker
 
 
@@ -470,16 +480,60 @@ def _both(worker, side, main):
     With a ``worker`` and both tasks, ``side`` runs on the worker while this
     thread runs ``main``; the worker is waited for also when ``main`` raises,
     and an exception of ``side`` is raised here once ``main`` has finished.
-    Else both run here, ``side`` first."""
+    ``side`` runs in a copy of this thread's context, where numpy keeps its
+    floating-point error state (``np.errstate``). Else both run here,
+    ``side`` first."""
     if worker is None or side is None or main is None:
         return side() if side else None, main() if main else None
-    future = worker.submit(side)
+    future = worker.submit(contextvars.copy_context().run, side)
     try:
         result = main()
     except BaseException:
         future.exception()  # waits: the worker writes into the caller's arrays
         raise
     return future.result(), result
+
+
+def _halves(worker, body, *arrays, before=None):
+    """``body(*arrays)``, or with a ``worker`` ``body`` over the first half of
+    every array along axis 1 (the batch of ``[T, B, ...]``) here and over the
+    second half on the worker (``_both``); a None array stays None. ``body``
+    writes only into the arrays it is given, so elementwise work keeps every
+    bit in either split. ``before``, if given, runs here first, while the
+    worker starts on its half: work that reads nothing ``body`` writes."""
+    if worker is None:
+        if before is not None:
+            before()
+        body(*arrays)
+        return
+    half = arrays[0].shape[1] // 2
+    parts = [[None if a is None else a[:, part] for a in arrays]
+             for part in (slice(half), slice(half, None))]
+
+    def main():
+        if before is not None:
+            before()
+        body(*parts[0])
+
+    _both(worker, lambda: body(*parts[1]), main)
+
+
+def _result(full, *others, dtype=None):
+    """An empty array for the result of an elementwise ufunc of the arrays
+    ``full``, whose shape the result has, and ``others``: in the result's
+    dtype (or ``dtype``, for a cast of it) and in the layout numpy gives that
+    result, C order when an operand of the result's shape is C-contiguous,
+    else the order of numpy's iterator. Filled by that ufunc, whole or in
+    parts, it holds the array the ufunc would return, laid out alike, so
+    later sums over it keep their bits."""
+    operands = (full,) + others
+    dtype = np.result_type(*operands) if dtype is None else dtype
+    if full.flags.c_contiguous or any(o.shape == full.shape and o.flags.c_contiguous
+                                      for o in others):
+        return np.empty(full.shape, dtype)
+    return np.nditer(operands + (None,), flags=["zerosize_ok"],
+                     op_flags=[["readonly"]] * len(operands) + [["writeonly", "allocate"]],
+                     op_dtypes=[None] * len(operands) + [dtype]).operands[-1]
 
 
 def conv(x, w, stride=1, padding=0, groups=1, bias=None):
@@ -498,7 +552,7 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     (``_conv_input_grad``).
 
     A conv whose columns exceed ``_CONV_THREAD_BYTES`` hands independent
-    work to one worker thread (``_conv_worker``), and every array keeps the
+    work to the one worker thread (``_worker_for``), and every array keeps the
     bytes of the serial run. Here the gather runs in two halves of the
     batch, each thread writing its half of the one columns array, and the
     matmul then runs once over the whole batch on this thread (a GEMM split
@@ -521,7 +575,8 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     out_spatial = tuple(map(_conv_out_extent, spatial, kernel, stride, padding))
     if any(n < 1 for n in out_spatial):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
-    worker = _conv_worker(B * C_in * math.prod(out_spatial + kernel) * x.data.itemsize)
+    worker = _worker_for(B * C_in * math.prod(out_spatial + kernel) * x.data.itemsize,
+                         _CONV_THREAD_BYTES)
     if C_g == 1 and C_out == groups:
         return _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker)
 
@@ -762,9 +817,17 @@ def _window_index(padded, kernel, stride, out_spatial, C_g):
 
 
 def _into(buf, *operands):
-    """``buf`` as a ufunc ``out`` when the op's own result dtype is ``buf``'s,
-    else None (a fresh array), so writing in place never changes a value."""
-    return buf if np.result_type(*operands) == buf.dtype else None
+    """``buf`` when the ufunc result dtype of ``operands`` is ``buf``'s, so
+    that writing there in place changes no value, else an empty array for
+    that result (``_result``)."""
+    return buf if np.result_type(*operands) == buf.dtype else _result(*operands)
+
+
+def _reuse(buf, fresh):
+    """``buf`` in place of the empty array ``fresh`` when the two agree in
+    dtype and layout, so that a result written there is the same array;
+    else ``fresh``."""
+    return buf if buf.dtype == fresh.dtype and buf.strides == fresh.strides else fresh
 
 
 def batch_norm(x, gamma, beta, axes, eps, stats=None):
@@ -788,6 +851,14 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     its backward rebuilds ``diff = x - mean`` from its parent's data, and
     ``xhat = diff * inv`` for the gamma gradient, by the forward's own ops,
     so with the forward's bits.
+
+    Each run of elementwise passes between two sums is one ``part`` function.
+    Over an ``x`` above ``_ELEMENTWISE_THREAD_BYTES`` whose per-channel
+    arrays all broadcast along axis 1 (the batch of ``[T, B, ...]``), it runs
+    in two halves of that axis, one on the worker thread (``_halves``); this
+    thread allocates every array first, each in the dtype and layout of the
+    chain's (``_result``), and makes every sum over the whole array, in the
+    serial order, so either split gives the same bits.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -796,41 +867,91 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     if stats is None:
         c = xd.dtype.type(1.0 / math.prod(xd.shape[i] for i in axes))
         mean = np.sum(xd, axis=axes, keepdims=True, dtype=np.float64).astype(xd.dtype) * c
-        diff = xd - mean
-        var = np.sum(np.multiply(diff, diff), axis=axes, keepdims=True,
-                     dtype=np.float64).astype(diff.dtype) * c
     else:
         mean, var = (np.asarray(s, dtype=_DTYPE) for s in stats)
-        diff = xd - mean
-        if _tracks((x, gamma, beta)):  # so that no later update of it reaches the backward
-            mean = mean.copy()
+    # the batch axis, axis 1, splits when no per-channel array varies along it
+    lead = xd.ndim - 1  # axis 1, counted from the right
+    split = xd.nbytes > _ELEMENTWISE_THREAD_BYTES and lead > 0 and xd.shape[1] > 1 and all(
+        p.ndim < lead or p.shape[-lead] == 1
+        for p in (mean, gamma.data, beta.data) + (() if stats is None else (var,)))
+    worker = _worker_for(xd.nbytes, _ELEMENTWISE_THREAD_BYTES) if split else None
+    diff = _result(xd, mean)
+    if stats is None:
+        square = _result(diff, diff)
+
+        def part(xd, diff, square):
+            np.multiply(np.subtract(xd, mean, out=diff), diff, out=square)
+
+        _halves(worker, part, xd, diff, square)
+        var = np.sum(square, axis=axes, keepdims=True, dtype=np.float64).astype(diff.dtype) * c
+        del square
+    elif _tracks((x, gamma, beta)):  # so that no later update of it reaches the backward
+        mean = mean.copy()
     sd = np.sqrt(var + np.asarray(eps, dtype=_DTYPE))
     inv = one / sd
-    xhat = np.multiply(diff, inv, out=_into(diff, diff, inv))
+    xhat = _into(diff, diff, inv)
+    scaled = _into(xhat, xhat, gamma.data)
+    y = _into(scaled, scaled, beta.data)
     xhat_dtype = xhat.dtype
-    y = np.multiply(xhat, gamma.data, out=_into(xhat, xhat, gamma.data))
-    y = np.add(y, beta.data, out=_into(y, y, beta.data))
+
+    def part(xd, diff, xhat, scaled, y):
+        if stats is not None:
+            np.subtract(xd, mean, out=diff)
+        np.multiply(diff, inv, out=xhat)
+        np.multiply(xhat, gamma.data, out=scaled)
+        np.add(scaled, beta.data, out=y)
+
+    _halves(worker, part, xd, diff, xhat, scaled, y)
 
     def bwd(g):
-        _accumulate(beta, g)
-        diff = xd - mean
+        worker = _worker_for(xd.nbytes, _ELEMENTWISE_THREAD_BYTES) if split else None
+        diff = _result(xd, mean)
+        # for gamma, g * (diff * inv); for x, g_xhat = g * gamma, its product
+        # with diff for the batch variance, and dL/d(diff) so far, g_xhat * inv
+        scaled = g_gamma = g_xhat = g_diff = g_x = None
         if gamma.requires_grad:
-            _accumulate(gamma, g * (diff * inv))
-        if not x.requires_grad:
-            return
-        g_xhat = (g * gamma.data).astype(xhat_dtype, copy=False)
-        g_x = (g_xhat * inv).astype(xd.dtype, copy=False)  # dL/d(diff) so far
-        if stats is None:  # the batch statistics depend on x
-            g_inv = _unbroadcast(g_xhat * diff, inv.shape).astype(inv.dtype, copy=False)
+            scaled = _result(diff, inv)
+            g_gamma = _reuse(scaled, _result(g, scaled))
+        if x.requires_grad:
+            g_xhat = _result(g, gamma.data, dtype=xhat_dtype)
+            g_diff = _result(g_xhat, diff) if stats is None else None
+            g_x = _reuse(g_xhat, _result(g_xhat, inv, dtype=xd.dtype))
+
+        def part(xd, g, diff, scaled, g_gamma, g_xhat, g_diff, g_x):
+            np.subtract(xd, mean, out=diff)
+            if scaled is not None:
+                np.multiply(g, np.multiply(diff, inv, out=scaled), out=g_gamma)
+            if g_xhat is not None:
+                np.multiply(g, gamma.data, out=g_xhat)
+                if g_diff is not None:
+                    np.multiply(g_xhat, diff, out=g_diff)
+                np.multiply(g_xhat, inv, out=g_x)
+
+        _halves(worker, part, xd, g, diff, scaled, g_gamma, g_xhat, g_diff, g_x,
+                before=lambda: _accumulate(beta, g))
+        gamma_grad = None if scaled is None else lambda: _accumulate(gamma, g_gamma)
+        if stats is None and g_x is not None:  # the batch statistics depend on x
+            g_inv = _unbroadcast(g_diff, inv.shape).astype(inv.dtype, copy=False)
             g_sd = (-g_inv * one / (sd * sd)).astype(sd.dtype, copy=False)
             g_var = (g_sd * (0.5 / sd)).astype(var.dtype)
             g_sq = (g_var * c).astype(diff.dtype, copy=False)
-            term = g_sq * diff  # the square's two operands each pass on g_sq * diff
-            g_x += term
-            g_x += term
+
+            def part(diff, g_x):
+                # the square's two operands each pass on g_sq * diff, formed
+                # in diff's buffer: only its values are read
+                term = np.multiply(g_sq, diff, out=diff)
+                np.add(g_x, term, out=g_x)
+                np.add(g_x, term, out=g_x)
+
+            _halves(worker, part, diff, g_x, before=gamma_grad)
+            gamma_grad = None
             g_mean = -_unbroadcast(g_x, mean.shape).astype(mean.dtype, copy=False)
-            g_x += (g_mean * c).astype(xd.dtype, copy=False)
-        _accumulate(x, g_x, owned=True)
+            shift = (g_mean * c).astype(xd.dtype, copy=False)
+            _halves(worker, lambda g_x: np.add(g_x, shift, out=g_x), g_x)
+        if gamma_grad is not None:
+            gamma_grad()
+        if g_x is not None:
+            _accumulate(x, g_x, owned=True)
 
     return _make(y, (x, gamma, beta), bwd), mean, var
 
@@ -866,21 +987,23 @@ def _spike_forward(h, v_threshold, alpha, smooth, out=None):
     return np.greater_equal(h, v_threshold, out=out, casting="unsafe")
 
 
-def surrogate_slope(h_values, v_threshold, alpha):
+def surrogate_slope(h_values, v_threshold, alpha, out=None):
     """The surrogate derivative ds/dH used at spike nodes (plain ndarray math).
 
     Computed in the dtype of a floating-point ``h_values``, float64 otherwise,
-    in two fresh buffers.
+    in two fresh buffers, or in ``out``: two arrays of that dtype and of the
+    shape of ``h_values``, the first of which receives the slopes.
     """
     h = np.asarray(h_values)
     if h.dtype.kind != "f":
         h = h.astype(np.float64)
+    e, d = (np.empty_like(h), np.empty_like(h)) if out is None else out
     # sigmoid'(z) = e / (1 + e)^2 with e = exp(-|z|): stable, no branches
-    e = np.subtract(h, h.dtype.type(v_threshold), out=np.empty_like(h))
+    np.subtract(h, h.dtype.type(v_threshold), out=e)
     np.abs(e, out=e)
     np.multiply(-alpha, e, out=e)
     np.exp(e, out=e)
-    d = np.add(1.0, e, out=np.empty_like(e))
+    np.add(1.0, e, out=d)
     np.multiply(d, d, out=d)
     np.multiply(alpha, e, out=e)
     return np.divide(e, d, out=e)
@@ -909,7 +1032,13 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     every H_t (and, for the leak gradient, every D_t) into arrays of its
     own. Then one reverse loop over t carries dL/dV; it takes the surrogate
     slopes of the rebuilt H through ``surrogate_slope`` and drops the S -> V
-    reset path if ``detach_reset``.
+    reset path if ``detach_reset``. Every op of that body is elementwise along
+    the batch axis (axis 1 of ``[T, B, ...]``), so above
+    ``_ELEMENTWISE_THREAD_BYTES`` of spikes the body runs once per half of
+    it, one half on the worker thread (``_halves``), into arrays that this
+    thread made; the leak gradient's float64 sum over the whole array and
+    every gradient accumulation follow here, after both halves, so either
+    split gives the same bits. The forward stays serial.
 
     Raises ``FloatingPointError``, before any tape node is made, if the final
     membrane is not finite. A NaN or +-inf input at any step leaves it so
@@ -961,40 +1090,63 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
                                  "leak parameter, or an overflow)")
 
     def bwd(g):
-        dv_dh = one - spikes  # dV_t/dH_t along the membrane: the forward's 1 - S_t
-        # the forward's membrane loop replayed from X and S, by its own ops
-        # into buffers of this backward's own: D_t, H_t = V + kappa * D_t and
-        # V_t = H_t (1 - S_t) (+ S_t vr); the drives are kept for the leak
-        # gradient only
+        # every array is made here, before ``part`` runs over all of the
+        # batch axis or, on two threads, over each half of it
+        dv_dh = _result(spikes, one)  # dV_t/dH_t along the membrane: the forward's 1 - S_t
         hs = np.empty_like(spikes)
         drives = np.empty_like(spikes) if a is not None and a.requires_grad else None
-        v, v_step, d_step = (np.full(shape, v_reset, dtype=dt), np.empty_like(hs[0]),
-                             np.empty_like(hs[0]))
-        for t in range(T):
-            d = np.subtract(x.data[t], v - vr if v_reset else v,
-                            out=d_step if drives is None else drives[t])
-            np.multiply(kappa, d, out=hs[t])
-            np.add(v, hs[t], out=hs[t])
-            v = np.multiply(hs[t], dv_dh[t], out=v_step)
-            if vr:
-                np.add(v, np.multiply(spikes[t], vr), out=v)
-        slope = surrogate_slope(hs, v_threshold, alpha)
-        # unless detached, the reset path adds (vr - H_t) * slope to dV_t/dH_t;
-        # hs is not read again, so that term is formed in place
-        if not detach_reset:
-            np.subtract(vr, hs, out=hs)
-            np.multiply(hs, slope, out=hs)
-            dv_dh += hs
-        g_h = g * slope  # dL/dH_t from S_t alone; dL/dV_t is added below
-        g_v = np.empty(shape, dtype=g_h.dtype)
+        slope, square = np.empty_like(spikes), np.empty_like(spikes)
+        # g * slope goes into the squares' buffer, which nothing reads after
+        # the slopes are formed
+        g_h = _reuse(square, _result(g, slope))
+        # the step buffers carry a leading axis of one, so that they split
+        # along axis 1 with the [T, B, ...] arrays: the rest state, V_t, D_t
+        # and S_t vr, and dL/dV
+        rest = np.full((1,) + shape, v_reset, dtype=dt)
+        steps = np.empty((3,) + shape, dtype=spikes.dtype)
+        g_v = np.empty((1,) + shape, dtype=g_h.dtype)
         leak = one - kappa
-        for t in range(T - 1, 0, -1):  # nothing reads V_T, so dL/dV_T = 0
-            np.multiply(g_h[t], leak, out=g_v)  # dL/dV_{t-1}
-            g_h[t - 1] += np.multiply(g_v, dv_dh[t - 1], out=dv_dh[t - 1])
+
+        def part(xs, spikes, g, dv_dh, hs, drives, slope, square, g_h, rest, steps, g_v):
+            v_step, d_step, reset = steps
+            g_v = g_v[0]
+            np.subtract(one, spikes, out=dv_dh)
+            # the forward's membrane loop replayed from X and S, by its own
+            # ops into this backward's buffers: D_t, H_t = V + kappa * D_t and
+            # V_t = H_t (1 - S_t) (+ S_t vr); the drives are kept for the leak
+            # gradient only
+            v = rest[0]
+            for t in range(T):
+                d = d_step if drives is None else drives[t]
+                if v_reset:  # V - vr goes into D first; at t = 0 it is 0 in any dtype
+                    np.subtract(xs[t], np.subtract(v, vr, out=d), out=d)
+                else:
+                    np.subtract(xs[t], v, out=d)
+                np.multiply(kappa, d, out=hs[t])
+                np.add(v, hs[t], out=hs[t])
+                v = np.multiply(hs[t], dv_dh[t], out=v_step)
+                if vr:
+                    np.add(v, np.multiply(spikes[t], vr, out=reset), out=v)
+            surrogate_slope(hs, v_threshold, alpha, out=(slope, square))
+            # unless detached, the reset path adds (vr - H_t) * slope to
+            # dV_t/dH_t; hs is not read again, so that term is formed in place
+            if not detach_reset:
+                np.add(dv_dh, np.multiply(np.subtract(vr, hs, out=hs), slope, out=hs), out=dv_dh)
+            np.multiply(g, slope, out=g_h)  # dL/dH_t from S_t alone; dL/dV_t is added below
+            for t in range(T - 1, 0, -1):  # nothing reads V_T, so dL/dV_T = 0
+                np.multiply(g_h[t], leak, out=g_v)  # dL/dV_{t-1}
+                g_h[t - 1] += np.multiply(g_v, dv_dh[t - 1], out=dv_dh[t - 1])
+            if drives is not None:
+                np.multiply(g_h, drives, out=drives)
+            np.multiply(g_h, kappa, out=g_h)
+
+        worker = (_worker_for(spikes.nbytes, _ELEMENTWISE_THREAD_BYTES)
+                  if shape and shape[0] > 1 else None)
+        _halves(worker, part, x.data, spikes, g, dv_dh, hs, drives, slope, square, g_h, rest,
+                steps, g_v)
         if drives is not None:
-            g_kappa = np.sum(np.multiply(g_h, drives, out=drives), dtype=np.float64)
+            g_kappa = np.sum(drives, dtype=np.float64)
             _accumulate(a, np.asarray(g_kappa * kappa * (1.0 - kappa)))
-        g_h *= kappa
         _accumulate(x, g_h, owned=True)
 
     return _make(spikes, parents, bwd)

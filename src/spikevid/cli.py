@@ -248,8 +248,10 @@ def _out_dir(cfg, command):
 def _environment():
     """The numpy version, its BLAS library and the BLAS thread setting (the
     first of ``THREAD_VARS`` that is set, else the core count): a run's bits
-    depend on them as on its config. Also the threads a large conv runs on
-    (``conv_threads``), which its bits do not depend on but its speed does."""
+    depend on them as on its config. Also the threads that a large conv,
+    batch-norm pass or LIF backward runs on (``conv_threads``, named when
+    convs were the worker's only users), which its bits do not depend on but
+    its speed does."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # a numpy that records no BLAS

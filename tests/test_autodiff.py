@@ -1044,9 +1044,9 @@ class TestLeanTape:
         read = []
         slope = ad.surrogate_slope
 
-        def spy(h, *args):
+        def spy(h, *args, **kwargs):
             read.append(h.copy())
-            return slope(h, *args)
+            return slope(h, *args, **kwargs)
 
         monkeypatch.setattr(ad, "surrogate_slope", spy)
         s = ad.lif_sequence(x, a, tau=2.5, v_reset=v_reset, smooth=smooth,
@@ -1178,7 +1178,7 @@ class TestConvWorker:
 
     def test_worker_exception_reaches_caller_after_its_half(self, monkeypatch):
         _conv_worker_on(monkeypatch)
-        worker, done = ad._conv_worker(1), []
+        worker, done = ad._worker_for(1, 0), []
 
         def side():
             raise ValueError("in the worker")
@@ -1201,6 +1201,17 @@ class TestConvWorker:
         with pytest.raises(KeyError):  # the caller's own exception, once the worker is done
             ad._both(worker, slow_side, failing_main)
         assert done == ["main", "side"]
+
+    def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
+        """numpy keeps its floating-point error state in a context variable, so
+        the worker's half must warn or raise as the caller's would."""
+        _conv_worker_on(monkeypatch)
+        worker = ad._worker_for(1, 0)
+        with np.errstate(invalid="raise", over="ignore"):
+            side, main = ad._both(worker, np.geterr, np.geterr)
+            with pytest.raises(FloatingPointError):
+                ad._both(worker, lambda: np.sqrt(np.full(4, -1.0)), lambda: None)
+        assert side == main and (side["invalid"], side["over"]) == ("raise", "ignore")
 
     def test_infer_b1_forward_starts_no_thread(self, monkeypatch):
         from spikevid.model import ModelConfig, VideoSpikeNet
@@ -1226,3 +1237,206 @@ class TestConvWorker:
         assert ad._worker is None
         for mine, ref in zip(got, serial):
             assert mine.tobytes() == ref.tobytes()
+
+
+# name -> lif_sequence keywords, "leak" the PLIF parameter's dtype (None: LIF,
+# "x": the input's); every branch the backward replays
+NEURON_WORKER_CASES = {
+    "lif": {"leak": None},
+    "lif_reset0p3_detach": {"leak": None, "v_reset": 0.3, "detach_reset": True},
+    "plif": {"leak": "x"},
+    "plif_reset0p3": {"leak": "x", "v_reset": 0.3},
+    "plif_reset_neg0": {"leak": "x", "v_reset": -0.0},
+    "plif_smooth": {"leak": "x", "smooth": True},
+    "plif_smooth_reset0p3": {"leak": "x", "smooth": True, "v_reset": 0.3},
+    "plif_detach": {"leak": "x", "detach_reset": True},
+    "plif_leak64": {"leak": np.float64},
+}
+# name -> (x shape, per-channel shape, reduced axes, output permutation): maps
+# [T, B, C, H, W] per time step, and tokens [T, B, N, C] whose gradient
+# arrives transposed
+BN_WORKER_CASES = {
+    "map": ((4, 7, 3, 5, 4), (4, 1, 3, 1, 1), (1, 3, 4), None),
+    "token": ((4, 7, 6, 5), (1, 1, 1, 5), (0, 1, 2), (0, 1, 3, 2)),
+}
+
+
+def _elementwise_worker_on(monkeypatch, cpus=2):
+    """Every batch-norm pass and LIF backward above 0 bytes goes to a worker
+    thread, made anew, as on a host with ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(ad, "_ELEMENTWISE_THREAD_BYTES", 0)
+    monkeypatch.setattr(ad, "_worker", None)
+
+
+def _neuron_arrays(case, dtype, seed=70):
+    """Spikes, input gradient (and leak gradient) of a taped lif_sequence with
+    an odd batch, from a weighted sum."""
+    kw = dict(NEURON_WORKER_CASES[case])
+    leak = kw.pop("leak")
+    rng = make_rng(seed)
+    x = ad.Tensor(rng.normal(0.8, 1.0, (6, 7, 3, 4)).astype(dtype), requires_grad=True)
+    a = None
+    if leak is not None:
+        a = ad.Tensor(np.array(0.3, dtype=dtype if leak == "x" else leak), requires_grad=True)
+    s = ad.lif_sequence(x, a, tau=2.5, **kw)
+    ad.backward(ad.reduce_sum(ad.mul(s, ad.Tensor(rng.standard_normal(x.shape).astype(dtype)))))
+    return [s.data, x.grad] + ([] if a is None else [a.grad])
+
+
+def _bn_arrays(case, mode, dtype, seed=71):
+    """Output, statistics, and input, gamma and beta gradients of a taped
+    batch_norm, then the output of the same pass without a tape."""
+    x_shape, channel_shape, axes, after = BN_WORKER_CASES[case]
+    rng = make_rng(seed)
+    x, gamma, beta = (rng.standard_normal(s).astype(dtype)
+                      for s in (x_shape, channel_shape, channel_shape))
+    stats = None
+    if mode == "eval":
+        stats = (rng.standard_normal(channel_shape), rng.random(channel_shape) + 0.5)
+    tensors = [ad.Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+    with ad.precision(dtype):
+        y, mean, var = ad.batch_norm(*tensors, axes, 1e-5, stats)
+        z = y if after is None else ad.permute(y, after)
+        ad.backward(ad.reduce_sum(ad.mul(z, ad.Tensor(rng.standard_normal(z.shape).astype(dtype)))))
+        with ad.no_grad():
+            plain = ad.batch_norm(*(ad.Tensor(v) for v in (x, gamma, beta)), axes, 1e-5, stats)[0]
+    return [y.data, mean, var] + [t.grad for t in tensors] + [plain.data]
+
+
+class TestElementwiseWorker:
+    """Batch norm's elementwise passes and the LIF backward over an array above
+    ``_ELEMENTWISE_THREAD_BYTES`` run in two halves of the batch, one on the
+    worker thread, and every array keeps the bytes of the serial run."""
+
+    @staticmethod
+    def _threads_of(monkeypatch):
+        """The threads that call ``np.multiply`` from now on."""
+        threads, multiply = set(), np.multiply
+
+        def spy(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(ad.np, "multiply", spy)
+        return threads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(NEURON_WORKER_CASES))
+    def test_lif_sequence_worker_keeps_every_byte(self, monkeypatch, case, dtype):
+        serial = _neuron_arrays(case, dtype)
+        _elementwise_worker_on(monkeypatch)
+        threads = self._threads_of(monkeypatch)
+        threaded = _neuron_arrays(case, dtype)
+        assert len(threads) == 2
+        assert len(threaded) == len(serial)
+        for name, got, ref in zip(["spikes", "x", "a"], threaded, serial):
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("case", list(BN_WORKER_CASES))
+    def test_batch_norm_worker_keeps_every_byte(self, monkeypatch, case, mode, dtype):
+        serial = _bn_arrays(case, mode, dtype)
+        _elementwise_worker_on(monkeypatch)
+        threads = self._threads_of(monkeypatch)
+        threaded = _bn_arrays(case, mode, dtype)
+        assert len(threads) == 2
+        names = ["out", "mean", "var", "x", "gamma", "beta", "no-tape out"]
+        for name, got, ref in zip(names, threaded, serial):
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.strides == ref.strides, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    def test_worker_makes_and_updates_no_tape_node(self, monkeypatch):
+        _elementwise_worker_on(monkeypatch)
+        make, accumulate = ad._make, ad._accumulate
+
+        def on_main(fn):
+            def spy(*args, **kwargs):
+                assert threading.current_thread() is threading.main_thread()
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(ad, "_make", on_main(make))
+        monkeypatch.setattr(ad, "_accumulate", on_main(accumulate))
+        threads = self._threads_of(monkeypatch)
+        _neuron_arrays("plif_reset0p3", np.float32)
+        for case in BN_WORKER_CASES:
+            _bn_arrays(case, "train", np.float32)
+        assert len(threads) == 2
+
+    def test_infer_b1_pass_makes_no_hand_off(self, monkeypatch):
+        from spikevid.model import ModelConfig, VideoSpikeNet, time_major
+        from spikevid.training import cross_entropy
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "_worker", None)
+        hand_offs, both = [], ad._both
+
+        def spy(worker, side, main):
+            if worker is not None:
+                hand_offs.append(worker)
+            return both(worker, side, main)
+
+        monkeypatch.setattr(ad, "_both", spy)
+        model = VideoSpikeNet(ModelConfig(), seed=0)
+        cfg = model.cfg
+        clip = make_rng(72).random((1, cfg.time_steps, cfg.in_channels, cfg.in_height,
+                                    cfg.in_width)).astype(np.float32)
+        model.eval()
+        with ad.no_grad():
+            model(ad.tensor(time_major(clip)))
+        model.train()  # a one-clip train step too: every array is below the floor
+        ad.backward(cross_entropy(model(ad.tensor(time_major(clip))), [0]))
+        assert hand_offs == [] and ad._worker is None
+
+    def test_batch_of_one_runs_serially(self, monkeypatch):
+        _elementwise_worker_on(monkeypatch)
+        rng = make_rng(73)
+        x = t(rng.normal(0.8, 1.0, (5, 1, 6)))
+        ad.backward(ad.reduce_sum(ad.lif_sequence(x)))
+        gamma, beta = t(np.ones((1, 1, 6))), t(np.zeros((1, 1, 6)))
+        y = ad.batch_norm(t(rng.standard_normal((5, 1, 6))), gamma, beta, (0, 1), 1e-5)[0]
+        ad.backward(ad.reduce_sum(ad.mul(y, y)))
+        assert ad._worker is None
+
+    @pytest.mark.parametrize("kind", ["neuron", "batch_norm"])
+    def test_one_cpu_makes_no_worker(self, monkeypatch, kind):
+        run = ((lambda: _neuron_arrays("plif", np.float32)) if kind == "neuron"
+               else (lambda: _bn_arrays("token", "train", np.float32)))
+        serial = run()
+        _elementwise_worker_on(monkeypatch, cpus=1)
+        assert ad.conv_threads() == 1
+        got = run()
+        assert ad._worker is None
+        for mine, ref in zip(got, serial):
+            assert mine.tobytes() == ref.tobytes()
+
+
+def _layouts():
+    """Arrays of one shape in several layouts: C, Fortran, transposed,
+    reversed, a broadcast copy and a strided slice."""
+    base = make_rng(74).standard_normal((4, 3, 5, 2))
+    yield "C", base
+    yield "F", np.asfortranarray(base)
+    yield "transposed", np.ascontiguousarray(base.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    yield "reversed", base[:, ::-1]
+    yield "broadcast copy", np.broadcast_to(base[:1, :, :1], base.shape).astype(np.float32)
+    yield "sliced", np.concatenate([base, base], axis=2)[:, :, ::2]
+
+
+@pytest.mark.parametrize("second", ["C", "F", "transposed", "reversed", "broadcast copy",
+                                    "sliced", "channels"])
+@pytest.mark.parametrize("first", ["C", "F", "transposed", "reversed", "broadcast copy",
+                                   "sliced"])
+def test_result_is_laid_out_as_the_ufunc_lays_it_out(first, second):
+    arrays = dict(_layouts())
+    arrays["channels"] = make_rng(75).standard_normal((4, 1, 5, 1)).astype(np.float32)
+    a, b = arrays[first], arrays[second]
+    fresh = np.multiply(a, b)
+    empty = ad._result(a, b)
+    assert empty.dtype == fresh.dtype and empty.shape == fresh.shape
+    assert empty.strides == fresh.strides
+    assert ad._result(a, b, dtype=np.float32).strides == fresh.astype(np.float32).strides

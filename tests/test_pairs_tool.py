@@ -113,7 +113,14 @@ def test_pairs_alternate_and_summarise_like_the_committed_bench_files(tmp_path):
     assert verdicts == {"clips_per_s": "gain", "op_ms_p50": "gain", "op_ms_tail": "gain",
                         "peak_rss_mb": "no worse", "setup_s": "no worse"}
     assert not any("verdict" in m for m in w["raw_metrics"].values())
-    assert "train-b16 clips_per_s: gain (median 44.5 -> 54.5, 4/4 pairs" in proc.stdout
+    # the change's 40 MB per run more than double its faults: flagged beside each verdict
+    assert w["allocator_bound"] is True
+    assert "train-b16 clips_per_s: gain, allocator-bound (median 44.5 -> 54.5, 4/4 pairs" in (
+        proc.stdout)
+    # unscaled op_ms_p50 is 2000 / (base + seed): per pair (40 + s) / (50 + s)
+    ratio = round(statistics.median((40.0 + s) / (50.0 + s) for s in (3, 4, 5, 9)), 4)
+    assert w["raw_op_ms_p50_ratio"] == ratio
+    assert f"train-b16 unscaled op_ms_p50: median per-pair ratio {ratio:g} (" in proc.stdout
 
 
 @pytest.mark.parametrize("parent_base, change_base, seeds, expected", [
@@ -130,8 +137,9 @@ def test_verdicts(tmp_path, parent_base, change_base, seeds, expected):
     proc, _, out = run_pairs(tmp_path, parent, change, "--workload", "infer-b1",
                              "--seeds", seeds, "--seconds", "1")
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(out.read_text())["workloads"]["infer-b1"]["metrics"]
-    assert metrics["clips_per_s"]["verdict"] == expected
+    workload = json.loads(out.read_text())["workloads"]["infer-b1"]
+    assert workload["metrics"]["clips_per_s"]["verdict"] == expected
+    assert workload["allocator_bound"] is False  # both sides touch the same memory
     assert f"infer-b1 clips_per_s: {expected} (" in proc.stdout
 
 

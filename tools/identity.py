@@ -25,8 +25,13 @@ and saves every array it produces:
 - taped primitives, each with a backward from a weighted sum: ``lif_sequence``
   over the branches its backward replays (LIF and PLIF, ``v_reset`` 0.3 and
   -0.0, ``smooth``, ``detach_reset``, and a float32 input under a float64
-  leak), and grouped dense convs whose weight and bias take a gradient; the
-  outputs and every gradient.
+  leak), once small and once above 1 MB with an odd batch, so that a
+  two-thread run splits it into unequal halves; grouped dense convs whose
+  weight and bias take a gradient; and ``batch_norm`` in train and eval mode
+  over a 2.2 MB map ``[T, B, C, H, W]`` (statistics per time step) and 1.1 MB
+  of tokens ``[T, B, N, C]`` (permuted after it, so that its gradient arrives
+  transposed), with gradients for the input, gamma and beta; the outputs,
+  statistics and every gradient.
 
 ``compare`` prints each key whose dtype, shape or bytes differ between two
 dumps, or that only one of them holds, and exits 1 if there is any. Run both
@@ -201,6 +206,13 @@ NEURON_CASES = {
     "plif_detach": {"leak": "current", "detach_reset": True},
     "plif_input32_leak64": {"leak": "float64", "input": "float32"},
 }
+# lif_sequence input shapes: small, and above 1 MB (float32) with an odd batch
+NEURON_SHAPES = {"small": (8, 4, 6, 5), "large": (8, 17, 64, 32)}
+# name -> (x shape, per-channel shape, reduced axes, permutation of the output)
+BATCH_NORM_CASES = {
+    "map": ((8, 17, 16, 16, 16), (8, 1, 16, 1, 1), (1, 3, 4), None),
+    "token": ((8, 17, 64, 32), (1, 1, 1, 32), (0, 1, 2), (0, 1, 3, 2)),
+}
 # name -> (x shape, w shape, stride, padding, groups)
 GROUPED_CONV_CASES = {
     "stride2": ((4, 6, 9, 9), (8, 3, 3, 3), 2, 1, 2),
@@ -214,18 +226,33 @@ def taped_run():
     rng = np.random.default_rng(SEED)
     dtype = ad.current_dtype()
     out = {}
-    for name, case in NEURON_CASES.items():
-        kw = dict(case)
-        leak, x_dtype = kw.pop("leak"), kw.pop("input", None) or dtype
-        x = ad.Tensor(rng.normal(0.8, 1.0, (8, 4, 6, 5)).astype(x_dtype), requires_grad=True)
-        a = None
-        if leak is not None:
-            a = ad.Tensor(np.array(0.3, dtype=dtype if leak == "current" else leak),
-                          requires_grad=True)
-        s = ad.lif_sequence(x, a, tau=2.5, **kw)
-        ad.backward(ad.reduce_sum(ad.mul(s, ad.tensor(rng.standard_normal(x.shape)))))
-        out[f"neuron/{name}"] = {"spikes": s.data, "input_grad": x.grad,
-                                 "leak_grad": None if a is None else a.grad}
+    for size, shape in NEURON_SHAPES.items():
+        for name, case in NEURON_CASES.items():
+            kw = dict(case)
+            leak, x_dtype = kw.pop("leak"), kw.pop("input", None) or dtype
+            x = ad.Tensor(rng.normal(0.8, 1.0, shape).astype(x_dtype), requires_grad=True)
+            a = None
+            if leak is not None:
+                a = ad.Tensor(np.array(0.3, dtype=dtype if leak == "current" else leak),
+                              requires_grad=True)
+            s = ad.lif_sequence(x, a, tau=2.5, **kw)
+            ad.backward(ad.reduce_sum(ad.mul(s, ad.tensor(rng.standard_normal(x.shape)))))
+            key = f"neuron/{name}" if size == "small" else f"neuron_{size}/{name}"
+            out[key] = {"spikes": s.data, "input_grad": x.grad,
+                        "leak_grad": None if a is None else a.grad}
+    for name, (x_shape, channel_shape, axes, axes_after) in BATCH_NORM_CASES.items():
+        for mode in ("train", "eval"):
+            x, gamma, beta = (ad.tensor(rng.standard_normal(shape), requires_grad=True)
+                              for shape in (x_shape, channel_shape, channel_shape))
+            stats = None
+            if mode == "eval":
+                stats = (rng.standard_normal(channel_shape), rng.random(channel_shape) + 0.5)
+            y, mean, var = ad.batch_norm(x, gamma, beta, axes, 1e-5, stats)
+            z = y if axes_after is None else ad.permute(y, axes_after)
+            ad.backward(ad.reduce_sum(ad.mul(z, ad.tensor(rng.standard_normal(z.shape)))))
+            out[f"batch_norm/{name}_{mode}"] = {
+                "output": y.data, "mean": mean, "var": var, "input_grad": x.grad,
+                "gamma_grad": gamma.grad, "beta_grad": beta.grad}
     for name, (x_shape, w_shape, stride, padding, groups) in GROUPED_CONV_CASES.items():
         x, w, b = (ad.tensor(rng.standard_normal(shape), requires_grad=True)
                    for shape in (x_shape, w_shape, w_shape[:1]))

@@ -22,7 +22,16 @@ figures of each run's report, and ``runs`` keeps every run with its median
 host-speed factor and its minor page faults per operation (the run's
 ``ru_minflt``, from ``getrusage(RUSAGE_CHILDREN)`` around it, over its
 attempted operations); each workload holds each side's median of those as
-``minflt_per_op``.
+``minflt_per_op``, and ``raw_op_ms_p50_ratio``, the median over the pairs of
+the change's unscaled ``op_ms_p50`` over the parent's.
+
+A change that only moves glibc malloc's mmap and trim thresholds moves the
+page faults and the times with them, with no float work changed. So when
+one side's median ``minflt_per_op`` is more than twice the other's, the
+workload is flagged ``allocator_bound`` and its verdicts are printed with
+"allocator-bound" beside them. The host-speed scale can also mislead: its
+kernel runs slower right after an operation that used a second thread, so
+the tool prints each workload's unscaled op-time ratio after its verdicts.
 
 Each end-to-end metric also gets a ``verdict``, printed at the end, from
 the metric's ``bound`` (a share of the parent's median) in
@@ -231,13 +240,18 @@ def main(argv=None):
                          for side in SIDES} for name in better}
         raw = {name: {side: [rep["raw"][name] for rep, _ in runs[side]] for side in SIDES}
                for name in runs["parent"][0][0]["raw"]}
+        minflt = {side: statistics.median(faults[side]) for side in SIDES}
         doc["workloads"][workload] = {
             "seeds": args.seeds,
             "pairs": len(args.seeds),
             "failed": {side: sum(res["failed"] for _, res in runs[side]) for side in SIDES},
             "attempted": {side: sum(res["attempted"] for _, res in runs[side])
                           for side in SIDES},
-            "minflt_per_op": {side: statistics.median(faults[side]) for side in SIDES},
+            "minflt_per_op": minflt,
+            "allocator_bound": max(minflt.values()) > 2 * min(minflt.values()),
+            "raw_op_ms_p50_ratio": round(statistics.median(
+                c / p for p, c in zip(raw["op_ms_p50"]["parent"], raw["op_ms_p50"]["change"])),
+                4),
             "metrics": summarise(scaled, better, bounds),
             "raw_metrics": summarise(raw, better),
         }
@@ -247,10 +261,14 @@ def main(argv=None):
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for workload, w in doc["workloads"].items():
+        flag = ", allocator-bound" if w["allocator_bound"] else ""
         for name, m in w["metrics"].items():
-            print(f"{workload} {name}: {m['verdict']} (median {m['parent']['median']:g} -> "
-                  f"{m['change']['median']:g}, {m['change_wins']}/{m['pairs']} pairs, "
+            print(f"{workload} {name}: {m['verdict']}{flag} (median {m['parent']['median']:g} "
+                  f"-> {m['change']['median']:g}, {m['change_wins']}/{m['pairs']} pairs, "
                   f"parent IQR {m['parent_iqr']:g})")
+        print(f"{workload} unscaled op_ms_p50: median per-pair ratio {w['raw_op_ms_p50_ratio']:g} "
+              f"(minflt_per_op {w['minflt_per_op']['parent']:g} -> "
+              f"{w['minflt_per_op']['change']:g})")
     return 1 if bad else 0
 
 
