@@ -5,6 +5,14 @@ Storage is row-major float32 by default (float64 available through the
 accumulate in float64 regardless of storage dtype to limit drift over long
 unrolled sequences. Convolution uses cross-correlation semantics with zero
 padding. Every primitive takes Tensors; ``tensor`` wraps an array.
+
+The tape is kept apart from the tensors that callers hold: a ``Tensor`` is
+an array and, for an op output made with a tape, its ``_Node``, which holds
+its parents' nodes and its backward closure but no array. Each closure
+captures only the arrays that its backward reads, so an op output that no
+backward reads is freed during the forward, as soon as its caller drops
+its ``Tensor`` (the design of PyTorch's autograd, where the graph keeps
+only the tensors each backward saved).
 """
 
 from __future__ import annotations
@@ -113,30 +121,42 @@ class TapeConsumedError(RuntimeError):
 
 
 class Tensor:
-    """A dense array plus its slot in the reverse-mode tape.
+    """A dense array, as callers hold it, and its place on the tape.
 
-    ``_parents`` / ``_backward`` encode one primitive application; a backward
-    traversal from a scalar loss visits every reachable node exactly once in
-    reverse topological order. All arithmetic goes through the module-level
-    primitives.
+    ``data`` is the array, ``grad`` a leaf's gradient (and the loss's, once
+    ``backward`` has run). An op output made with a tape holds its tape node
+    in ``_node``; a leaf and an op output made without a tape hold None
+    there, and a leaf that requires a gradient serves as its own node (its
+    ``_parents`` are empty and it has no ``_backward``). No node refers to
+    this object, so an op output's array lives only while a caller holds
+    the Tensor or a backward closure has captured the array itself. All
+    arithmetic goes through the module-level primitives.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_consumed", "__weakref__")
+    _backward = None  # as a node, a leaf has no backward
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         if not isinstance(data, np.ndarray):
             data = np.asarray(data, dtype=_DTYPE)
         self.data = data
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._node = None
         self._consumed = False
+
+    @property
+    def _parents(self):
+        """The parent nodes of this tensor's tape node; () for a leaf."""
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def ndim(self):
@@ -156,6 +176,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """One primitive application on the tape: the nodes of its parents that
+    need a gradient (``_parents``), its backward closure, the gradient that
+    reaches it, and the shape and dtype of its output, which ``_accumulate``
+    needs. It holds no array. Made only by ``_make``."""
+
+    __slots__ = ("_parents", "_backward", "grad", "shape", "dtype", "__weakref__")
+    requires_grad = True
+
+    def __init__(self, parents, backward_fn, data):
+        self._parents = parents
+        self._backward = backward_fn
+        self.grad = None
+        self.shape = data.shape
+        self.dtype = data.dtype
+
+
 def tensor(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=_DTYPE), requires_grad=requires_grad)
 
@@ -166,10 +203,20 @@ def _tracks(parents):
 
 
 def _make(data, parents, backward_fn):
-    """The one place a tape node is made."""
-    if _tracks(parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
-    return Tensor(data)
+    """The one place a tape node is made: the output Tensor of ``data``, with
+    a node if ``parents`` are tracked (``_tracks``), else without. The node's
+    backward is ``backward_fn(nodes, g)``, given the node of each of
+    ``parents`` in order (None for one that needs no gradient) and this
+    output's gradient ``g``; it captures only the arrays that it reads,
+    never a Tensor, so that nothing on the tape keeps ``data`` alive unless
+    a backward reads it."""
+    if not _tracks(parents):
+        return Tensor(data)
+    nodes = tuple(p if p._node is None and p.requires_grad else p._node for p in parents)
+    out = Tensor(data, requires_grad=True)
+    out._node = _Node(tuple(n for n in nodes if n is not None),
+                      functools.partial(backward_fn, nodes), data)
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -195,24 +242,25 @@ def _dense(a):
     return True
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned=False):
-    """Add ``g`` into ``t.grad``. A first arrival is copied unless ``owned``:
+def _accumulate(node, g: np.ndarray, owned=False):
+    """Add ``g`` into ``node.grad``; a None ``node`` (a parent that needs no
+    gradient) takes nothing. A first arrival is copied unless ``owned``:
     nothing reads or writes ``g`` after this call (the caller made it, or it
     views a node grad that ``backward`` drops), so a dense ``g`` already in
-    ``t``'s dtype becomes ``t.grad`` itself, also the transposed view of a
-    permute or reshape hop. A copy keeps the layout of ``g`` (order 'K'), so
-    ``t.grad`` is laid out as ``g`` either way: later sums over it run in an
-    order that follows its layout, and so do their bits."""
-    if not t.requires_grad:
+    the node's dtype becomes ``node.grad`` itself, also the transposed view
+    of a permute or reshape hop. A copy keeps the layout of ``g`` (order
+    'K'), so ``node.grad`` is laid out as ``g`` either way: later sums over
+    it run in an order that follows its layout, and so do their bits."""
+    if node is None:
         return
-    g = _unbroadcast(g, t.data.shape)
-    if t.grad is None:
-        if owned and g.dtype == t.data.dtype and (g.flags.c_contiguous or _dense(g)):
-            t.grad = g
+    g = _unbroadcast(g, node.shape)
+    if node.grad is None:
+        if owned and g.dtype == node.dtype and (g.flags.c_contiguous or _dense(g)):
+            node.grad = g
         else:
-            t.grad = g.astype(t.data.dtype, copy=True)
+            node.grad = g.astype(node.dtype, copy=True)
     else:
-        t.grad += g
+        node.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -228,57 +276,59 @@ def _check_broadcast(a, b, op):
 
 def add(a, b):
     _check_broadcast(a, b, "add")
-    out_data = a.data + b.data
 
-    def bwd(g):
+    def bwd(nodes, g):
+        a, b = nodes
         # a copies g only if b takes it itself: b needs a gradient, is not
         # broadcast and holds none yet
-        b_takes = b.requires_grad and b.grad is None and b.data.shape == g.shape
+        b_takes = b is not None and b.grad is None and b.shape == g.shape
         _accumulate(a, g, owned=not b_takes)
         _accumulate(b, g, owned=True)
 
-    return _make(out_data, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     _check_broadcast(a, b, "sub")
-    out_data = a.data - b.data
 
-    def bwd(g):
+    def bwd(nodes, g):
+        a, b = nodes
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    return _make(out_data, (a, b), bwd)
+    return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
     _check_broadcast(a, b, "mul")
-    out_data = a.data * b.data
+    a_data, b_data = a.data, b.data
 
-    def bwd(g):
-        _accumulate(a, g * b.data, owned=True)
-        _accumulate(b, g * a.data, owned=True)
+    def bwd(nodes, g):
+        a, b = nodes
+        _accumulate(a, g * b_data, owned=True)
+        _accumulate(b, g * a_data, owned=True)
 
-    return _make(out_data, (a, b), bwd)
+    return _make(a_data * b_data, (a, b), bwd)
 
 
 def div(a, b):
     _check_broadcast(a, b, "div")
-    out_data = a.data / b.data
+    a_data, b_data = a.data, b.data
 
-    def bwd(g):
-        _accumulate(a, g / b.data)
-        _accumulate(b, -g * a.data / (b.data * b.data))
+    def bwd(nodes, g):
+        a, b = nodes
+        _accumulate(a, g / b_data)
+        _accumulate(b, -g * a_data / (b_data * b_data))
 
-    return _make(out_data, (a, b), bwd)
+    return _make(a_data / b_data, (a, b), bwd)
 
 
 def scale(a, c):
     """Multiply by a python scalar constant."""
     c = a.data.dtype.type(c)
 
-    def bwd(g):
-        _accumulate(a, g * c, owned=True)
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g * c, owned=True)
 
     return _make(a.data * c, (a,), bwd)
 
@@ -286,24 +336,26 @@ def scale(a, c):
 def exp(a):
     out_data = np.exp(a.data)
 
-    def bwd(g):
-        _accumulate(a, g * out_data)
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g * out_data)
 
     return _make(out_data, (a,), bwd)
 
 
 def log(a):
-    def bwd(g):
-        _accumulate(a, g / a.data)
+    a_data = a.data
 
-    return _make(np.log(a.data), (a,), bwd)
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g / a_data)
+
+    return _make(np.log(a_data), (a,), bwd)
 
 
 def sqrt(a):
     out_data = np.sqrt(a.data)
 
-    def bwd(g):
-        _accumulate(a, g * (0.5 / out_data))
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g * (0.5 / out_data))
 
     return _make(out_data, (a,), bwd)
 
@@ -318,8 +370,8 @@ def _sigmoid(x):
 def sigmoid(a):
     out_data = _sigmoid(a.data)
 
-    def bwd(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), bwd)
 
@@ -332,8 +384,8 @@ def reshape(a, shape):
     shape = tuple(shape)
     in_shape = a.data.shape
 
-    def bwd(g):
-        _accumulate(a, g.reshape(in_shape), owned=True)
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g.reshape(in_shape), owned=True)
 
     return _make(a.data.reshape(shape), (a,), bwd)
 
@@ -342,8 +394,8 @@ def permute(a, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
-    def bwd(g):
-        _accumulate(a, g.transpose(inv), owned=True)
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g.transpose(inv), owned=True)
 
     return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
@@ -353,8 +405,8 @@ def concat(tensors: Sequence[Tensor], axis=0):
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
 
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+    def bwd(nodes, g):
+        for t, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accumulate(t, g[tuple(sl)])
@@ -365,8 +417,8 @@ def concat(tensors: Sequence[Tensor], axis=0):
 def stack(tensors: Sequence[Tensor], axis=0):
     out_data = np.stack([t.data for t in tensors], axis=axis)
 
-    def bwd(g):
-        for i, t in enumerate(tensors):
+    def bwd(nodes, g):
+        for i, t in enumerate(nodes):
             _accumulate(t, np.take(g, i, axis=axis))
 
     return _make(out_data, tuple(tensors), bwd)
@@ -377,12 +429,12 @@ def index(a, i, axis=0):
     out_data = np.take(a.data, i, axis=axis)
     in_shape = a.data.shape
 
-    def bwd(g):
+    def bwd(nodes, g):
         full = np.zeros(in_shape, dtype=g.dtype)
         sl = [slice(None)] * len(in_shape)
         sl[axis] = i
         full[tuple(sl)] = g
-        _accumulate(a, full)
+        _accumulate(nodes[0], full)
 
     return _make(out_data, (a,), bwd)
 
@@ -392,10 +444,10 @@ def reduce_sum(a, axes=None, keepdims=False):
     out_data = out_data.astype(a.data.dtype)
     in_shape = a.data.shape
 
-    def bwd(g):
+    def bwd(nodes, g):
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
-        _accumulate(a, np.broadcast_to(g, in_shape))
+        _accumulate(nodes[0], np.broadcast_to(g, in_shape))
 
     return _make(out_data, (a,), bwd)
 
@@ -424,13 +476,14 @@ def matmul(a, b):
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul: batch extents disagree, {a.shape} x {b.shape}") from None
-    out_data = np.matmul(a.data, b.data)
+    a_data, b_data = a.data, b.data
 
-    def bwd(g):
-        _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)), owned=True)
-        _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g), owned=True)
+    def bwd(nodes, g):
+        a, b = nodes
+        _accumulate(a, np.matmul(g, np.swapaxes(b_data, -1, -2)), owned=True)
+        _accumulate(b, np.matmul(np.swapaxes(a_data, -1, -2), g), owned=True)
 
-    return _make(out_data, (a, b), bwd)
+    return _make(np.matmul(a_data, b_data), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +611,10 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     matmul then runs once over the whole batch on this thread (a GEMM split
     by rows can round differently). In the backward the worker rebuilds the
     columns and runs the weight gradient's matmul while this thread computes
-    the input gradient. Only this thread allocates a large array, and only
-    it makes tape nodes and accumulates gradients, in the serial order.
+    the input gradient; the backward takes its worker from ``_worker_for``
+    when it runs, as a forked child has none of its parent's. Only this
+    thread allocates a large array, and only it makes tape nodes and
+    accumulates gradients, in the serial order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv: input {x.shape} and weight {w.shape} must both be rank 4")
@@ -575,49 +630,51 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     out_spatial = tuple(map(_conv_out_extent, spatial, kernel, stride, padding))
     if any(n < 1 for n in out_spatial):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
-    worker = _worker_for(B * C_in * math.prod(out_spatial + kernel) * x.data.itemsize,
-                         _CONV_THREAD_BYTES)
+    column_bytes = B * C_in * math.prod(out_spatial + kernel) * x.data.itemsize
     if C_g == 1 and C_out == groups:
-        return _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker)
+        return _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes)
 
     O_g = C_out // groups
+    x_data, w_shape = x.data, w.data.shape
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
-    out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x.data, w.data))
-    cols = _im2col(x.data, kernel, stride, padding, out_spatial, groups, worker=worker)
+    out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x_data, w.data))
+    cols = _im2col(x_data, kernel, stride, padding, out_spatial, groups,
+                   worker=_worker_for(column_bytes, _CONV_THREAD_BYTES))
     out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2)).reshape((groups, B) + out_spatial + (O_g,))
     out_data.reshape((B, groups, O_g) + out_spatial)[...] = np.moveaxis(out_g, (0, -1), (1, 2))
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, C_out, 1, 1)
 
-    def bwd(g):
+    def bwd(nodes, g):
+        x, w = nodes[:2]
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
         g_flat = np.ascontiguousarray(g_flat).reshape(groups, -1, O_g)
         weight_grad = input_grad = None
-        if w.requires_grad:  # the forward's columns, rebuilt by the forward's gather
-            gather, cols = _column_gather(x.data, kernel, stride, padding, out_spatial, groups)
+        if w is not None:  # the forward's columns, rebuilt by the forward's gather
+            gather, cols = _column_gather(x_data, kernel, stride, padding, out_spatial, groups)
 
             def weight_grad():
                 gather(slice(None))
                 return np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
-        if x.requires_grad:
+        if x is not None:
             def input_grad():
                 gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
                 # [*out, B, C_in, *kernel], a view unless groups > 1
                 gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + (B, C_in) + kernel)
-                return _conv_input_grad(x.shape, lambda offset: gcols[(Ellipsis,) + offset],
+                return _conv_input_grad(x_data.shape, lambda offset: gcols[(Ellipsis,) + offset],
                                         kernel, stride, padding, out_spatial, gcols.dtype)
-        gw, gx = _both(worker, weight_grad, input_grad)
+        gw, gx = _both(_worker_for(column_bytes, _CONV_THREAD_BYTES), weight_grad, input_grad)
         if gw is not None:
-            _accumulate(w, gw.reshape(w.data.shape), owned=True)
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+            _accumulate(w, gw.reshape(w_shape), owned=True)
+        if len(nodes) == 3:  # the bias's node
+            _accumulate(nodes[2], g.sum(axis=(0, 2, 3)))
         if gx is not None:
             _accumulate(x, gx, owned=True)
 
     return _make(out_data, (x, w) if bias is None else (x, w, bias), bwd)
 
 
-def _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker):
+def _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes):
     """``conv`` with one input and one output channel per group.
 
     The forward builds its columns in batch slices near ``_DW_SLICE_BYTES``,
@@ -628,8 +685,10 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker):
     of them). So a slice gives the same bits only if every slice, the whole
     buffer and their halves split at the same block edges: a slice holds a
     multiple of ``_DW_SLICE_ROWS`` rows, else the batch is one slice in a new
-    array. With a ``worker`` the slices stay those of the serial run: this
-    thread pads each slice's input (``_column_gather``), then the worker
+    array. When ``column_bytes``, the size of the whole batch's columns,
+    exceeds ``_CONV_THREAD_BYTES`` and ``_worker_for`` gives a worker (asked
+    here and again when the backward runs), the slices stay those of the
+    serial run: this thread pads each slice's input (``_column_gather``), then the worker
     gathers the columns of the second half of its channels and runs their
     gemvs while this thread does the first half, into the one columns
     region and the one gemv output the serial run uses. A gemv is per
@@ -645,23 +704,25 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker):
     B * C.
     """
     B, C = x.shape[0], x.shape[1]
+    x_data, w_data = x.data, w.data
     kernel = w.shape[2:]
     rows = math.prod(out_spatial)  # column rows per clip
     K = math.prod(kernel)
-    w_t = np.swapaxes(w.data.reshape(C, 1, K), 1, 2)  # [C, K, 1]
+    w_t = np.swapaxes(w_data.reshape(C, 1, K), 1, 2)  # [C, K, 1]
     clip = C * rows * K  # column entries per clip
-    clip_bytes = clip * x.data.itemsize
+    clip_bytes = clip * x_data.itemsize
     unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
     step = B if B % unit else min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
-    out_data = np.empty((B, C) + out_spatial, dtype=np.result_type(x.data, w.data))
+    out_data = np.empty((B, C) + out_spatial, dtype=np.result_type(x_data, w_data))
 
     # a slice's [C, clips * rows, K] columns go into the kept buffer, or a new array
-    buffer = (np.empty(B * clip, x.data.dtype) if B % unit
-              else _dw_buffer(step * clip_bytes, x.data.dtype))
+    buffer = (np.empty(B * clip, x_data.dtype) if B % unit
+              else _dw_buffer(step * clip_bytes, x_data.dtype))
     dots = np.empty(C * step * rows, dtype=out_data.dtype)  # a slice's [C, clips * rows, 1] gemvs
+    worker = _worker_for(column_bytes, _CONV_THREAD_BYTES)
     for lo in range(0, B, step):
         n = min(step, B - lo)
-        gather, cols = _column_gather(x.data[lo:lo + n], kernel, stride, padding, out_spatial, C,
+        gather, cols = _column_gather(x_data[lo:lo + n], kernel, stride, padding, out_spatial, C,
                                       out=buffer[:n * clip])
         slice_dots = dots[:C * n * rows].reshape(C, n * rows, 1)
 
@@ -677,38 +738,39 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias, worker):
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, C, 1, 1)
 
-    def bwd(g):
+    def bwd(nodes, g):
+        x, w = nodes[:2]
         weight_grad = input_grad = None
-        if w.requires_grad:
+        if w is not None:
             g_rows = np.empty((C, B) + out_spatial, dtype=g.dtype)
-            gw = np.empty((C, 1, K), dtype=np.result_type(g, x.data))
+            gw = np.empty((C, 1, K), dtype=np.result_type(g, x_data))
             channel = B * rows * K  # column entries per channel
-            chunk = max(1, _DW_SLICE_BYTES // (channel * x.data.itemsize))
-            buffer = _dw_buffer(min(chunk, C) * channel * x.data.itemsize, x.data.dtype)
+            chunk = max(1, _DW_SLICE_BYTES // (channel * x_data.itemsize))
+            buffer = _dw_buffer(min(chunk, C) * channel * x_data.itemsize, x_data.dtype)
 
             def weight_grad():
                 g_rows[...] = np.moveaxis(g, 1, 0)
                 rows_t = g_rows.reshape(C, -1, 1).swapaxes(1, 2)  # [C, 1, B * rows]
                 for c in range(0, C, chunk):
                     m = min(chunk, C - c)
-                    cols = _im2col(x.data[:, c:c + m], kernel, stride, padding, out_spatial, m,
+                    cols = _im2col(x_data[:, c:c + m], kernel, stride, padding, out_spatial, m,
                                    out=buffer[:m * channel])
                     np.matmul(rows_t[c:c + m], cols, out=gw[c:c + m])
                 return gw
-        if x.requires_grad:
+        if x is not None:
             def input_grad():
                 g_cl = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))  # [*out, B, C]
-                w_cl = np.empty(kernel + (B, C), dtype=w.data.dtype)  # [*kernel, B, C]
-                w_cl[...] = np.moveaxis(w.data[:, 0], 0, -1)[..., None, :]
-                term = np.empty(g_cl.shape, dtype=np.result_type(g, w.data))
-                return _conv_input_grad(x.shape, lambda offset: np.multiply(g_cl, w_cl[offset],
-                                                                            out=term),
+                w_cl = np.empty(kernel + (B, C), dtype=w_data.dtype)  # [*kernel, B, C]
+                w_cl[...] = np.moveaxis(w_data[:, 0], 0, -1)[..., None, :]
+                term = np.empty(g_cl.shape, dtype=np.result_type(g, w_data))
+                return _conv_input_grad(x_data.shape, lambda offset: np.multiply(g_cl, w_cl[offset],
+                                                                                 out=term),
                                         kernel, stride, padding, out_spatial, term.dtype)
-        gw, gx = _both(worker, weight_grad, input_grad)
+        gw, gx = _both(_worker_for(column_bytes, _CONV_THREAD_BYTES), weight_grad, input_grad)
         if gw is not None:
-            _accumulate(w, gw.reshape(w.data.shape), owned=True)
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+            _accumulate(w, gw.reshape(w_data.shape), owned=True)
+        if len(nodes) == 3:  # the bias's node
+            _accumulate(nodes[2], g.sum(axis=(0, 2, 3)))
         if gx is not None:
             _accumulate(x, gx, owned=True)
 
@@ -846,9 +908,9 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     variance term twice; the mean's gradient is the negated sum of diff's.
     Outputs and gradients are bit for bit the chain's when this node is the
     only consumer of ``x``. Every step runs in place, tape or not: ``xhat``
-    takes ``diff``'s buffer and ``y`` takes ``xhat``'s. The node keeps only
-    the per-channel ``mean``, ``var`` and ``inv`` (a frozen mean as a copy);
-    its backward rebuilds ``diff = x - mean`` from its parent's data, and
+    takes ``diff``'s buffer and ``y`` takes ``xhat``'s. The backward keeps
+    ``x``'s data, gamma's and the per-channel ``mean``, ``var`` and ``inv`` (a
+    frozen mean as a copy), not ``y``: it rebuilds ``diff = x - mean``, and
     ``xhat = diff * inv`` for the gamma gradient, by the forward's own ops,
     so with the forward's bits.
 
@@ -863,7 +925,7 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     one = np.asarray(1.0, dtype=_DTYPE)
-    xd = x.data
+    xd, gd = x.data, gamma.data
     if stats is None:
         c = xd.dtype.type(1.0 / math.prod(xd.shape[i] for i in axes))
         mean = np.sum(xd, axis=axes, keepdims=True, dtype=np.float64).astype(xd.dtype) * c
@@ -873,7 +935,7 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     lead = xd.ndim - 1  # axis 1, counted from the right
     split = xd.nbytes > _ELEMENTWISE_THREAD_BYTES and lead > 0 and xd.shape[1] > 1 and all(
         p.ndim < lead or p.shape[-lead] == 1
-        for p in (mean, gamma.data, beta.data) + (() if stats is None else (var,)))
+        for p in (mean, gd, beta.data) + (() if stats is None else (var,)))
     worker = _worker_for(xd.nbytes, _ELEMENTWISE_THREAD_BYTES) if split else None
     diff = _result(xd, mean)
     if stats is None:
@@ -890,7 +952,7 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
     sd = np.sqrt(var + np.asarray(eps, dtype=_DTYPE))
     inv = one / sd
     xhat = _into(diff, diff, inv)
-    scaled = _into(xhat, xhat, gamma.data)
+    scaled = _into(xhat, xhat, gd)
     y = _into(scaled, scaled, beta.data)
     xhat_dtype = xhat.dtype
 
@@ -898,22 +960,23 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
         if stats is not None:
             np.subtract(xd, mean, out=diff)
         np.multiply(diff, inv, out=xhat)
-        np.multiply(xhat, gamma.data, out=scaled)
+        np.multiply(xhat, gd, out=scaled)
         np.add(scaled, beta.data, out=y)
 
     _halves(worker, part, xd, diff, xhat, scaled, y)
 
-    def bwd(g):
+    def bwd(nodes, g):
+        x, gamma, beta = nodes
         worker = _worker_for(xd.nbytes, _ELEMENTWISE_THREAD_BYTES) if split else None
         diff = _result(xd, mean)
         # for gamma, g * (diff * inv); for x, g_xhat = g * gamma, its product
         # with diff for the batch variance, and dL/d(diff) so far, g_xhat * inv
         scaled = g_gamma = g_xhat = g_diff = g_x = None
-        if gamma.requires_grad:
+        if gamma is not None:
             scaled = _result(diff, inv)
             g_gamma = _reuse(scaled, _result(g, scaled))
-        if x.requires_grad:
-            g_xhat = _result(g, gamma.data, dtype=xhat_dtype)
+        if x is not None:
+            g_xhat = _result(g, gd, dtype=xhat_dtype)
             g_diff = _result(g_xhat, diff) if stats is None else None
             g_x = _reuse(g_xhat, _result(g_xhat, inv, dtype=xd.dtype))
 
@@ -922,7 +985,7 @@ def batch_norm(x, gamma, beta, axes, eps, stats=None):
             if scaled is not None:
                 np.multiply(g, np.multiply(diff, inv, out=scaled), out=g_gamma)
             if g_xhat is not None:
-                np.multiply(g, gamma.data, out=g_xhat)
+                np.multiply(g, gd, out=g_xhat)
                 if g_diff is not None:
                     np.multiply(g_xhat, diff, out=g_diff)
                 np.multiply(g_xhat, inv, out=g_x)
@@ -971,8 +1034,8 @@ def spike(h, v_threshold, alpha, smooth=False):
     out_data = _spike_forward(h.data, v_threshold, alpha, smooth)
     local = surrogate_slope(h.data, v_threshold, alpha)
 
-    def bwd(g):
-        _accumulate(h, g * local)
+    def bwd(nodes, g):
+        _accumulate(nodes[0], g * local)
 
     return _make(out_data, (h,), bwd)
 
@@ -1025,8 +1088,8 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         S_t = Heaviside(H - v_threshold)   (its sigmoid surrogate if ``smooth``)
         V = H * (1 - S_t) + S_t * v_reset
 
-    Returns the spikes [T, *S]. The node keeps no array besides its input
-    and the spikes it returns: with a tape or without, each step's H goes
+    Returns the spikes [T, *S]. The backward keeps no array besides the
+    input's data and the spikes: with a tape or without, each step's H goes
     into one step buffer. The backward first replays the membrane loop from
     X and S by the forward's ops, so with the forward's bits, rebuilding
     every H_t (and, for the leak gradient, every D_t) into arrays of its
@@ -1047,14 +1110,15 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     """
     if x.ndim < 1 or x.shape[0] == 0:
         raise ShapeError(f"lif_sequence: expected a non-empty [T, ...] input, got {x.shape}")
-    dt = x.data.dtype
+    xs = x.data
+    dt = xs.dtype
     T, shape = x.shape[0], x.shape[1:]
     parents = (x,) if a is None else (x, a)
 
     vr = dt.type(v_reset)
     one = dt.type(1.0)
     kappa = dt.type(1.0 / tau) if a is None else _sigmoid(a.data)
-    spikes = np.empty(x.shape, dtype=np.result_type(x.data, kappa))
+    spikes = np.empty(x.shape, dtype=np.result_type(xs, kappa))
     # every op writes into spikes or one of these two step buffers; the widest
     # operand dtype is the buffers', so each result is the one a fresh array
     # would hold
@@ -1067,7 +1131,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
     complement = not (smooth or vr)
     for t in range(T):
         # D = X_t - (V - vr); V - 0 is V bit for bit, so a zero reset skips that op
-        h = np.subtract(x.data[t], v_t - vr if v_reset else v_t, out=scratch)
+        h = np.subtract(xs[t], v_t - vr if v_reset else v_t, out=scratch)
         np.multiply(kappa, h, out=h)
         np.add(v_t, h, out=h)
         if complement:
@@ -1089,12 +1153,13 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         raise FloatingPointError("spiking layer: non-finite membrane (non-finite input or "
                                  "leak parameter, or an overflow)")
 
-    def bwd(g):
+    def bwd(nodes, g):
+        x, a = nodes if len(nodes) == 2 else (nodes[0], None)
         # every array is made here, before ``part`` runs over all of the
         # batch axis or, on two threads, over each half of it
         dv_dh = _result(spikes, one)  # dV_t/dH_t along the membrane: the forward's 1 - S_t
         hs = np.empty_like(spikes)
-        drives = np.empty_like(spikes) if a is not None and a.requires_grad else None
+        drives = np.empty_like(spikes) if a is not None else None
         slope, square = np.empty_like(spikes), np.empty_like(spikes)
         # g * slope goes into the squares' buffer, which nothing reads after
         # the slopes are formed
@@ -1142,7 +1207,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
 
         worker = (_worker_for(spikes.nbytes, _ELEMENTWISE_THREAD_BYTES)
                   if shape and shape[0] > 1 else None)
-        _halves(worker, part, x.data, spikes, g, dv_dh, hs, drives, slope, square, g_h, rest,
+        _halves(worker, part, xs, spikes, g, dv_dh, hs, drives, slope, square, g_h, rest,
                 steps, g_v)
         if drives is not None:
             g_kappa = np.sum(drives, dtype=np.float64)
@@ -1159,34 +1224,38 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
 def backward(loss: Tensor):
     """Reverse-mode sweep from a scalar loss; each node visited exactly once.
 
-    A visited node drops its backward, its parents and (the loss aside) its
-    gradient, and the sweep lets go of it, so a node that the caller does not
-    hold is freed, its data with it, before the nodes upstream of it run.
+    The sweep runs over tape nodes, from the loss's own (the loss itself if
+    it is a leaf), and ends with ``loss.grad`` holding ones; leaves gain
+    their gradients in ``.grad``. A visited node drops its backward, which
+    frees the arrays that only it captured, its parents and (the loss's
+    aside) its gradient, and the sweep lets go of it, so a node that no
+    later node refers to is freed before the nodes upstream of it run.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._consumed:
         raise TapeConsumedError("backward already called on this graph")
     loss._consumed = True
-    topo = _topological_order(loss)
-    loss.grad = np.ones_like(loss.data)
+    root = loss if loss._node is None else loss._node
+    topo = _topological_order(root)
+    loss.grad = root.grad = np.ones_like(loss.data)
     while topo:  # popped in reverse topological order: every child of node has run
         node = topo.pop()
         if node._backward is not None and node.grad is not None:
             # a node's grad is dropped after its backward, so a parent may take
             # it over (reshape, permute); the loss keeps its own
-            node._backward(node.grad.copy() if node is loss else node.grad)
+            node._backward(node.grad.copy() if node is root else node.grad)
             node._backward = None
             node._parents = ()
-            if node is not loss:
+            if node is not root:
                 node.grad = None
 
 
-def _topological_order(loss):
-    """The tape nodes behind ``loss``, each after all of its parents."""
+def _topological_order(root):
+    """The tape nodes behind ``root``, each after all of its parents."""
     topo = []
     visited = set()
-    stack_ = [(loss, False)]
+    stack_ = [(root, False)]
     while stack_:
         node, processed = stack_.pop()
         if processed:
@@ -1197,7 +1266,7 @@ def _topological_order(loss):
         visited.add(id(node))
         stack_.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if id(p) not in visited:
                 stack_.append((p, False))
     return topo
 

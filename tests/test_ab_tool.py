@@ -23,8 +23,10 @@ def test_one_tree_on_both_sides_runs_and_checks_every_operation():
     assert lines[1] == ("GLIBC_TUNABLES=glibc.malloc.mmap_threshold=33554432:"
                         "glibc.malloc.trim_threshold=67108864")
     for label, line in zip("AB", lines[2:4]):
+        # infer-b1 runs no backward
         assert re.fullmatch(rf"{label} {re.escape(str(ROOT))}: median op \d+\.\d\d ms, "
-                            r"\d+ minor page faults, traced peak \d+\.\d MB", line)
+                            r"\d+ minor page faults, traced at backward entry n/a, "
+                            r"traced peak \d+\.\d MB", line)
     assert re.fullmatch(r"B/A op time: median ratio \d+\.\d{3}, B faster in [012]/2 pairs",
                         lines[4])
     assert len(lines) == 5  # no check failed
@@ -38,11 +40,19 @@ from types import SimpleNamespace
 import spikevid
 
 
+def _backward(kept):
+    return bytearray(spikevid.ALLOC)  # traced, and freed on return
+
+
+ad = SimpleNamespace(backward=_backward)
+
+
 def make(name, out_dir):
     def op(state, i):
         with open(os.environ["AB_LOG"], "a") as fh:
             fh.write(f"{spikevid.LABEL}{i} ")
-        buffer = bytearray(spikevid.ALLOC)  # traced, and freed on return
+        buffer = bytearray(spikevid.ALLOC)  # traced, held through the backward
+        ad.backward(buffer)
         time.sleep(spikevid.DELAY)
         return i
 
@@ -77,7 +87,11 @@ def test_alternates_binds_each_tree_and_reports_failed_checks(tmp_path):
     assert log.read_text().split() == ["a0", "b0", "b1", "a1", "a2", "b2", "a3", "b3"]
     lines = proc.stdout.splitlines()
     assert lines[1] == f"GLIBC_TUNABLES={TUNABLES}"  # a setting already made is kept
-    peaks = [float(re.search(r"traced peak (\d+\.\d) MB$", line)[1]) for line in lines[2:4]]
-    assert 3.0 <= peaks[0] < 3.5 and 1.0 <= peaks[1] < 1.5
+    figures = [re.search(r"traced at backward entry (\d+\.\d) MB, traced peak (\d+\.\d) MB$",
+                         line) for line in lines[2:4]]
+    at_backward, peaks = ([float(m[k]) for m in figures] for k in (1, 2))
+    # what the operation held at entry to its backward, and that plus the backward's own
+    assert 3.0 <= at_backward[0] < 3.5 and 1.0 <= at_backward[1] < 1.5
+    assert 6.0 <= peaks[0] < 6.5 and 2.0 <= peaks[1] < 2.5
     assert lines[4].endswith("B faster in 3/3 pairs")
     assert lines[5:] == ["check failed: B op 1: AssertionError: wrong output"]

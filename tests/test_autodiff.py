@@ -1,5 +1,6 @@
 """Unit tests for the reverse-mode tensor engine."""
 
+import functools
 import os
 import threading
 import time
@@ -237,7 +238,7 @@ class TestDepthwiseConv:
         with ad.no_grad():
             out = ad.conv(x, w, stride=stride, padding=padding, groups=C, bias=t(np.ones(C)))
         assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        assert out._node is None and out._parents == ()
 
 
 def scatter_input_grad(g, w, stride, padding, groups, x_shape):
@@ -672,7 +673,7 @@ class TestBackwardMechanics:
             b.grad = np.ones((2, 3))
         out = ad.add(a, b)
         g = np.arange(6.0).reshape(2, 3)
-        out._backward(g)
+        out._node._backward(g)
         assert (a.grad is g) == (b_case != "takes_g")
         assert (b.grad is g) == (b_case == "takes_g")
         np.testing.assert_array_equal(a.grad, g)
@@ -713,25 +714,27 @@ class TestBackwardMechanics:
         np.testing.assert_array_equal(x.grad, [1.0])
 
     def test_backward_releases_visited_nodes(self):
-        """An interior node that the caller dropped is freed, its data with it,
-        before the backward of a node upstream of it runs; leaves and the
-        loss keep their gradients."""
+        """An interior node whose output the caller dropped is freed, with the
+        array that its backward captured (exp's own output), before the
+        backward of a node upstream of it runs; leaves and the loss keep
+        their gradients."""
         x, w = t([1.0, 2.0]), t([3.0, -1.0])
         upstream = ad.mul(x, w)
         interior = ad.exp(upstream)
-        dropped = weakref.ref(interior)
+        dropped = [weakref.ref(interior._node), weakref.ref(interior.data)]
         loss = ad.reduce_sum(interior)
         del interior
+        assert all(ref() is not None for ref in dropped)  # the tape holds them
         alive_at_upstream = []
-        upstream_bwd = upstream._backward
+        upstream_bwd = upstream._node._backward
 
         def spy(g):
-            alive_at_upstream.append(dropped() is not None)
+            alive_at_upstream.append([ref() is not None for ref in dropped])
             upstream_bwd(g)
 
-        upstream._backward = spy
+        upstream._node._backward = spy
         ad.backward(loss)
-        assert alive_at_upstream == [False]
+        assert alive_at_upstream == [[False, False]]
         e = np.exp(x.data * w.data)
         np.testing.assert_array_equal(x.grad, e * w.data)
         np.testing.assert_array_equal(w.grad, e * x.data)
@@ -765,8 +768,8 @@ class TestGradCheckHarness:
         def broken(a):
             # correct value, deliberately wrong backward rule
             out = ad.mul(a, a)
-            out_bad = ad.Tensor(out.data, requires_grad=True, _parents=(a,),
-                                _backward=lambda g: ad._accumulate(a, g * 3.0))
+            out_bad = ad._make(out.data, (a,),
+                               lambda nodes, g: ad._accumulate(nodes[0], g * 3.0))
             return ad.reduce_sum(out_bad)
 
         rep = ad.grad_check(broken, [t([1.0, 2.0])])
@@ -777,15 +780,31 @@ class TestGradCheckHarness:
         assert "pass" in repr(rep)
 
 
-def _reachable(loss):
-    """Every tensor of the graph behind ``loss``, leaves and constants included."""
-    seen, stack = {}, [loss]
+def _tape(loss):
+    """Every node of the tape behind ``loss``: its own, the op nodes and the
+    leaves that need a gradient, each its own node."""
+    seen, stack = {}, [loss._node]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
             stack.extend(node._parents)
     return list(seen.values())
+
+
+def _record_tensors(monkeypatch):
+    """Every tensor that a primitive takes or returns from now on, leaves
+    and constants included, by id; holding them keeps each op output (and
+    its array) alive."""
+    seen, make = {}, ad._make
+
+    def spy(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        seen.update((id(t), t) for t in (*parents, out))
+        return out
+
+    monkeypatch.setattr(ad, "_make", spy)
+    return seen
 
 
 def assert_no_shared_gradients(tensors):
@@ -874,28 +893,29 @@ class TestTapeNodes:
         model.train()
         clip = ad.tensor(make_rng(42).random((model.cfg.time_steps, 2, 3, 32, 32)))
         loss = cross_entropy(model(clip), np.array([0, 1]))
-        made_ids = {id(t) for t in made}
-        nodes = [t for t in _reachable(loss) if t._backward is not None]
-        bypass = [t for t in nodes if id(t) not in made_ids]
+        made_ids = {id(t._node) for t in made}
+        nodes = [n for n in _tape(loss) if n._backward is not None]
+        bypass = [n for n in nodes if id(n) not in made_ids]
         assert nodes and not bypass, f"{len(bypass)} of {len(nodes)} tape nodes bypass _make"
 
 
 class TestGradientOwnership:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", list(PRIMITIVE_CASES))
-    def test_primitive_gradients_are_unaliased(self, case, dtype):
+    def test_primitive_gradients_are_unaliased(self, monkeypatch, case, dtype):
         f, shapes = PRIMITIVE_CASES[case]
         rng = make_rng(40)
+        seen = _record_tensors(monkeypatch)
         with ad.precision(dtype):
             xs = [ad.Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
                   for s in shapes]
             loss = f(*xs)
-            tensors = _reachable(loss)
+            tensors = list(seen.values())
             ad.backward(loss)
         assert all(x.grad is not None for x in xs)
         assert_no_shared_gradients(tensors)
 
-    def test_micro_model_gradients_are_unaliased(self):
+    def test_micro_model_gradients_are_unaliased(self, monkeypatch):
         from spikevid.model import VideoSpikeNet
         from spikevid.training import cross_entropy
         from spikevid.verification import micro_model_config
@@ -903,9 +923,10 @@ class TestGradientOwnership:
         model = VideoSpikeNet(micro_model_config(), seed=0)
         model.train()
         clip = ad.tensor(make_rng(41).random((2, 2, 3, 16, 16)))
+        seen = _record_tensors(monkeypatch)
         loss = cross_entropy(model(clip), np.array([0, 2]))
-        tensors = {id(t): t for t in _reachable(loss) + list(model.parameters())}
-        tensors = list(tensors.values())
+        seen.update((id(p), p) for p in model.parameters())
+        tensors = list(seen.values())
         ad.backward(loss)
         assert_no_shared_gradients(tensors)
         buffers = [b for _, b in model.named_buffers()]
@@ -948,13 +969,15 @@ def conv_keeping_columns(x, w, stride, padding, groups, bias, upstream):
     return out + bias.reshape(1, C_out, 1, 1), gx, gw, upstream.sum(axis=(0, 2, 3))
 
 
-def _held_arrays(node):
-    """The arrays of at least the first parent's size that ``node``'s backward
-    closure holds, other than its parents' and its output's data."""
-    own = [p.data for p in node._parents] + [node.data]
-    size = node._parents[0].data.size
+def _held_arrays(out, *parents):
+    """The arrays of at least the first parent's size that the backward
+    closure of ``out``'s node holds, other than its parents' and its
+    output's data. The node's backward binds the parents' nodes, which hold
+    no array, to that closure."""
+    own = [p.data for p in parents] + [out.data]
+    size = parents[0].data.size
     held = []
-    for cell in node._backward.__closure__ or ():
+    for cell in out._node._backward.func.__closure__ or ():
         try:
             value = cell.cell_contents
         except ValueError:  # a name the forward never bound
@@ -977,7 +1000,7 @@ class TestLeanTape:
         gamma, beta = t(rng.standard_normal((1, 3, 1))), t(rng.standard_normal((1, 3, 1)))
         stats = (np.zeros((1, 3, 1)), np.ones((1, 3, 1))) if frozen else None
         y = ad.batch_norm(x, gamma, beta, (0, 2), 1e-5, stats)[0]
-        assert y._backward is not None and _held_arrays(y) == []
+        assert y._node is not None and _held_arrays(y, x, gamma, beta) == []
 
     def test_running_mean_update_after_forward_does_not_reach_backward(self):
         """The backward rebuilds diff from the frozen mean, so the node keeps
@@ -1005,9 +1028,9 @@ class TestLeanTape:
         C = x_shape[1]
         rng = make_rng(51)
         x, w = t(rng.standard_normal(x_shape)), t(rng.standard_normal((C, 1) + kernel))
-        out = ad.conv(x, w, stride=stride, padding=padding, groups=C,
-                      bias=t(np.ones(C)) if bias else None)
-        assert out._backward is not None and _held_arrays(out) == []
+        b = t(np.ones(C)) if bias else None
+        out = ad.conv(x, w, stride=stride, padding=padding, groups=C, bias=b)
+        assert out._node is not None and _held_arrays(out, x, w, *[b] * bias) == []
 
     @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
     @pytest.mark.parametrize("v_reset", [0.0, 0.3])
@@ -1018,7 +1041,7 @@ class TestLeanTape:
         x = t(rng.normal(0.8, 1.0, (6, 3, 4)))
         a = t(np.array(0.3)) if kind == "PLIF" else None
         s = ad.lif_sequence(x, a, v_reset=v_reset, smooth=smooth, detach_reset=detach_reset)
-        assert s._backward is not None and _held_arrays(s) == []
+        assert s._node is not None and _held_arrays(s, x, *[a] * (a is not None)) == []
 
     @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
     @pytest.mark.parametrize("v_reset", [0.0, -0.0, 0.3])
@@ -1068,11 +1091,11 @@ class TestLeanTape:
         x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
         b_t = ad.Tensor(b, requires_grad=True) if bias else None
         out = ad.conv(x_t, w_t, stride=stride, padding=padding, groups=groups, bias=b_t)
-        assert out._backward is not None and _held_arrays(out) == []
+        assert out._node is not None and _held_arrays(out, x_t, w_t, *[b_t] * bias) == []
         upstream = rng.standard_normal(out.shape).astype(dtype)
         ref = conv_keeping_columns(x, w, stride, padding, groups, b if bias else None,
                                    upstream)
-        out._backward(upstream.copy())
+        out._node._backward(upstream.copy())
         got = (out.data, x_t.grad, w_t.grad) + ((b_t.grad,) if bias else ())
         assert len(got) == len(ref)
         for name, mine, theirs in zip(("out", "x", "w", "bias"), got, ref):
@@ -1099,6 +1122,94 @@ class TestLeanTape:
         assert (w.grad is not None) == w_grad
 
 
+class TestTapeSplit:
+    """The tape holds nodes, apart from the Tensors that callers hold: an op
+    output whose array no backward reads is freed once its caller drops it,
+    during the forward."""
+
+    @staticmethod
+    def _norm_add_permute(hold):
+        """A batch norm whose output feeds only an add, whose output feeds
+        only a permute, whose copy feeds only an add, then a weighted sum.
+        Returns the gradients of the input, gamma, beta and the added
+        tensor, and whether each of the three arrays was alive at entry to
+        ``backward``; with ``hold`` the caller holds their Tensors."""
+        rng = make_rng(57)
+        x = t(rng.standard_normal((4, 3, 5)))
+        gamma, beta = t(rng.standard_normal((1, 3, 1))), t(rng.standard_normal((1, 3, 1)))
+        other = t(rng.standard_normal((4, 3, 5)))
+        y = ad.batch_norm(x, gamma, beta, (0, 2), 1e-5)[0]
+        z = ad.add(y, other)
+        p = ad.permute(z, (2, 0, 1))
+        w = ad.tensor(rng.standard_normal(p.shape))
+        loss = ad.reduce_sum(ad.mul(ad.add(p, ad.tensor(np.ones(p.shape))), w))
+        refs = [weakref.ref(v.data) for v in (y, z, p)]
+        held = (y, z, p) if hold else ()
+        del y, z, p
+        alive = [ref() is not None for ref in refs]
+        ad.backward(loss)
+        assert len(held) == 3 * hold
+        return [v.grad for v in (x, gamma, beta, other)], alive
+
+    def test_output_that_no_backward_reads_is_freed_in_the_forward(self):
+        got, alive = self._norm_add_permute(hold=False)
+        assert alive == [False, False, False]
+        ref, alive = self._norm_add_permute(hold=True)
+        assert alive == [True, True, True]
+        for name, mine, theirs in zip(("x", "gamma", "beta", "other"), got, ref):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+    def test_no_grad_forward_makes_no_node(self, monkeypatch):
+        from spikevid.model import VideoSpikeNet
+        from spikevid.training import cross_entropy
+        from spikevid.verification import micro_model_config
+
+        made = []
+
+        class Counted(ad._Node):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ad, "_Node", Counted)
+        model = VideoSpikeNet(micro_model_config(), seed=0)
+        clip = ad.tensor(make_rng(58).random((2, 2, 3, 16, 16)))
+        for mode in (model.eval, model.train):
+            mode()
+            with ad.no_grad():
+                out = model(clip)
+            assert out._node is None and not out.requires_grad and made == []
+        cross_entropy(model(clip), np.array([0, 2]))
+        assert made  # the counter sees the taped forward's nodes
+
+    def test_no_backward_closure_holds_a_tensor(self):
+        """Each node's backward is the op's closure, bound to its parents'
+        nodes: op nodes and leaves that need a gradient, or None. The closure
+        itself captures no Tensor, so no op output's Tensor."""
+        from spikevid.model import VideoSpikeNet
+        from spikevid.training import cross_entropy
+        from spikevid.verification import micro_model_config
+
+        model = VideoSpikeNet(micro_model_config(), seed=0)
+        model.train()
+        loss = cross_entropy(model(ad.tensor(make_rng(59).random((2, 2, 3, 16, 16)))),
+                             np.array([0, 2]))
+        nodes = [n for n in _tape(loss) if n._backward is not None]
+        assert len(nodes) > 20
+        for node in nodes:
+            bwd = node._backward
+            assert isinstance(bwd, functools.partial) and len(bwd.args) == 1
+            for parent in bwd.args[0]:
+                assert (parent is None or type(parent) is ad._Node
+                        or (parent._node is None and parent.requires_grad))
+            for cell in bwd.func.__closure__ or ():
+                value = cell.cell_contents
+                values = value if isinstance(value, (tuple, list)) else (value,)
+                assert not any(isinstance(v, ad.Tensor) for v in values), bwd.func.__qualname__
+
+
 WORKER_CASES = {  # x shape, w shape, stride, padding, groups
     "depthwise_stride1_oddB": ((7, 8, 16, 16), (8, 1, 5, 5), 1, 2, 8),
     "depthwise_stride2": ((5, 8, 16, 16), (8, 1, 5, 5), 2, 2, 8),
@@ -1117,9 +1228,10 @@ def _conv_worker_on(monkeypatch, cpus=2):
     monkeypatch.setattr(ad, "_worker", None)
 
 
-def _conv_arrays(case, bias, dtype, seed=60):
+def _conv_arrays(case, bias, dtype, seed=60, before_backward=None):
     """Output, input, weight (and bias) gradients of a taped conv, then the
-    output of the same conv without a tape."""
+    output of the same conv without a tape; ``before_backward``, if given,
+    runs between the taped forward and its backward."""
     x_shape, w_shape, stride, padding, groups = WORKER_CASES[case]
     rng = make_rng(seed)
     x, w, b = (rng.standard_normal(s).astype(dtype) for s in (x_shape, w_shape, w_shape[:1]))
@@ -1127,6 +1239,8 @@ def _conv_arrays(case, bias, dtype, seed=60):
     b_t = ad.Tensor(b, requires_grad=True) if bias else None
     out = ad.conv(x_t, w_t, stride=stride, padding=padding, groups=groups, bias=b_t)
     g = rng.standard_normal(out.shape).astype(dtype)
+    if before_backward is not None:
+        before_backward()
     ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))
     with ad.no_grad():
         plain = ad.conv(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding,
@@ -1227,6 +1341,26 @@ class TestConvWorker:
         with ad.no_grad():
             model(ad.tensor(clip))
         assert ad._worker is None and set(threading.enumerate()) <= threads
+
+    @pytest.mark.parametrize("case", ["depthwise_stride1_oddB", "dense_3x3_stride2"])
+    def test_backward_takes_its_worker_when_it_runs(self, monkeypatch, case):
+        """The forward's worker is gone by the backward, as in a child forked
+        in between: ``register_at_fork`` forgets it, and its executor takes
+        no work. The backward asks ``_worker_for`` again and keeps every
+        byte of the serial run."""
+        serial = _conv_arrays(case, True, np.float32)
+        _conv_worker_on(monkeypatch)
+        gone = []
+
+        def fork():
+            gone.append(ad._worker)
+            ad._forget_worker()
+            gone[0].shutdown()
+
+        threaded = _conv_arrays(case, True, np.float32, before_backward=fork)
+        assert gone[0] is not None and ad._worker not in (None, gone[0])
+        for mine, ref in zip(threaded, serial):
+            assert mine.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("case", ["depthwise_stride1_oddB", "dense_3x3_stride2"])
     def test_one_cpu_makes_no_worker(self, monkeypatch, case):

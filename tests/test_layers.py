@@ -192,7 +192,9 @@ class TestFusedBatchNormMatchesComposite:
     def test_upstream_gradient_is_non_contiguous(self, layout):
         shape, permute = BN_LAYOUTS[layout]
         seen = []
-        node = ad.Tensor(np.ones(shape), requires_grad=True, _backward=seen.append)
+        # an op output whose backward records the gradient that reaches it
+        node = ad._make(np.ones(shape), (ad.Tensor(np.ones(()), requires_grad=True),),
+                        lambda nodes, g: seen.append(g))
         y = permute(node)
         ad.backward(ad.reduce_sum(ad.mul(y, ad.tensor(np.ones(y.shape)))))
         assert not seen[0].flags.c_contiguous
@@ -216,7 +218,7 @@ class TestFusedBatchNormMatchesComposite:
         with ad.no_grad():
             out = bn(x)
         assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        assert out._node is None and out._parents == ()
         assert not np.shares_memory(out.data, x.data)
         np.testing.assert_array_equal(x.data, before)
 

@@ -256,7 +256,7 @@ class TestFusedSequenceMatchesStepwise:
                            NeuronConfig(), smooth=False))
         for t in outs:
             assert not t.requires_grad
-            assert t._parents == () and t._backward is None
+            assert t._node is None and t._parents == ()
 
     @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
     @pytest.mark.parametrize("v_reset", [0.0, 0.3])

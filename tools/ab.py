@@ -11,10 +11,15 @@ same operation index; every output goes through the workload's own check.
 After the timed alternation each tree runs one more operation, checked
 too, with ``tracemalloc`` on: numpy traces its buffers, so the peak it reads
 is what that tree's operation allocates at once, where the RSS of the one
-shared process cannot tell the two trees apart. The tool prints each tree's
-median operation time, minor page faults per operation and traced peak, the
-median of the paired B/A op-time ratios and the number of pairs B won, and
-exits 1 if any check failed. BLAS and OpenMP are pinned to one thread, as in
+shared process cannot tell the two trees apart. Beside the peak it reads
+the traced memory at entry to the tree's ``ad.backward`` (the workload
+module's ``ad``; the largest entry if the operation calls it more than
+once): what the forward left for the backward, on the tape and in the
+caller's hands. The tool prints each tree's median operation time, minor
+page faults per operation, traced memory at backward entry ("n/a" for an
+operation that runs no backward) and traced peak, the median of the paired
+B/A op-time ratios and the number of pairs B won, and exits 1 if any check
+failed. BLAS and OpenMP are pinned to one thread, as in
 perfbench.
 
 Perfbench runs each tree in its own process and scales its times by a host
@@ -67,18 +72,43 @@ def load_workloads(tree, label):
     return module
 
 
+def traced_op(module, wl, state, i):
+    """One operation with ``tracemalloc`` on: its output, the traced peak
+    and the traced memory at entry to ``module.ad.backward`` (bytes; the
+    largest entry, or None if the operation made no such call)."""
+    ad = getattr(module, "ad", None)
+    backward = getattr(ad, "backward", None)
+    entries = []
+
+    def entered(*args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return backward(*args, **kwargs)
+
+    if backward is not None:
+        ad.backward = entered
+    tracemalloc.start()
+    try:
+        out = wl.op(state, i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if backward is not None:
+            ad.backward = backward
+    return out, peak, max(entries, default=None)
+
+
 def run(tree_a, tree_b, workload, ops, seed):
     """Run ``ops`` alternating operations per tree, then one traced operation
-    per tree. Returns each tree's median op time (s), page faults per op and
-    traced peak (bytes), the median B/A ratio, B's win count and the check
-    failures."""
+    per tree. Returns each tree's median op time (s), page faults per op,
+    traced memory at backward entry and traced peak (bytes), the median B/A
+    ratio, B's win count and the check failures."""
     import numpy as np
 
     trees = {"A": tree_a, "B": tree_b}
     modules = {label: load_workloads(tree, label) for label, tree in trees.items()}
     times = {label: [] for label in trees}
     faults = {label: [] for label in trees}
-    peaks = {}
+    peaks, at_backward = {}, {}
     failures = []
 
     def check(label, i, out):
@@ -104,18 +134,14 @@ def run(tree_a, tree_b, workload, ops, seed):
                 check(label, i, out)
         for label in trees:  # tracing slows an operation, so none of the timed ones
             wl, state = runs[label]
-            tracemalloc.start()
-            try:
-                out = wl.op(state, ops)
-                peaks[label] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            out, peaks[label], at_backward[label] = traced_op(modules[label], wl, state, ops)
             check(label, ops, out)
     ratios = np.asarray(times["B"]) / np.asarray(times["A"])
     return {
         "median_s": {label: float(np.median(t)) for label, t in times.items()},
         "faults_p50": {label: float(np.median(f)) for label, f in faults.items()},
         "peak_bytes": peaks,
+        "at_backward_bytes": at_backward,
         "ratio_p50": float(np.median(ratios)),
         "b_wins": int(np.sum(ratios < 1.0)),
         "pairs": ops,
@@ -143,8 +169,11 @@ def main(argv=None):
     print(f"{args.workload}, seed {args.seed}, {args.ops} operations per tree, alternating")
     print(f"GLIBC_TUNABLES={os.environ['GLIBC_TUNABLES']}")
     for label, tree in (("A", args.tree_a), ("B", args.tree_b)):
+        entry = res["at_backward_bytes"][label]
+        entry = "n/a" if entry is None else f"{entry / 1e6:.1f} MB"
         print(f"{label} {tree}: median op {1e3 * res['median_s'][label]:.2f} ms, "
               f"{res['faults_p50'][label]:.0f} minor page faults, "
+              f"traced at backward entry {entry}, "
               f"traced peak {res['peak_bytes'][label] / 1e6:.1f} MB")
     print(f"B/A op time: median ratio {res['ratio_p50']:.3f}, "
           f"B faster in {res['b_wins']}/{res['pairs']} pairs")
