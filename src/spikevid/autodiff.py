@@ -70,10 +70,10 @@ _GRAD_ENABLED = True
 _DW_SLICE_BYTES = 4 << 20
 _DW_SLICE_ROWS = 32
 _dw_columns = np.empty(0, dtype=np.uint8)
-# a conv whose columns exceed this many bytes runs its independent halves on
-# two threads, the second one ``_worker``, made on first use (README: this
-# takes the default model's 5x5 depthwise convs at B=16, T=8, not its dense
-# ones, which gained nothing measurable, nor any conv of a one-clip pass)
+# a depthwise conv whose columns exceed this many bytes runs its channel
+# halves on two threads, the second one ``_worker``, made on first use
+# (README: at B=16, T=8 this takes the default model's two 5x5 stage convs,
+# not the local pathway's; dense and grouped convs always run on one thread)
 _CONV_THREAD_BYTES = 8 << 20
 # batch norm's elementwise passes and the LIF backward over a [T, B, ...]
 # array larger than this many bytes run on the same two threads, half of the
@@ -495,8 +495,8 @@ def _conv_out_extent(n, k, s, p):
 
 
 def conv_threads():
-    """The threads that a large conv, batch-norm pass or LIF backward runs on:
-    2 where this process may run on more than one CPU
+    """The threads that a large depthwise conv, batch-norm pass or LIF
+    backward runs on: 2 where this process may run on more than one CPU
     (``os.sched_getaffinity``), else 1. The name predates the elementwise
     work, and ``environment.json`` records it under this name."""
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only; serial elsewhere
@@ -507,8 +507,8 @@ def _worker_for(nbytes, floor):
     """The worker thread for work over ``nbytes``, or None (it runs serially):
     work goes to it only above ``floor`` bytes (``_CONV_THREAD_BYTES`` or
     ``_ELEMENTWISE_THREAD_BYTES``) and on more than one CPU. The one worker
-    thread, which convs, batch norm and the LIF backward share, is made on
-    first use, so a process whose work stays small starts none."""
+    thread, which depthwise convs, batch norm and the LIF backward share, is
+    made on first use, so a process whose work stays small starts none."""
     global _worker
     if nbytes <= floor or conv_threads() == 1:
         return None
@@ -590,37 +590,24 @@ def _result(full, *others, dtype=None):
 
 
 def conv(x, w, stride=1, padding=0, groups=1, bias=None):
-    """Grouped 2-D cross-correlation.
+    """Grouped 2-D cross-correlation, plus a per-channel ``bias`` if given.
 
-    x: [B, C_in, H, W], w: [C_out, C_in // groups, kH, kW]. The int ``stride``
-    and ``padding`` apply on both spatial axes; output extent is floor((n +
-    2p - k) / s) + 1. A depthwise conv (``C_g == 1`` and ``C_out == groups``)
-    runs ``_depthwise_conv``. Any other builds the whole batch's ``[groups,
-    P, C_g * K]`` columns (``_im2col``, one gather along a window index cached
-    per shape) for one grouped matmul. Its tape node keeps no columns: the
-    weight gradient, one grouped matmul against them, rebuilds them from the
-    input's data by the same gather, so with the same bits, and only when
-    the weight needs a gradient. Its input gradient scatters the windows of
-    a matmul back to columns, read as a ``[*out, B, C_in, *kernel]`` view
-    (``_conv_input_grad``).
-
-    A conv whose columns exceed ``_CONV_THREAD_BYTES`` hands independent
-    work to the one worker thread (``_worker_for``), and every array keeps the
-    bytes of the serial run. Here the gather runs in two halves of the
-    batch, each thread writing its half of the one columns array, and the
-    matmul then runs once over the whole batch on this thread (a GEMM split
-    by rows can round differently). In the backward the worker rebuilds the
-    columns and runs the weight gradient's matmul while this thread computes
-    the input gradient; the backward takes its worker from ``_worker_for``
-    when it runs, as a forked child has none of its parent's. Only this
-    thread allocates a large array, and only it makes tape nodes and
-    accumulates gradients, in the serial order.
+    x: [B, C_in, H, W], w: [C_out, C_in // groups, kH, kW]. ``stride`` (at
+    least 1) and ``padding`` (at least 0) are ints that apply on both spatial
+    axes; output extent is floor((n + 2p - k) / s) + 1. A depthwise conv
+    (``C_g == 1`` and ``C_out == groups``) runs ``_depthwise_conv``, any
+    other ``_dense_conv``. A ``bias`` [C_out] is then added by a tape node of
+    its own, whose backward sums ``g`` over batch and space for the bias and
+    hands ``g`` on to the conv's node as it is.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv: input {x.shape} and weight {w.shape} must both be rank 4")
+    for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ShapeError(f"conv: {name} must be an integer >= {least}, got {value!r}")
     stride = (int(stride),) * 2
     padding = (int(padding),) * 2
-    (B, C_in), (C_out, C_g) = x.shape[:2], w.shape[:2]
+    C_in, (C_out, C_g) = x.shape[1], w.shape[:2]
     if C_in % groups or C_out % groups:
         raise ShapeError(f"conv: groups={groups} does not divide C_in={C_in} / C_out={C_out}")
     if C_g != C_in // groups:
@@ -630,51 +617,68 @@ def conv(x, w, stride=1, padding=0, groups=1, bias=None):
     out_spatial = tuple(map(_conv_out_extent, spatial, kernel, stride, padding))
     if any(n < 1 for n in out_spatial):
         raise ShapeError(f"conv: kernel {kernel} does not fit padded input {spatial} (pad {padding})")
-    column_bytes = B * C_in * math.prod(out_spatial + kernel) * x.data.itemsize
     if C_g == 1 and C_out == groups:
-        return _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes)
+        out = _depthwise_conv(x, w, stride, padding, out_spatial)
+    else:
+        out = _dense_conv(x, w, stride, padding, groups, out_spatial)
+    if bias is None:
+        return out
 
+    def bwd(nodes, g):
+        out, bias = nodes
+        _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        _accumulate(out, g, owned=True)
+
+    return _make(out.data + bias.data.reshape(1, C_out, 1, 1), (out, bias), bwd)
+
+
+def _dense_conv(x, w, stride, padding, groups, out_spatial):
+    """``conv`` with more than one channel in or out per group, on this
+    thread only.
+
+    It builds the whole batch's ``[groups, P, C_g * K]`` columns
+    (``_im2col``, one gather along a window index cached per shape) for one
+    grouped matmul. Its tape node keeps no columns: the weight gradient, one
+    grouped matmul against them, rebuilds them from the input's data by the
+    same gather, so with the same bits, and only when the weight needs a
+    gradient. Its input gradient scatters the windows of a matmul back to
+    columns, read as a ``[*out, B, C_in, *kernel]`` view
+    (``_conv_input_grad``).
+    """
+    (B, C_in), (C_out, C_g) = x.shape[:2], w.shape[:2]
     O_g = C_out // groups
+    kernel = w.shape[2:]
     x_data, w_shape = x.data, w.data.shape
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
     out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x_data, w.data))
-    cols = _im2col(x_data, kernel, stride, padding, out_spatial, groups,
-                   worker=_worker_for(column_bytes, _CONV_THREAD_BYTES))
+    cols = _im2col(x_data, kernel, stride, padding, out_spatial, groups)
     out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2)).reshape((groups, B) + out_spatial + (O_g,))
     out_data.reshape((B, groups, O_g) + out_spatial)[...] = np.moveaxis(out_g, (0, -1), (1, 2))
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, C_out, 1, 1)
 
     def bwd(nodes, g):
-        x, w = nodes[:2]
+        x, w = nodes
         g_flat = np.moveaxis(g.reshape((B, groups, O_g) + out_spatial), (1, 2), (0, -1))
         g_flat = np.ascontiguousarray(g_flat).reshape(groups, -1, O_g)
-        weight_grad = input_grad = None
+        gx = None
         if w is not None:  # the forward's columns, rebuilt by the forward's gather
             gather, cols = _column_gather(x_data, kernel, stride, padding, out_spatial, groups)
-
-            def weight_grad():
-                gather(slice(None))
-                return np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
+            gather(slice(None))
+            gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
         if x is not None:
-            def input_grad():
-                gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
-                # [*out, B, C_in, *kernel], a view unless groups > 1
-                gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + (B, C_in) + kernel)
-                return _conv_input_grad(x_data.shape, lambda offset: gcols[(Ellipsis,) + offset],
-                                        kernel, stride, padding, out_spatial, gcols.dtype)
-        gw, gx = _both(_worker_for(column_bytes, _CONV_THREAD_BYTES), weight_grad, input_grad)
-        if gw is not None:
+            gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
+            # [*out, B, C_in, *kernel], a view unless groups > 1
+            gcols = np.moveaxis(gcols, (0, 1), (3, 2)).reshape(out_spatial + (B, C_in) + kernel)
+            gx = _conv_input_grad(x_data.shape, lambda offset: gcols[(Ellipsis,) + offset],
+                                  kernel, stride, padding, out_spatial, gcols.dtype)
+            del gcols  # the terms go before the accumulations, the columns after them
+        if w is not None:
             _accumulate(w, gw.reshape(w_shape), owned=True)
-        if len(nodes) == 3:  # the bias's node
-            _accumulate(nodes[2], g.sum(axis=(0, 2, 3)))
-        if gx is not None:
-            _accumulate(x, gx, owned=True)
+        _accumulate(x, gx, owned=True)
 
-    return _make(out_data, (x, w) if bias is None else (x, w, bias), bwd)
+    return _make(out_data, (x, w), bwd)
 
 
-def _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes):
+def _depthwise_conv(x, w, stride, padding, out_spatial):
     """``conv`` with one input and one output channel per group.
 
     The forward builds its columns in batch slices near ``_DW_SLICE_BYTES``,
@@ -685,23 +689,23 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes):
     of them). So a slice gives the same bits only if every slice, the whole
     buffer and their halves split at the same block edges: a slice holds a
     multiple of ``_DW_SLICE_ROWS`` rows, else the batch is one slice in a new
-    array. When ``column_bytes``, the size of the whole batch's columns,
-    exceeds ``_CONV_THREAD_BYTES`` and ``_worker_for`` gives a worker (asked
-    here and again when the backward runs), the slices stay those of the
-    serial run: this thread pads each slice's input (``_column_gather``), then the worker
-    gathers the columns of the second half of its channels and runs their
-    gemvs while this thread does the first half, into the one columns
-    region and the one gemv output the serial run uses. A gemv is per
-    channel, so no bit moves, the kept buffer does not grow, and the worker
-    allocates no array. The tape node keeps no columns: the weight
-    gradient rebuilds them in the kept buffer for about ``_DW_SLICE_BYTES``
-    of channels at a time, each over the whole batch, so each channel's gemv
-    is the one that whole-batch columns give; with a ``worker`` it runs
-    there, while this thread computes the input gradient. That needs no
-    matmul: with inner extent 1, each column entry is one rounded product,
-    and the terms are ``g * w[:, 0, offset]``, ``g`` relaid once to ``[*out,
-    B, C]`` and the weights once to ``[*kernel, B, C]``, so both run along
-    B * C.
+    array. This is the one conv that uses the worker thread: when the whole
+    batch's columns exceed ``_CONV_THREAD_BYTES`` and ``_worker_for`` gives a
+    worker (asked here and again when the backward runs), the slices stay
+    those of the serial run: this thread pads each slice's input
+    (``_column_gather``), then the worker gathers the columns of the second
+    half of its channels and runs their gemvs while this thread does the
+    first half, into the one columns region and the one gemv output the
+    serial run uses. A gemv is per channel, so no bit moves, the kept
+    buffer does not grow, and the worker allocates no array. The tape node
+    keeps no columns: the weight gradient rebuilds them in the kept buffer
+    for about ``_DW_SLICE_BYTES`` of channels at a time, each over the whole
+    batch, so each channel's gemv is the one that whole-batch columns give;
+    with a ``worker`` it runs there, while this thread computes the input
+    gradient. That needs no matmul: with inner extent 1, each column entry
+    is one rounded product, and the terms are ``g * w[:, 0, offset]``, ``g``
+    relaid once to ``[*out, B, C]`` and the weights once to ``[*kernel, B,
+    C]``, so both run along B * C.
     """
     B, C = x.shape[0], x.shape[1]
     x_data, w_data = x.data, w.data
@@ -711,6 +715,7 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes):
     w_t = np.swapaxes(w_data.reshape(C, 1, K), 1, 2)  # [C, K, 1]
     clip = C * rows * K  # column entries per clip
     clip_bytes = clip * x_data.itemsize
+    column_bytes = B * clip_bytes  # the whole batch's columns
     unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
     step = B if B % unit else min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
     out_data = np.empty((B, C) + out_spatial, dtype=np.result_type(x_data, w_data))
@@ -735,11 +740,9 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes):
         else:
             channels(0, C)
         out_data[lo:lo + n] = slice_dots.reshape((C, n) + out_spatial).swapaxes(0, 1)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, C, 1, 1)
 
     def bwd(nodes, g):
-        x, w = nodes[:2]
+        x, w = nodes
         weight_grad = input_grad = None
         if w is not None:
             g_rows = np.empty((C, B) + out_spatial, dtype=g.dtype)
@@ -769,12 +772,10 @@ def _depthwise_conv(x, w, stride, padding, out_spatial, bias, column_bytes):
         gw, gx = _both(_worker_for(column_bytes, _CONV_THREAD_BYTES), weight_grad, input_grad)
         if gw is not None:
             _accumulate(w, gw.reshape(w_data.shape), owned=True)
-        if len(nodes) == 3:  # the bias's node
-            _accumulate(nodes[2], g.sum(axis=(0, 2, 3)))
         if gx is not None:
             _accumulate(x, gx, owned=True)
 
-    return _make(out_data, (x, w) if bias is None else (x, w, bias), bwd)
+    return _make(out_data, (x, w), bwd)
 
 
 def _conv_input_grad(shape, term_at, kernel, stride, padding, out_spatial, dtype):
@@ -810,23 +811,17 @@ def _dw_buffer(nbytes, dtype):
     return _dw_columns[:nbytes].view(dtype)
 
 
-def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None, worker=None):
+def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None):
     """[B, C, *spatial] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
 
     Row ``p`` of group ``g`` holds the window at output position ``p`` of that
     group's channels, channel-major then kernel order: the layout the grouped
     matmul reads. The columns go into ``out`` (a flat C-contiguous array of
     the right size and dtype) when it is given, else into a new array, by
-    the gather of ``_column_gather``. With a ``worker`` it gathers the
-    columns of the second half of the (group, clip) pairs while this thread
-    gathers the first half.
+    the gather of ``_column_gather``, on this thread.
     """
     gather, cols = _column_gather(x, kernel, stride, padding, out_spatial, groups, out)
-    if worker is None:
-        gather(slice(None))
-    else:
-        half = groups * x.shape[0] // 2
-        _both(worker, lambda: gather(slice(half, None)), lambda: gather(slice(half)))
+    gather(slice(None))
     return cols
 
 

@@ -53,10 +53,14 @@ class ModelConfig:
             raise ValueError("3 or 4 stages supported")
         if any(d < 1 for d in self.stage_depths):
             raise ValueError("all stage depths must be >= 1")
-        if self.time_steps < 1:
-            raise ValueError("time_steps must be >= 1")
-        if self.pe_stride < 1:
-            raise ValueError("pe_stride must be >= 1")
+        if any(c < 1 for c in self.channels):
+            raise ValueError("all channels must be >= 1")
+        for name in ("time_steps", "in_channels", "num_classes", "in_height", "in_width",
+                     "pe_kernel", "pe_stride", "dw_kernel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.pe_padding < 0:
+            raise ValueError("pe_padding must be >= 0")
         if self.mlp_ratio < 1:
             raise ValueError("mlp_ratio must be >= 1")
         if self.attn_scale <= 0:
@@ -67,6 +71,8 @@ class ModelConfig:
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
         if len(self.stage_depths) == 3 and self.use_local_pathway:
             raise ValueError("the 3-stage layout has no local pathway")
+        if min(self.spatial_after(self.num_stages)) < 1:
+            raise ValueError("input extent too small for the configured strides")
 
     @property
     def num_stages(self):
@@ -156,10 +162,7 @@ class VideoSpikeNet(Module):
             # taps the third patch-embedding output (stage index 2)
             self.local_pathway = LocalPathway(cfg, cfg.channels[2], final_c, rng)
             head_c = 2 * final_c
-        h_out, w_out = cfg.spatial_after(cfg.num_stages)
-        if h_out < 1 or w_out < 1:
-            raise ValueError("input extent too small for the configured strides")
-        self.head = ClassificationHead(cfg, head_c, h_out, w_out, rng)
+        self.head = ClassificationHead(cfg, head_c, *cfg.spatial_after(cfg.num_stages), rng)
 
     def spiking_layers(self):
         return [(name, m) for name, m in self.modules() if isinstance(m, SpikingLayer)]

@@ -165,6 +165,43 @@ class TestConv:
         with pytest.raises(ad.ShapeError):
             ad.conv(t(np.ones((1, 3, 4, 4))), t(np.ones((2, 3, 3, 3))), groups=2)
 
+    @pytest.mark.parametrize("bad", [dict(stride=0), dict(stride=-1), dict(stride=1.7),
+                                     dict(stride=2.0), dict(padding=-1), dict(padding=0.5)],
+                             ids=lambda d: "{}={}".format(*next(iter(d.items()))))
+    @pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
+    def test_bad_stride_or_padding_raises(self, bad, groups):
+        x, w = t(np.ones((1, 3, 6, 6))), t(np.ones((3, 3 // groups, 3, 3)))
+        with pytest.raises(ad.ShapeError, match=next(iter(bad))):
+            ad.conv(x, w, groups=groups, **bad)
+
+    def test_numpy_integer_stride_and_padding_are_ints(self):
+        rng = make_rng(14)
+        x, w = t(rng.standard_normal((1, 2, 7, 7))), t(rng.standard_normal((3, 2, 3, 3)))
+        got = ad.conv(x, w, stride=np.int64(2), padding=np.int32(1)).data
+        assert got.tobytes() == ad.conv(x, w, stride=2, padding=1).data.tobytes()
+
+    @pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
+    def test_bias_is_one_node_of_its_own(self, groups):
+        """Its parents are the conv's node and the bias; its backward sums
+        ``g`` over batch and space for the bias and hands ``g`` itself to
+        the conv's node."""
+        rng = make_rng(15)
+        x, w = t(rng.standard_normal((2, 3, 5, 5))), t(rng.standard_normal((3, 3 // groups, 3, 3)))
+        b = t(rng.standard_normal(3))
+        out = ad.conv(x, w, padding=1, groups=groups, bias=b)
+        plain = ad.conv(x, w, padding=1, groups=groups)
+        assert out.data.tobytes() == (plain.data + b.data.reshape(1, 3, 1, 1)).tobytes()
+        conv_node, bias = out._node._parents
+        assert bias is b and [p is q for p, q in zip(conv_node._parents, (x, w))] == [True] * 2
+        g = rng.standard_normal(out.shape)
+        out._node._backward(g)
+        assert conv_node.grad is g and b.grad.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+        with ad.no_grad():
+            assert ad.conv(x, w, padding=1, groups=groups, bias=b)._node is None
+        frozen = ad.conv(t(x.data, grad=False), t(w.data, grad=False), padding=1,
+                         groups=groups, bias=b)  # only the bias needs a gradient
+        assert len(frozen._node._parents) == 1 and frozen._node._parents[0] is b
+
 
 def block_diagonal(w):
     """The depthwise weight [C, 1, *k] as a dense [C, C, *k] conv weight."""
@@ -969,15 +1006,21 @@ def conv_keeping_columns(x, w, stride, padding, groups, bias, upstream):
     return out + bias.reshape(1, C_out, 1, 1), gx, gw, upstream.sum(axis=(0, 2, 3))
 
 
-def _held_arrays(out, *parents):
+def _conv_node(out, bias):
+    """The conv's own tape node behind ``out``: with a ``bias``, the first
+    parent of the bias's node."""
+    return out._node._parents[0] if bias is not None else out._node
+
+
+def _held_arrays(out, *parents, node=None):
     """The arrays of at least the first parent's size that the backward
-    closure of ``out``'s node holds, other than its parents' and its
-    output's data. The node's backward binds the parents' nodes, which hold
-    no array, to that closure."""
+    closure of ``node`` (by default ``out``'s node) holds, other than its
+    parents' and its output's data. The node's backward binds the parents'
+    nodes, which hold no array, to that closure."""
     own = [p.data for p in parents] + [out.data]
     size = parents[0].data.size
     held = []
-    for cell in out._node._backward.func.__closure__ or ():
+    for cell in (node or out._node)._backward.func.__closure__ or ():
         try:
             value = cell.cell_contents
         except ValueError:  # a name the forward never bound
@@ -1030,7 +1073,8 @@ class TestLeanTape:
         x, w = t(rng.standard_normal(x_shape)), t(rng.standard_normal((C, 1) + kernel))
         b = t(np.ones(C)) if bias else None
         out = ad.conv(x, w, stride=stride, padding=padding, groups=C, bias=b)
-        assert out._node is not None and _held_arrays(out, x, w, *[b] * bias) == []
+        node = _conv_node(out, b)
+        assert node is not None and _held_arrays(out, x, w, *[b] * bias, node=node) == []
 
     @pytest.mark.parametrize("kind", ["LIF", "PLIF"])
     @pytest.mark.parametrize("v_reset", [0.0, 0.3])
@@ -1091,11 +1135,14 @@ class TestLeanTape:
         x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
         b_t = ad.Tensor(b, requires_grad=True) if bias else None
         out = ad.conv(x_t, w_t, stride=stride, padding=padding, groups=groups, bias=b_t)
-        assert out._node is not None and _held_arrays(out, x_t, w_t, *[b_t] * bias) == []
+        node = _conv_node(out, b_t)
+        assert node is not None and _held_arrays(out, x_t, w_t, *[b_t] * bias, node=node) == []
         upstream = rng.standard_normal(out.shape).astype(dtype)
         ref = conv_keeping_columns(x, w, stride, padding, groups, b if bias else None,
                                    upstream)
         out._node._backward(upstream.copy())
+        if bias:  # the bias's node has handed the upstream gradient on to the conv's
+            node._backward(node.grad)
         got = (out.data, x_t.grad, w_t.grad) + ((b_t.grad,) if bias else ())
         assert len(got) == len(ref)
         for name, mine, theirs in zip(("out", "x", "w", "bias"), got, ref):
@@ -1214,6 +1261,8 @@ WORKER_CASES = {  # x shape, w shape, stride, padding, groups
     "depthwise_stride1_oddB": ((7, 8, 16, 16), (8, 1, 5, 5), 1, 2, 8),
     "depthwise_stride2": ((5, 8, 16, 16), (8, 1, 5, 5), 2, 2, 8),
     "depthwise_unaligned_rows": ((7, 4, 9, 11), (4, 1, 5, 5), 1, 2, 4),
+}
+SERIAL_CASES = {  # dense and grouped convs, which run on the calling thread only
     "dense_3x3_stride2": ((9, 16, 16, 16), (32, 16, 3, 3), 2, 1, 1),
     "dense_1x1": ((5, 8, 6, 6), (12, 8, 1, 1), 1, 0, 1),
     "grouped_3x3": ((5, 8, 9, 7), (6, 4, 3, 3), 1, 1, 2),
@@ -1232,7 +1281,7 @@ def _conv_arrays(case, bias, dtype, seed=60, before_backward=None):
     """Output, input, weight (and bias) gradients of a taped conv, then the
     output of the same conv without a tape; ``before_backward``, if given,
     runs between the taped forward and its backward."""
-    x_shape, w_shape, stride, padding, groups = WORKER_CASES[case]
+    x_shape, w_shape, stride, padding, groups = {**WORKER_CASES, **SERIAL_CASES}[case]
     rng = make_rng(seed)
     x, w, b = (rng.standard_normal(s).astype(dtype) for s in (x_shape, w_shape, w_shape[:1]))
     x_t, w_t = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
@@ -1249,8 +1298,9 @@ def _conv_arrays(case, bias, dtype, seed=60, before_backward=None):
 
 
 class TestConvWorker:
-    """A conv above ``_CONV_THREAD_BYTES`` of columns hands independent work to
-    one worker thread, and every array keeps the bytes of the serial run."""
+    """A depthwise conv above ``_CONV_THREAD_BYTES`` of columns hands
+    independent work to one worker thread, and every array keeps the bytes
+    of the serial run. A dense or grouped conv runs on the calling thread."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", [False, True])
@@ -1286,9 +1336,30 @@ class TestConvWorker:
         monkeypatch.setattr(ad, "_make", on_main(make))
         monkeypatch.setattr(ad, "_accumulate", on_main(accumulate))
         monkeypatch.setattr(ad.np, "take", gather)
-        for case in ("depthwise_stride1_oddB", "dense_3x3_stride2", "grouped_3x3"):
+        for case in WORKER_CASES:
             _conv_arrays(case, True, np.float32)
         assert len(threads) == 2  # the worker gathered columns too
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("case", list(SERIAL_CASES))
+    def test_dense_and_grouped_convs_stay_on_this_thread(self, monkeypatch, case, bias, dtype):
+        """With the floor at 0 on two CPUs, a dense or grouped conv makes no
+        worker, gathers its columns on the calling thread only, and keeps
+        the bytes of the serial run."""
+        serial = _conv_arrays(case, bias, dtype)
+        _conv_worker_on(monkeypatch)
+        take, threads = np.take, set()
+
+        def gather(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(ad.np, "take", gather)
+        got = _conv_arrays(case, bias, dtype)
+        assert ad._worker is None and threads == {threading.main_thread()}
+        for mine, ref in zip(got, serial):
+            assert mine.dtype == ref.dtype == dtype and mine.tobytes() == ref.tobytes()
 
     def test_worker_exception_reaches_caller_after_its_half(self, monkeypatch):
         _conv_worker_on(monkeypatch)
@@ -1342,7 +1413,49 @@ class TestConvWorker:
             model(ad.tensor(clip))
         assert ad._worker is None and set(threading.enumerate()) <= threads
 
-    @pytest.mark.parametrize("case", ["depthwise_stride1_oddB", "dense_3x3_stride2"])
+    def test_train_b16_step_gives_the_worker_only_the_two_5x5_stage_convs(self, monkeypatch):
+        """One train step of the default model at B=16, T=8 on two CPUs: the
+        5x5 depthwise convs of the two local-feature stages (52 and 26 MB of
+        columns) take the worker in their forward and backward; the local
+        pathway's depthwise conv (2.5 MB) does not, and no dense conv asks."""
+        from spikevid.layers import Conv
+        from spikevid.model import ModelConfig, VideoSpikeNet
+        from spikevid.training import cross_entropy
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "_worker", None)
+        worker_for, asks, forward = ad._worker_for, [], {}
+
+        def spy(nbytes, floor):
+            worker = worker_for(nbytes, floor)
+            if floor == ad._CONV_THREAD_BYTES:
+                asks.append(worker is not None)
+            return worker
+
+        def record(name):
+            def hook(module, args, output):  # the asks of this conv's forward
+                forward[name] = asks[:]
+                asks.clear()
+            return hook
+
+        monkeypatch.setattr(ad, "_worker_for", spy)
+        model = VideoSpikeNet(ModelConfig(), seed=0)
+        model.train()
+        convs = [(name, m) for name, m in model.modules() if isinstance(m, Conv)]
+        for name, m in convs:
+            m.register_forward_hook(record(name))
+        cfg = model.cfg
+        rng = make_rng(62)
+        clip = rng.random((cfg.time_steps, 16, cfg.in_channels, cfg.in_height,
+                           cfg.in_width)).astype(np.float32)
+        loss = cross_entropy(model(ad.tensor(clip)), rng.integers(0, cfg.num_classes, 16))
+        threaded = {"stages.0.0.dw": [True], "stages.1.0.dw": [True],
+                    "local_pathway.dw": [False]}
+        assert forward == {name: threaded.get(name, []) for name, _ in convs} and asks == []
+        ad.backward(loss)
+        assert sorted(asks) == [False, True, True]  # one ask per depthwise backward
+
+    @pytest.mark.parametrize("case", ["depthwise_stride1_oddB", "depthwise_stride2"])
     def test_backward_takes_its_worker_when_it_runs(self, monkeypatch, case):
         """The forward's worker is gone by the backward, as in a child forked
         in between: ``register_at_fork`` forgets it, and its executor takes
@@ -1362,7 +1475,7 @@ class TestConvWorker:
         for mine, ref in zip(threaded, serial):
             assert mine.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("case", ["depthwise_stride1_oddB", "dense_3x3_stride2"])
+    @pytest.mark.parametrize("case", ["depthwise_stride1_oddB", "depthwise_stride2"])
     def test_one_cpu_makes_no_worker(self, monkeypatch, case):
         serial = _conv_arrays(case, True, np.float32)
         _conv_worker_on(monkeypatch, cpus=1)

@@ -1,16 +1,19 @@
 """Configuration plumbing, command behavior, and exit codes."""
 
 import csv
+import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 import yaml
 
 from spikevid import autodiff as ad
-from spikevid import cli
+from spikevid import cli, container
 from spikevid import data as data_mod
+from spikevid import model as model_mod
 from spikevid.data import gen_moving_patterns, save_dataset
 from spikevid.layers import BatchNorm
 from spikevid.model import (ModelConfig, VideoSpikeNet, load_checkpoint, save_checkpoint,
@@ -393,6 +396,27 @@ class TestExitCodes:
         code = run_cli(tmp_path, "eval", "--set", f"model.checkpoint={ckpt}", *FAST)
         assert code == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"channels": [16, 0, 48, 64]}, {"pe_padding": -1}],
+                             ids=lambda d: next(iter(d)))
+    def test_checkpoint_config_out_of_range_is_data_error(self, tmp_path, capsys, change):
+        """A checkpoint whose frame, CRC and config digest are valid but whose
+        config holds an out-of-range extent is refused while it is read."""
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(VideoSpikeNet(ModelConfig(), seed=0), ckpt)
+        body = ckpt.read_bytes()[len(model_mod._MAGIC) + 4:-4]  # after the version, before the CRC
+        (cfg_len,) = struct.unpack("<I", body[:4])
+        cfg = json.loads(body[4:4 + cfg_len])
+        cfg.update(change)
+        cfg_json = json.dumps(cfg, sort_keys=True).encode()
+        digest = hashlib.sha256(cfg_json).hexdigest().encode()  # ModelConfig.digest's
+        rest = body[4 + cfg_len + len(digest):]
+        container.write(ckpt, model_mod._MAGIC, model_mod._VERSION,
+                        struct.pack("<I", len(cfg_json)) + cfg_json + digest + rest)
+        code = run_cli(tmp_path, "eval", "--set", f"model.checkpoint={ckpt}", *FAST)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and next(iter(change)) in err
 
     def test_out_of_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
         def oversized(cfg, out_dir):  # no real allocation is attempted

@@ -59,6 +59,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=next(iter(bad))):
             ModelConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [dict(channels=(16, 0, 48, 64)), dict(in_channels=0),
+                                     dict(num_classes=0), dict(in_height=0), dict(in_width=0),
+                                     dict(pe_kernel=0), dict(pe_padding=-1),
+                                     dict(dw_kernel=-1)], ids=lambda d: next(iter(d)))
+    def test_extent_bounds(self, bad):
+        # a checkpoint's config is checked here too, while the file is read
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModelConfig(**bad)
+
+    def test_input_extent_too_small_is_a_config_error(self):
+        # 4 -> 1 -> 0 rows after two unpadded stride-2 3x3 patch embeddings
+        with pytest.raises(ValueError, match="input extent too small"):
+            ModelConfig(in_height=4, pe_padding=0)
+
     def test_spatial_after_strided_stages(self):
         cfg = tiny_config()
         assert cfg.spatial_after(1) == (8, 8)

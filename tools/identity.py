@@ -26,12 +26,13 @@ and saves every array it produces:
   over the branches its backward replays (LIF and PLIF, ``v_reset`` 0.3 and
   -0.0, ``smooth``, ``detach_reset``, and a float32 input under a float64
   leak), once small and once above 1 MB with an odd batch, so that a
-  two-thread run splits it into unequal halves; grouped dense convs whose
-  weight and bias take a gradient; and ``batch_norm`` in train and eval mode
-  over a 2.2 MB map ``[T, B, C, H, W]`` (statistics per time step) and 1.1 MB
-  of tokens ``[T, B, N, C]`` (permuted after it, so that its gradient arrives
-  transposed), with gradients for the input, gamma and beta; the outputs,
-  statistics and every gradient.
+  two-thread run splits it into unequal halves; grouped dense convs and
+  5x5 depthwise convs (stride 1 and 2, an odd batch above the conv thread
+  floor) whose weight and bias take a gradient; and ``batch_norm`` in train
+  and eval mode over a 2.2 MB map ``[T, B, C, H, W]`` (statistics per time
+  step) and 1.1 MB of tokens ``[T, B, N, C]`` (permuted after it, so that
+  its gradient arrives transposed), with gradients for the input, gamma and
+  beta; the outputs, statistics and every gradient.
 
 ``compare`` prints each key whose dtype, shape or bytes differ between two
 dumps, or that only one of them holds, and exits 1 if there is any. Run both
@@ -218,6 +219,12 @@ GROUPED_CONV_CASES = {
     "stride2": ((4, 6, 9, 9), (8, 3, 3, 3), 2, 1, 2),
     "stride1": ((4, 8, 6, 6), (8, 2, 3, 3), 1, 1, 4),
 }
+# depthwise 5x5 convs of an odd batch whose float32 columns (8.4 MB) exceed
+# the conv thread floor, so that a two-CPU run splits their channels
+DEPTHWISE_CONV_CASES = {
+    "stride1": ((41, 8, 16, 16), (8, 1, 5, 5), 1, 2, 8),
+    "stride2": ((41, 32, 16, 16), (32, 1, 5, 5), 2, 2, 32),
+}
 
 
 def taped_run():
@@ -253,13 +260,15 @@ def taped_run():
             out[f"batch_norm/{name}_{mode}"] = {
                 "output": y.data, "mean": mean, "var": var, "input_grad": x.grad,
                 "gamma_grad": gamma.grad, "beta_grad": beta.grad}
-    for name, (x_shape, w_shape, stride, padding, groups) in GROUPED_CONV_CASES.items():
-        x, w, b = (ad.tensor(rng.standard_normal(shape), requires_grad=True)
-                   for shape in (x_shape, w_shape, w_shape[:1]))
-        y = ad.conv(x, w, stride=stride, padding=padding, groups=groups, bias=b)
-        ad.backward(ad.reduce_sum(ad.mul(y, ad.tensor(rng.standard_normal(y.shape)))))
-        out[f"grouped_conv/{name}"] = {"output": y.data, "input_grad": x.grad,
-                                       "weight_grad": w.grad, "bias_grad": b.grad}
+    for kind, cases in (("grouped_conv", GROUPED_CONV_CASES),
+                        ("depthwise_conv", DEPTHWISE_CONV_CASES)):
+        for name, (x_shape, w_shape, stride, padding, groups) in cases.items():
+            x, w, b = (ad.tensor(rng.standard_normal(shape), requires_grad=True)
+                       for shape in (x_shape, w_shape, w_shape[:1]))
+            y = ad.conv(x, w, stride=stride, padding=padding, groups=groups, bias=b)
+            ad.backward(ad.reduce_sum(ad.mul(y, ad.tensor(rng.standard_normal(y.shape)))))
+            out[f"{kind}/{name}"] = {"output": y.data, "input_grad": x.grad,
+                                     "weight_grad": w.grad, "bias_grad": b.grad}
     return out
 
 
