@@ -179,18 +179,18 @@ class Tensor:
 class _Node:
     """One primitive application on the tape: the nodes of its parents that
     need a gradient (``_parents``), its backward closure, the gradient that
-    reaches it, and the shape and dtype of its output, which ``_accumulate``
-    needs. It holds no array. Made only by ``_make``."""
+    reaches it, and the shape of its output and the dtype of that gradient,
+    which ``_accumulate`` needs. It holds no array. Made only by ``_make``."""
 
     __slots__ = ("_parents", "_backward", "grad", "shape", "dtype", "__weakref__")
     requires_grad = True
 
-    def __init__(self, parents, backward_fn, data):
+    def __init__(self, parents, backward_fn, shape, dtype):
         self._parents = parents
         self._backward = backward_fn
         self.grad = None
-        self.shape = data.shape
-        self.dtype = data.dtype
+        self.shape = shape
+        self.dtype = dtype
 
 
 def tensor(data, requires_grad=False):
@@ -209,14 +209,37 @@ def _make(data, parents, backward_fn):
     ``parents`` in order (None for one that needs no gradient) and this
     output's gradient ``g``; it captures only the arrays that it reads,
     never a Tensor, so that nothing on the tape keeps ``data`` alive unless
-    a backward reads it."""
+    a backward reads it. No gradient is bool: the node's gradient dtype is
+    that of ``data``, or for bool ``data`` the result type of its parents'
+    gradient dtypes: for spikes, the membrane's (input and leak), and for a
+    reshape or permute of them, the spikes' own."""
     if not _tracks(parents):
         return Tensor(data)
     nodes = tuple(p if p._node is None and p.requires_grad else p._node for p in parents)
+    grad_dtype = data.dtype
+    if grad_dtype == np.bool_:
+        grad_dtype = np.result_type(*(p.dtype if p._node is None else p._node.dtype
+                                      for p in parents))
     out = Tensor(data, requires_grad=True)
     out._node = _Node(tuple(n for n in nodes if n is not None),
-                      functools.partial(backward_fn, nodes), data)
+                      functools.partial(backward_fn, nodes), data.shape, grad_dtype)
     return out
+
+
+def _float_dtype(a, partner):
+    """The float dtype in which an op reads array ``a``: its own, or for bool
+    spikes that of the op's other operand ``partner`` (the current precision
+    if that is bool too). 0 and 1 cast exactly, so a spike array cast there
+    holds the values that a float spike array of that dtype held."""
+    if a.dtype != np.bool_:
+        return a.dtype
+    return partner.dtype if partner.dtype != np.bool_ else np.dtype(_DTYPE)
+
+
+def _floats(a, partner):
+    """``a`` in its float dtype (``_float_dtype``): bool spikes are cast to a
+    new array laid out as they are, any other array is ``a`` itself."""
+    return a if a.dtype != np.bool_ else a.astype(_float_dtype(a, partner))
 
 
 def _unbroadcast(grad, shape):
@@ -472,18 +495,21 @@ def matmul(a, b):
         raise ShapeError(f"matmul: operands must be at least rank 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents disagree, {a.shape} x {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul: batch extents disagree, {a.shape} x {b.shape}") from None
-    a_data, b_data = a.data, b.data
+    if min(a.ndim, b.ndim) > 2 and a.shape[:-2] != b.shape[:-2]:  # else they broadcast
+        try:
+            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        except ValueError:
+            raise ShapeError(f"matmul: batch extents disagree, {a.shape} x {b.shape}") from None
+    a_data, b_data = a.data, b.data  # a bool (spike) operand is cast where it is read
 
     def bwd(nodes, g):
         a, b = nodes
-        _accumulate(a, np.matmul(g, np.swapaxes(b_data, -1, -2)), owned=True)
-        _accumulate(b, np.matmul(np.swapaxes(a_data, -1, -2), g), owned=True)
+        if a is not None:
+            _accumulate(a, np.matmul(g, np.swapaxes(_floats(b_data, a_data), -1, -2)), owned=True)
+        if b is not None:
+            _accumulate(b, np.matmul(np.swapaxes(_floats(a_data, b_data), -1, -2), g), owned=True)
 
-    return _make(np.matmul(a_data, b_data), (a, b), bwd)
+    return _make(np.matmul(_floats(a_data, b_data), _floats(b_data, a_data)), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -637,21 +663,23 @@ def _dense_conv(x, w, stride, padding, groups, out_spatial):
     thread only.
 
     It builds the whole batch's ``[groups, P, C_g * K]`` columns
-    (``_im2col``, one gather along a window index cached per shape) for one
-    grouped matmul. Its tape node keeps no columns: the weight gradient, one
-    grouped matmul against them, rebuilds them from the input's data by the
-    same gather, so with the same bits, and only when the weight needs a
-    gradient. Its input gradient scatters the windows of a matmul back to
-    columns, read as a ``[*out, B, C_in, *kernel]`` view
-    (``_conv_input_grad``).
+    (``_im2col``, one gather along a window index cached per shape; for
+    bool spikes, in the weight's dtype) for one grouped matmul. Its tape
+    node keeps the input's data (spikes as bytes) and no columns: the
+    weight gradient, one grouped matmul against them, rebuilds them from
+    the input's data by the same gather, so with the same bits, and only
+    when the weight needs a gradient. Its input gradient scatters the
+    windows of a matmul back to columns, read as a ``[*out, B, C_in,
+    *kernel]`` view (``_conv_input_grad``).
     """
     (B, C_in), (C_out, C_g) = x.shape[:2], w.shape[:2]
     O_g = C_out // groups
     kernel = w.shape[2:]
     x_data, w_shape = x.data, w.data.shape
+    x_dtype = _float_dtype(x_data, w.data)  # the columns' dtype
     w_g = w.data.reshape(groups, O_g, -1)  # [g, Og, CgK]
-    out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x_data, w.data))
-    cols = _im2col(x_data, kernel, stride, padding, out_spatial, groups)
+    out_data = np.empty((B, C_out) + out_spatial, dtype=np.result_type(x_dtype, w.data))
+    cols = _im2col(x_data, kernel, stride, padding, out_spatial, groups, dtype=x_dtype)
     out_g = np.matmul(cols, np.swapaxes(w_g, 1, 2)).reshape((groups, B) + out_spatial + (O_g,))
     out_data.reshape((B, groups, O_g) + out_spatial)[...] = np.moveaxis(out_g, (0, -1), (1, 2))
 
@@ -661,8 +689,7 @@ def _dense_conv(x, w, stride, padding, groups, out_spatial):
         g_flat = np.ascontiguousarray(g_flat).reshape(groups, -1, O_g)
         gx = None
         if w is not None:  # the forward's columns, rebuilt by the forward's gather
-            gather, cols = _column_gather(x_data, kernel, stride, padding, out_spatial, groups)
-            gather(slice(None))
+            cols = _im2col(x_data, kernel, stride, padding, out_spatial, groups, dtype=x_dtype)
             gw = np.matmul(np.swapaxes(g_flat, 1, 2), cols)  # [g, Og, CgK]
         if x is not None:
             gcols = np.matmul(g_flat, w_g).reshape((groups, B) + out_spatial + (C_g,) + kernel)
@@ -697,10 +724,13 @@ def _depthwise_conv(x, w, stride, padding, out_spatial):
     half of its channels and runs their gemvs while this thread does the
     first half, into the one columns region and the one gemv output the
     serial run uses. A gemv is per channel, so no bit moves, the kept
-    buffer does not grow, and the worker allocates no array. The tape node
-    keeps no columns: the weight gradient rebuilds them in the kept buffer
-    for about ``_DW_SLICE_BYTES`` of channels at a time, each over the whole
-    batch, so each channel's gemv is the one that whole-batch columns give;
+    buffer does not grow, and the worker allocates no array. Columns of bool
+    spikes are in the weight's dtype, cast as the padded input is written
+    (``_column_gather``), and every size above counts their bytes. The tape
+    node keeps the input's data (spikes as bytes) and no columns: the weight
+    gradient rebuilds them in the kept buffer for about ``_DW_SLICE_BYTES``
+    of channels at a time, each over the whole batch, so each channel's gemv
+    is the one that whole-batch columns give;
     with a ``worker`` it runs there, while this thread computes the input
     gradient. That needs no matmul: with inner extent 1, each column entry
     is one rounded product, and the terms are ``g * w[:, 0, offset]``, ``g``
@@ -709,20 +739,21 @@ def _depthwise_conv(x, w, stride, padding, out_spatial):
     """
     B, C = x.shape[0], x.shape[1]
     x_data, w_data = x.data, w.data
+    x_dtype = _float_dtype(x_data, w_data)  # the columns' dtype
     kernel = w.shape[2:]
     rows = math.prod(out_spatial)  # column rows per clip
     K = math.prod(kernel)
     w_t = np.swapaxes(w_data.reshape(C, 1, K), 1, 2)  # [C, K, 1]
     clip = C * rows * K  # column entries per clip
-    clip_bytes = clip * x_data.itemsize
+    clip_bytes = clip * x_dtype.itemsize
     column_bytes = B * clip_bytes  # the whole batch's columns
     unit = _DW_SLICE_ROWS // math.gcd(_DW_SLICE_ROWS, rows)  # clips per aligned row block
     step = B if B % unit else min(B, max(unit, _DW_SLICE_BYTES // clip_bytes // unit * unit))
-    out_data = np.empty((B, C) + out_spatial, dtype=np.result_type(x_data, w_data))
+    out_data = np.empty((B, C) + out_spatial, dtype=np.result_type(x_dtype, w_data))
 
     # a slice's [C, clips * rows, K] columns go into the kept buffer, or a new array
-    buffer = (np.empty(B * clip, x_data.dtype) if B % unit
-              else _dw_buffer(step * clip_bytes, x_data.dtype))
+    buffer = (np.empty(B * clip, x_dtype) if B % unit
+              else _dw_buffer(step * clip_bytes, x_dtype))
     dots = np.empty(C * step * rows, dtype=out_data.dtype)  # a slice's [C, clips * rows, 1] gemvs
     worker = _worker_for(column_bytes, _CONV_THREAD_BYTES)
     for lo in range(0, B, step):
@@ -746,10 +777,10 @@ def _depthwise_conv(x, w, stride, padding, out_spatial):
         weight_grad = input_grad = None
         if w is not None:
             g_rows = np.empty((C, B) + out_spatial, dtype=g.dtype)
-            gw = np.empty((C, 1, K), dtype=np.result_type(g, x_data))
+            gw = np.empty((C, 1, K), dtype=np.result_type(g, x_dtype))
             channel = B * rows * K  # column entries per channel
-            chunk = max(1, _DW_SLICE_BYTES // (channel * x_data.itemsize))
-            buffer = _dw_buffer(min(chunk, C) * channel * x_data.itemsize, x_data.dtype)
+            chunk = max(1, _DW_SLICE_BYTES // (channel * x_dtype.itemsize))
+            buffer = _dw_buffer(min(chunk, C) * channel * x_dtype.itemsize, x_dtype)
 
             def weight_grad():
                 g_rows[...] = np.moveaxis(g, 1, 0)
@@ -811,34 +842,41 @@ def _dw_buffer(nbytes, dtype):
     return _dw_columns[:nbytes].view(dtype)
 
 
-def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None):
+def _im2col(x, kernel, stride, padding, out_spatial, groups, out=None, dtype=None):
     """[B, C, *spatial] -> [groups, B * prod(out), (C // groups) * prod(kernel)].
 
     Row ``p`` of group ``g`` holds the window at output position ``p`` of that
     group's channels, channel-major then kernel order: the layout the grouped
     matmul reads. The columns go into ``out`` (a flat C-contiguous array of
-    the right size and dtype) when it is given, else into a new array, by
-    the gather of ``_column_gather``, on this thread.
+    the right size and dtype) when it is given, else into a new array of
+    ``dtype`` (by default ``x``'s), by the gather of ``_column_gather``, on
+    this thread.
     """
-    gather, cols = _column_gather(x, kernel, stride, padding, out_spatial, groups, out)
+    gather, cols = _column_gather(x, kernel, stride, padding, out_spatial, groups, out, dtype)
     gather(slice(None))
     return cols
 
 
-def _column_gather(x, kernel, stride, padding, out_spatial, groups, out=None):
+def _column_gather(x, kernel, stride, padding, out_spatial, groups, out=None, dtype=None):
     """``(gather, columns)``: ``_im2col``'s columns, not yet filled, and
     ``gather(rows)``, which fills the columns of a slice ``rows`` of the
     (group, clip) pairs. The zero-padded input is written here, once, as a
     ``[groups * B, C_g * prod(padded)]`` source, and ``np.take`` gathers each
     pair's rows from it along the window index of ``_window_index``. So the
     source and the columns are made on this thread, whichever thread
-    gathers."""
+    gathers. The columns take the dtype of ``out``, else ``dtype``, else
+    ``x``'s; an ``x`` of another dtype (bool spikes) is cast as the source
+    is written, which an unpadded, ungrouped ``x`` then needs for itself."""
     B, C = x.shape[:2]
     C_g = C // groups
     spatial = x.shape[2:]
     padded = tuple(n + 2 * p for n, p in zip(spatial, padding))
-    if any(padding) or groups > 1:
-        src = np.zeros((groups, B, C_g) + padded, dtype=x.dtype)
+    if out is not None:
+        dtype = out.dtype
+    elif dtype is None:
+        dtype = x.dtype
+    if any(padding) or groups > 1 or x.dtype != dtype:
+        src = np.zeros((groups, B, C_g) + padded, dtype=dtype)
         src[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))] = (
             x.reshape((B, groups, C_g) + spatial).swapaxes(0, 1))
     else:
@@ -846,7 +884,7 @@ def _column_gather(x, kernel, stride, padding, out_spatial, groups, out=None):
     src = src.reshape(groups * B, -1)
     index = _window_index(padded, kernel, stride, out_spatial, C_g)  # [prod(out), C_g * K]
     shape = (groups * B,) + index.shape
-    pairs = np.empty(shape, dtype=x.dtype) if out is None else out.reshape(shape)
+    pairs = np.empty(shape, dtype=dtype) if out is None else out.reshape(shape)
 
     def gather(rows):
         # every index is in range, so "wrap" reads what "raise" would, without
@@ -1083,10 +1121,16 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         S_t = Heaviside(H - v_threshold)   (its sigmoid surrogate if ``smooth``)
         V = H * (1 - S_t) + S_t * v_reset
 
-    Returns the spikes [T, *S]. The backward keeps no array besides the
-    input's data and the spikes: with a tape or without, each step's H goes
-    into one step buffer. The backward first replays the membrane loop from
-    X and S by the forward's ops, so with the forward's bits, rebuilding
+    Returns the spikes [T, *S]: bool, one byte each, for Heaviside spikes
+    (the ops that read them cast them to their float dtype, ``_floats``),
+    and in the float dtype of the membrane, ``np.result_type(x, kappa)``,
+    if ``smooth``. The membrane, the step buffers, every backward array and
+    the gradient (the node's dtype, ``_make``) are in that float dtype.
+
+    The backward keeps no array besides the input's data and the spikes:
+    with a tape or without, each step's H goes into one step buffer. The
+    backward first replays the membrane loop from X and S by the forward's
+    ops, so with the forward's bits, rebuilding
     every H_t (and, for the leak gradient, every D_t) into arrays of its
     own. Then one reverse loop over t carries dL/dV; it takes the surrogate
     slopes of the rebuilt H through ``surrogate_slope`` and drops the S -> V
@@ -1112,17 +1156,23 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
 
     vr = dt.type(v_reset)
     one = dt.type(1.0)
-    kappa = dt.type(1.0 / tau) if a is None else _sigmoid(a.data)
-    spikes = np.empty(x.shape, dtype=np.result_type(xs, kappa))
+    if a is None:
+        kappa = dt.type(1.0 / tau)
+    else:  # _sigmoid of the 0-d parameter, by numpy scalar ops: the same bits
+        z = a.data[()]
+        e = np.exp(-abs(z))
+        kappa = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
+    fdt = np.result_type(xs, kappa)
+    spikes = np.empty(x.shape, dtype=fdt if smooth else np.bool_)
     # every op writes into spikes or one of these two step buffers; the widest
     # operand dtype is the buffers', so each result is the one a fresh array
     # would hold
-    scratch = np.empty(shape, dtype=spikes.dtype)
-    v_next = np.empty(shape, dtype=spikes.dtype)
+    scratch = np.empty(shape, dtype=fdt)
+    v_next = np.empty(shape, dtype=fdt)
     v_t = np.full(shape, v_reset, dtype=dt)
-    # with Heaviside spikes and vr = +-0, spikes[t] first holds 1 - S_t, straight
-    # from H < v_threshold (the bits of 1 - S_t for every H but NaN, which
-    # raises below), and one pass after the loop turns it into S_t
+    # with Heaviside spikes and vr = +-0, spikes[t] first holds not S_t, straight
+    # from H < v_threshold (1 - S_t for every H but NaN, which raises below),
+    # and one pass after the loop turns it into S_t
     complement = not (smooth or vr)
     for t in range(T):
         # D = X_t - (V - vr); V - 0 is V bit for bit, so a zero reset skips that op
@@ -1130,7 +1180,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         np.multiply(kappa, h, out=h)
         np.add(v_t, h, out=h)
         if complement:
-            keep = np.less(h, v_threshold, out=spikes[t], casting="unsafe")
+            keep = np.less(h, v_threshold, out=spikes[t])
         else:
             s = _spike_forward(h, v_threshold, alpha, smooth, out=spikes[t])
             keep = np.subtract(one, s, out=v_next)
@@ -1143,7 +1193,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
             np.add(v_next, np.multiply(s, vr, out=scratch), out=v_next)
         v_t = v_next
     if complement:
-        np.subtract(one, spikes, out=spikes)
+        np.logical_not(spikes, out=spikes)
     if not np.isfinite(v_t).all():
         raise FloatingPointError("spiking layer: non-finite membrane (non-finite input or "
                                  "leak parameter, or an overflow)")
@@ -1152,10 +1202,10 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         x, a = nodes if len(nodes) == 2 else (nodes[0], None)
         # every array is made here, before ``part`` runs over all of the
         # batch axis or, on two threads, over each half of it
-        dv_dh = _result(spikes, one)  # dV_t/dH_t along the membrane: the forward's 1 - S_t
-        hs = np.empty_like(spikes)
-        drives = np.empty_like(spikes) if a is not None else None
-        slope, square = np.empty_like(spikes), np.empty_like(spikes)
+        dv_dh = np.empty(xs.shape, fdt)  # dV_t/dH_t along the membrane: the forward's 1 - S_t
+        hs = np.empty(xs.shape, fdt)
+        drives = np.empty(xs.shape, fdt) if a is not None else None
+        slope, square = np.empty(xs.shape, fdt), np.empty(xs.shape, fdt)
         # g * slope goes into the squares' buffer, which nothing reads after
         # the slopes are formed
         g_h = _reuse(square, _result(g, slope))
@@ -1163,7 +1213,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
         # along axis 1 with the [T, B, ...] arrays: the rest state, V_t, D_t
         # and S_t vr, and dL/dV
         rest = np.full((1,) + shape, v_reset, dtype=dt)
-        steps = np.empty((3,) + shape, dtype=spikes.dtype)
+        steps = np.empty((3,) + shape, dtype=fdt)
         g_v = np.empty((1,) + shape, dtype=g_h.dtype)
         leak = one - kappa
 
@@ -1200,7 +1250,7 @@ def lif_sequence(x, a=None, *, tau=2.0, v_threshold=1.0, v_reset=0.0,
                 np.multiply(g_h, drives, out=drives)
             np.multiply(g_h, kappa, out=g_h)
 
-        worker = (_worker_for(spikes.nbytes, _ELEMENTWISE_THREAD_BYTES)
+        worker = (_worker_for(hs.nbytes, _ELEMENTWISE_THREAD_BYTES)
                   if shape and shape[0] > 1 else None)
         _halves(worker, part, xs, spikes, g, dv_dh, hs, drives, slope, square, g_h, rest,
                 steps, g_v)

@@ -60,7 +60,7 @@ class LayerCost:
 
 def _require_binary(arr, what):
     arr = np.asarray(arr)
-    if not np.all((arr == 0) | (arr == 1)):
+    if arr.dtype != np.bool_ and not np.all((arr == 0) | (arr == 1)):
         raise ValueError(f"{what}: operand is not binary")
     return arr
 
@@ -76,7 +76,7 @@ def exact_ac_count_conv(x, kernel, stride, padding, groups, out_channels):
     W]: for each output position, the number of ones in its receptive field.
     """
     x = _require_binary(x, "exact_ac_count_conv")
-    ones = np.ones((groups, x.shape[1] // groups, kernel, kernel), dtype=x.dtype)
+    ones = np.ones((groups, x.shape[1] // groups, kernel, kernel), dtype=ad.current_dtype())
     with ad.no_grad():
         # one output channel per group counts the ones in that group's field
         field_nnz = ad.conv(ad.tensor(x), ad.tensor(ones), stride=stride,
@@ -164,12 +164,15 @@ class Recording:
     def _on_linear(self, layer, args, out):
         stats = self.inputs[layer]
         data = args[0].data
-        # count the zeros of a bool array: count_nonzero takes a slow
-        # per-element path on floats (NaN counts as nonzero, -0.0 as zero)
-        nnz = data.size - int(np.count_nonzero(data == 0))
+        spikes = data.dtype == np.bool_  # binary by its dtype
+        if spikes:
+            nnz = int(np.count_nonzero(data))
+        else:  # count the zeros of a bool array: count_nonzero takes a slow
+            # per-element path on floats (NaN counts as nonzero, -0.0 as zero)
+            nnz = data.size - int(np.count_nonzero(data == 0))
         stats.nnz += nnz
         stats.size += data.size
-        if stats.binary:  # binary iff every nonzero is a 1
+        if stats.binary and not spikes:  # binary iff every nonzero is a 1
             stats.binary = int(np.count_nonzero(data == 1)) == nnz
         stats.out_count += out.data.size
 
@@ -177,12 +180,19 @@ class Recording:
         stats = self.spikes[layer]
         data = out.data
         n = data[0].size
-        sums = data.reshape(len(data), n).sum(axis=1)  # each is s_t.sum()
-        for total in sums.tolist():
+        rows = data.reshape(len(data), n)
+        if data.dtype == np.bool_:
+            # each step's count, which s_t.sum() gave exactly, and the float
+            # dtype of the spikes: the membrane's, from the input and the leak
+            sums = [np.count_nonzero(row) for row in rows]
+            dtype = np.result_type(args[0].data, *(p.data for p in layer.parameters()))
+        else:  # smooth spikes
+            sums, dtype = rows.sum(axis=1).tolist(), data.dtype
+        for total in sums:
             stats.total += total
         stats.count += data.size
-        # s_t.mean(): the float64 quotient of the step sum, in the data's dtype
-        stats.step_rates.extend((sums.astype(np.float64) / n).astype(data.dtype).tolist())
+        # s_t.mean(): the float64 quotient of the step sum, in that dtype
+        stats.step_rates.extend((np.array(sums, np.float64) / n).astype(dtype).tolist())
 
     def _on_kv(self, block, layer, args, out):
         self._kv.setdefault(block, {})[layer] = out.data

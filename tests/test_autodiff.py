@@ -108,6 +108,17 @@ class TestMatmul:
         with pytest.raises(ad.ShapeError):
             ad.matmul(t(np.ones(3)), t(np.ones((3, 2))))
 
+    @pytest.mark.parametrize("a_batch, b_batch, ok", [
+        ((2, 3), (3,), True), ((2, 1), (4,), True), ((5,), (), True), ((), (5,), True),
+        ((2, 3), (2, 3), True), ((2, 3), (2,), False), ((3,), (4,), False)])
+    def test_batch_extents_broadcast_or_raise(self, a_batch, b_batch, ok):
+        a, b = np.ones(a_batch + (3, 4)), np.ones(b_batch + (4, 2))
+        if ok:
+            assert ad.matmul(t(a), t(b)).shape == np.matmul(a, b).shape
+        else:
+            with pytest.raises(ad.ShapeError, match="batch extents"):
+                ad.matmul(t(a), t(b))
+
 
 class TestConv:
     def test_matches_direct_convolution(self):
@@ -1031,6 +1042,44 @@ def _held_arrays(out, *parents, node=None):
     return held
 
 
+def _lif_spikes(seed, consumer, dtype=np.float32):
+    """A LIF layer's input and its bool spikes, with a tape, and a weight for
+    ``consumer`` (None if it reads only spikes)."""
+    rng = make_rng(seed)
+    x_shape, w_shape = SPIKE_CONSUMER_SHAPES[consumer]
+    x = ad.Tensor(rng.normal(0.8, 1.0, x_shape).astype(dtype), requires_grad=True)
+    w = None
+    if w_shape is not None:
+        w = ad.Tensor(rng.standard_normal(w_shape).astype(dtype), requires_grad=True)
+    return x, ad.lif_sequence(x), w
+
+
+def _frames(s):
+    """[T, B, C, H, W] -> [T * B, C, H, W]"""
+    return ad.reshape(s, (s.shape[0] * s.shape[1],) + s.shape[2:])
+
+
+# consumer -> (LIF input shape, weight shape or None)
+SPIKE_CONSUMER_SHAPES = {
+    "matmul": ((4, 3, 10, 12), (12, 7)),
+    "matmul_of_two_spikes": ((4, 3, 10, 12), None),
+    "dense_3x3_stride2": ((3, 2, 4, 9, 7), (5, 4, 3, 3)),
+    "dense_1x1": ((3, 2, 4, 6, 5), (6, 4, 1, 1)),
+    "depthwise_5x5_stride2": ((3, 2, 4, 9, 8), (4, 1, 5, 5)),
+}
+# consumer -> (the operands it reads, from spikes and a weight; the op)
+SPIKE_CONSUMERS = {
+    "matmul": (lambda s, w: (s, w), ad.matmul),
+    # K^T V of spiking attention: both operands are spikes
+    "matmul_of_two_spikes": (lambda s, w: (ad.permute(s, (0, 1, 3, 2)), s), ad.matmul),
+    "dense_3x3_stride2": (lambda s, w: (_frames(s), w),
+                          functools.partial(ad.conv, stride=2, padding=1)),
+    "dense_1x1": (lambda s, w: (_frames(s), w), ad.conv),
+    "depthwise_5x5_stride2": (lambda s, w: (_frames(s), w),
+                              functools.partial(ad.conv, stride=2, padding=2, groups=4)),
+}
+
+
 class TestLeanTape:
     """A tape node keeps only what its backward cannot rebuild from its
     parents' data and its output (bit for bit: TestLayers' chain reference,
@@ -1167,6 +1216,99 @@ class TestLeanTape:
         ad.backward(ad.reduce_sum(out))
         assert len(calls) == 1 + w_grad and x.grad is not None
         assert (w.grad is not None) == w_grad
+
+
+    @pytest.mark.parametrize("consumer", list(SPIKE_CONSUMERS))
+    def test_spike_consumers_keep_the_bool_spikes(self, consumer):
+        """A matmul or conv that reads spikes keeps their bytes for its
+        backward and no float copy of them, and so does the LIF node."""
+        x, s, w = _lif_spikes(59, consumer)
+        prepare, op = SPIKE_CONSUMERS[consumer]
+        operands = prepare(s, w)
+        out = op(*operands)
+        cells = [c.cell_contents for c in out._node._backward.func.__closure__]
+        assert any(isinstance(v, np.ndarray) and v.dtype == np.bool_
+                   and np.shares_memory(v, s.data) for v in cells)
+        assert _held_arrays(out, *operands) == []
+        assert s.dtype == np.bool_ and _held_arrays(s, x) == []
+
+
+class TestByteSpikes:
+    """Heaviside spikes are bool; the ops that read them cast them where
+    their float work starts, so outputs and gradients keep the bytes that
+    float spikes gave, and no gradient is bool."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_heaviside_spikes_are_bool_and_smooth_ones_float(self, dtype, smooth):
+        x = ad.Tensor(make_rng(60).normal(0.8, 1.0, (5, 3, 4)).astype(dtype), requires_grad=True)
+        a = ad.Tensor(np.array(0.3, dtype=dtype), requires_grad=True)
+        s = ad.lif_sequence(x, a, smooth=smooth)
+        assert s.dtype == (dtype if smooth else np.bool_)
+        assert s._node.dtype == dtype
+
+    def test_mixed_dtype_gradients_stay_float64(self):
+        """A float32 input under a float64 leak spikes as a float64 membrane,
+        so its node takes a float64 gradient: a float64 upstream gradient
+        reaches the backward unrounded."""
+        rng = make_rng(61)
+        x0 = rng.normal(0.8, 1.0, (6, 3, 4)).astype(np.float32)
+        upstream = rng.standard_normal(x0.shape)  # float64, not float32 values
+        grads = []
+        for direct in (False, True):
+            x = ad.Tensor(x0.copy(), requires_grad=True)
+            a = ad.Tensor(np.array(0.3), requires_grad=True)
+            s = ad.lif_sequence(x, a)
+            assert s.dtype == np.bool_ and s._node.dtype == np.float64
+            if direct:  # the upstream gradient handed to the node itself
+                s._node._backward(upstream.copy())
+            else:
+                ad.backward(ad.reduce_sum(ad.mul(s, ad.Tensor(upstream))))
+            grads.append((x.grad, a.grad))
+        for got, ref in zip(*grads):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert grads[0][0].dtype == np.float32 and grads[0][1].dtype == np.float64
+
+    @pytest.mark.parametrize("view", ["permute", "reshape"])
+    def test_permute_or_reshape_of_spikes_passes_a_float_gradient(self, view):
+        rng = make_rng(62)
+        x0 = rng.normal(0.8, 1.0, (5, 3, 4)).astype(np.float32)
+        upstream = rng.standard_normal(x0.shape).astype(np.float32)
+        grads = []
+        for hop in (False, True):
+            x = ad.Tensor(x0.copy(), requires_grad=True)
+            s = ad.lif_sequence(x)
+            w = upstream
+            if hop:
+                s = ad.permute(s, (2, 0, 1)) if view == "permute" else ad.reshape(s, (5, 12))
+                w = upstream.transpose(2, 0, 1) if view == "permute" else upstream.reshape(5, 12)
+                assert s.dtype == np.bool_ and s._node.dtype == np.float32
+            ad.backward(ad.reduce_sum(ad.mul(s, ad.tensor(w))))
+            grads.append(x.grad)
+        assert grads[0].dtype == np.float32 and grads[0].tobytes() == grads[1].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("consumer", list(SPIKE_CONSUMERS))
+    def test_consumers_give_the_bytes_of_float_spikes(self, consumer, dtype):
+        """Each consumer against the same op on float spikes (the bool spikes
+        times float ones, whose gradient passes on as it arrives): the output
+        and the gradients of the LIF input and of the weight, so with a
+        backward for both operands."""
+        prepare, op = SPIKE_CONSUMERS[consumer]
+        got = []
+        for as_float in (False, True):
+            with ad.precision(dtype):
+                x, s, w = _lif_spikes(63, consumer, dtype)
+                if as_float:
+                    s = ad.mul(s, ad.tensor(np.ones(s.shape)))
+                    assert s.dtype == dtype
+                out = op(*prepare(s, w))
+                upstream = make_rng(64).standard_normal(out.shape).astype(dtype)
+                ad.backward(ad.reduce_sum(ad.mul(out, ad.tensor(upstream))))
+            got.append([out.data, x.grad] + ([] if w is None else [w.grad]))
+        for name, mine, theirs in zip(("out", "x", "w"), *got):
+            assert mine.dtype == theirs.dtype == dtype, name
+            assert mine.tobytes() == theirs.tobytes(), name
 
 
 class TestTapeSplit:

@@ -203,6 +203,13 @@ def _from_rest(run, cfg, smooth, seed):
     return s.data, {"x": x.grad, "a": a.grad}
 
 
+def _in_oracle_dtype(fused, ref, smooth):
+    """The fused spikes as values of the float oracle's dtype: Heaviside
+    spikes are bool, smooth ones in the oracle's own dtype."""
+    assert fused.dtype == (ref.dtype if smooth else np.bool_)
+    return fused.astype(ref.dtype)
+
+
 class TestFusedSequenceMatchesStepwise:
     """``ad.lif_sequence`` against the per-step tape chain, float64."""
 
@@ -214,7 +221,7 @@ class TestFusedSequenceMatchesStepwise:
         cfg = NeuronConfig(kind=kind, tau=2.5, v_reset=v_reset, detach_reset=detach_reset)
         fused, g_fused = _from_rest(_fused, cfg, smooth, seed=11)
         ref, g_ref = _from_rest(_stepwise_reference, cfg, smooth, seed=11)
-        assert fused.tobytes() == ref.tobytes()
+        assert _in_oracle_dtype(fused, ref, smooth).tobytes() == ref.tobytes()
         if not smooth:
             assert 0.0 < fused.mean() < 1.0  # spikes and silence both occur
         for name in ("x",) + (("a",) if kind == "PLIF" else ()):
@@ -243,6 +250,7 @@ class TestFusedSequenceMatchesStepwise:
             x = ad.tensor(np.array(columns).T)
             a = ad.tensor(np.array(0.0))  # sigmoid(0) = 0.5
             fused, ref = (run(x, a, cfg, smooth).data for run in (_fused, _stepwise_reference))
+        fused = _in_oracle_dtype(fused, ref, smooth)
         assert np.signbit(x.data).any() and fused.tobytes() == ref.tobytes()
         if not smooth:
             assert fused[:, 4].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]

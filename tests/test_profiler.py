@@ -8,6 +8,7 @@ from spikevid import profiler as prof
 from spikevid.data import gen_moving_patterns
 from spikevid.layers import BatchNorm, Conv, Linear
 from spikevid.model import ModelConfig, VideoSpikeNet, time_major
+from spikevid.neurons import NeuronConfig, SpikingLayer
 
 from conftest import make_rng, tiny_config
 
@@ -64,6 +65,15 @@ class TestExactCounters:
         exact = prof.exact_ac_count_matmul(a, b)
         naive = sum(float(a[k].sum()) * float(b[k].sum()) for k in range(5))
         assert exact == naive
+
+    def test_counters_take_bool_spikes(self):
+        x, a, b = (spikes(shape, seed) for shape, seed in
+                   (((2, 4, 6, 6), 4), ((5, 4), 5), ((5, 3), 6)))
+        for count, args in ((prof.exact_ac_count_linear, (x, 3)),
+                            (prof.exact_ac_count_conv, (x, 3, 2, 1, 2, 4)),
+                            (prof.exact_ac_count_matmul, (a, b))):
+            as_bool = [v > 0 if isinstance(v, np.ndarray) else v for v in args]
+            assert count(*as_bool) == count(*args)
 
     def test_nonbinary_rejected(self):
         with pytest.raises(ValueError):
@@ -351,6 +361,43 @@ class TestHooksReadOnce:
         assert got.total == ref.total and got.count == ref.count
         assert got.step_rates == ref.step_rates
         assert all(type(r) is float for r in got.step_rates)
+
+    @pytest.mark.parametrize("kind, dtypes", [
+        ("PLIF", (np.float32, np.float32)),
+        ("PLIF", (np.float64, np.float64)),
+        ("PLIF", (np.float32, np.float64)),  # the membrane is float64
+        ("LIF", (np.float64, None)),
+    ], ids=["plif32", "plif64", "input32-leak64", "lif64"])
+    def test_byte_spike_stats_match_float_spikes(self, kind, dtypes):
+        """A spiking layer's bool spikes are counted per step, and their step
+        rates are in the membrane's dtype, as the float spikes of that dtype
+        gave them."""
+        x_dtype, leak_dtype = dtypes
+        layer = SpikingLayer(NeuronConfig(kind=kind))
+        if leak_dtype is not None:
+            layer.a = ad.Tensor(np.array(0.0, dtype=leak_dtype), requires_grad=True)
+        membrane = np.result_type(x_dtype, *[leak_dtype] * (leak_dtype is not None))
+        batches = [spikes((8, 4, 6, 5, 5), seed) > 0 for seed in (52, 53)]
+        rec = prof.Recording(None)
+        rec.spikes[layer] = prof.SpikeStats()
+        for data in batches:
+            rec._on_spikes(layer, (ad.Tensor(np.zeros(1, dtype=x_dtype)),), ad.Tensor(data))
+        got = rec.spikes[layer]
+        ref = per_step_spike_stats([data.astype(membrane) for data in batches])
+        assert got.total == ref.total and got.count == ref.count
+        assert got.step_rates == ref.step_rates
+
+    @pytest.mark.parametrize("seed", [54, 55])
+    def test_byte_input_stats_match_float_input(self, seed):
+        """A bool input is binary by its dtype and counts as its float copy."""
+        batches = [spikes((4, 3, 5, 5), seed) > 0, spikes((2, 7), seed + 10) > 0]
+        layer = object()
+        rec = prof.Recording(None)
+        rec.inputs[layer] = prof.InputStats()
+        for data in batches:
+            rec._on_linear(layer, (ad.Tensor(data),), ad.Tensor(np.zeros(2 * data.size)))
+        assert rec.inputs[layer] == elementwise_input_stats([d.astype(np.float32)
+                                                             for d in batches])
 
     @pytest.mark.parametrize("batches", [
         [np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)],

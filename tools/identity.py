@@ -26,9 +26,13 @@ and saves every array it produces:
   over the branches its backward replays (LIF and PLIF, ``v_reset`` 0.3 and
   -0.0, ``smooth``, ``detach_reset``, and a float32 input under a float64
   leak), once small and once above 1 MB with an odd batch, so that a
-  two-thread run splits it into unequal halves; grouped dense convs and
-  5x5 depthwise convs (stride 1 and 2, an odd batch above the conv thread
-  floor) whose weight and bias take a gradient; and ``batch_norm`` in train
+  two-thread run splits it into unequal halves, its spikes kept as the
+  float values of the membrane's dtype, so that a tree whose spikes are
+  bool compares byte for byte with one whose spikes are floats; spikes read
+  by a matmul and by a strided dense conv, with a gradient for both
+  operands of each; grouped dense convs and 5x5 depthwise convs (stride 1
+  and 2, an odd batch above the conv thread floor) whose weight and bias
+  take a gradient; and ``batch_norm`` in train
   and eval mode over a 2.2 MB map ``[T, B, C, H, W]`` (statistics per time
   step) and 1.1 MB of tokens ``[T, B, N, C]`` (permuted after it, so that
   its gradient arrives transposed), with gradients for the input, gamma and
@@ -209,6 +213,13 @@ NEURON_CASES = {
 }
 # lif_sequence input shapes: small, and above 1 MB (float32) with an odd batch
 NEURON_SHAPES = {"small": (8, 4, 6, 5), "large": (8, 17, 64, 32)}
+# name -> (LIF input shape, weight shape, conv stride or None for a matmul,
+# padding): spikes read by a matmul and a strided dense conv, both operands
+# taking a gradient
+SPIKE_CONSUMER_CASES = {
+    "matmul": ((8, 5, 12, 24), (24, 16), None, 0),
+    "conv_stride2": ((4, 3, 6, 9, 9), (8, 6, 3, 3), 2, 1),
+}
 # name -> (x shape, per-channel shape, reduced axes, permutation of the output)
 BATCH_NORM_CASES = {
     "map": ((8, 17, 16, 16, 16), (8, 1, 16, 1, 1), (1, 3, 4), None),
@@ -245,8 +256,23 @@ def taped_run():
             s = ad.lif_sequence(x, a, tau=2.5, **kw)
             ad.backward(ad.reduce_sum(ad.mul(s, ad.tensor(rng.standard_normal(x.shape)))))
             key = f"neuron/{name}" if size == "small" else f"neuron_{size}/{name}"
-            out[key] = {"spikes": s.data, "input_grad": x.grad,
+            membrane = np.result_type(x.data, *(() if a is None else (a.data,)))
+            out[key] = {"spikes": s.data.astype(membrane), "input_grad": x.grad,
                         "leak_grad": None if a is None else a.grad}
+    for name, (x_shape, w_shape, stride, padding) in SPIKE_CONSUMER_CASES.items():
+        x = ad.tensor(rng.normal(0.8, 1.0, x_shape), requires_grad=True)
+        w = ad.tensor(rng.standard_normal(w_shape), requires_grad=True)
+        s = ad.lif_sequence(x, tau=2.5)
+        if stride is None:
+            y = ad.matmul(s, w)
+        else:
+            T, B = x_shape[:2]
+            y = ad.conv(ad.reshape(s, (T * B,) + x_shape[2:]), w, stride=stride,
+                        padding=padding)
+        ad.backward(ad.reduce_sum(ad.mul(y, ad.tensor(rng.standard_normal(y.shape)))))
+        out[f"spike_consumer/{name}"] = {"spikes": s.data.astype(x.data.dtype),
+                                         "output": y.data, "input_grad": x.grad,
+                                         "weight_grad": w.grad}
     for name, (x_shape, channel_shape, axes, axes_after) in BATCH_NORM_CASES.items():
         for mode in ("train", "eval"):
             x, gamma, beta = (ad.tensor(rng.standard_normal(shape), requires_grad=True)
